@@ -38,7 +38,6 @@ become applicable automatically.
 """
 
 import configparser
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -207,27 +206,6 @@ def _parse_fields(section, chart: Chart) -> dict[str, VectorField]:
     return {name: VectorField(chart, tuple(comps)) for name, comps in collected.items()}
 
 
-def _probe_torsion_free(conn: con.Connection, points) -> bool:
-    basis = [conn.chart.basis_field(i) for i in range(conn.chart.dim)]
-    tor = con.torsion(conn)
-    worst = max(
-        gallery._max_abs(tor(x, y).comps, points)
-        for x, y in itertools.combinations(basis, 2)
-    )
-    return worst <= PROBE_TOL
-
-
-def _probe_flat(conn: con.Connection, points) -> bool:
-    basis = [conn.chart.basis_field(i) for i in range(conn.chart.dim)]
-    curv = con.curvature(conn)
-    worst = max(
-        gallery._max_abs(curv.apply_to(x, y, z).comps, points)
-        for x, y in itertools.combinations(basis, 2)
-        for z in basis
-    )
-    return worst <= PROBE_TOL
-
-
 def load_case_file(path: str) -> LoadedCase:
     """Parse, assemble and numerically validate a case file.
 
@@ -278,8 +256,8 @@ def load_case_file(path: str) -> LoadedCase:
         description=f"user case from {os.path.basename(path)}",
         metric=metric,
         coframe=sf.CoFrame.coordinate(chart),
-        torsion_free=_probe_torsion_free(conn, points),
-        flat=_probe_flat(conn, points),
+        torsion_free=gallery.torsion_residual(conn, points) <= PROBE_TOL,
+        flat=gallery.curvature_residual(conn, points) <= PROBE_TOL,
     )
     gallery._validate_case(case)
     return LoadedCase(case=case, forms=forms, fields=fields)

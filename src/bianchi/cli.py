@@ -210,7 +210,7 @@ def _cmd_describe_case(args) -> int:
         for i in range(chart.dim):
             for j in range(chart.dim):
                 expr = case.connection.christoffel(k, i, j)
-                if gallery._max_abs([expr], points) > 1e-12:
+                if not se.max_abs([expr], points) <= 1e-12:
                     text = se.to_text(expr)
                     if len(text) > 64:
                         text = text[:61] + "..."
@@ -264,11 +264,16 @@ def _cmd_describe_case(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "list":
-        return _cmd_list(args)
-    return _cmd_describe_case(args)
+    try:
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "list":
+            return _cmd_list(args)
+        return _cmd_describe_case(args)
+    except se.EvaluationError as exc:
+        # a domain error of the input data (ln of a negative, overflow), not
+        # a failed identity
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -32,12 +32,13 @@ from .geometry import (
     GeometryError,
     LinearMap,
     PForm,
-    ScalarField,
     TensorValuedForm,
     VectorField,
+    _symbolic_det,
     apply_vector_field,
     lie_bracket,
     random_point,
+    symbolic_inverse,
 )
 
 __all__ = [
@@ -118,9 +119,8 @@ def covariant_derivative(conn: Connection, X: VectorField, target):
     the Leibniz rule through every argument slot.
     """
     _require_chart(conn, X)
-    if isinstance(target, (ScalarField, Expr)):
-        expr = target.expr if isinstance(target, ScalarField) else target
-        return apply_vector_field(X, expr)
+    if isinstance(target, Expr):
+        return apply_vector_field(X, target)
     if isinstance(target, VectorField):
         return _cov_vector(conn, X, target)
     if isinstance(target, PForm):
@@ -370,30 +370,11 @@ class Metric:
         )
 
     def determinant(self) -> Expr:
-        from .geometry import _symbolic_det
-
         return _symbolic_det([list(row) for row in self.g])
 
     def inverse(self) -> tuple[tuple[Expr, ...], ...]:
         """Symbolic inverse by adjugate over determinant."""
-        from .geometry import _symbolic_det
-
-        n = self.chart.dim
-        det = self.determinant()
-        inv = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [self.g[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                cof = _symbolic_det(minor) if minor else se.ONE
-                if (i + j) % 2 == 1:
-                    cof = se.neg(cof)
-                # adjugate transposes, but g is symmetric so [j][i] == [i][j]
-                inv[j][i] = se.div(cof, det)
-        return tuple(tuple(row) for row in inv)
+        return tuple(tuple(row) for row in symbolic_inverse(self.g))
 
 
 def levi_civita(metric: Metric, probe_points: int = 5, seed: int = 0) -> Connection:

@@ -157,14 +157,6 @@ def _sample_points(chart: Chart, seed, count: int) -> list[dict]:
     return [geo.random_point(chart, rng) for _ in range(count)]
 
 
-def _max_abs(exprs, points) -> float:
-    worst = 0.0
-    for expr in exprs:
-        for pt in points:
-            worst = max(worst, abs(se.evaluate(expr, pt)))
-    return worst
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise CaseValidationError(message)
@@ -174,28 +166,19 @@ def _validate_case(case: GeometryCase, *, seed=0, samples: int = 8, tol: float =
     """Numerically verify every structural flag the case declares."""
     chart = case.chart
     points = _sample_points(chart, f"case-validation/{case.id}/{seed}", samples)
-    basis = [chart.basis_field(i) for i in range(chart.dim)]
 
     if case.connection.chart is not chart:
         raise CaseValidationError(f"case {case.id}: connection lives on the wrong chart")
 
     if case.torsion_free:
-        tor = con.torsion(case.connection)
-        worst = max(
-            _max_abs(tor(x, y).comps, points)
-            for x, y in itertools.combinations(basis, 2)
-        )
+        worst = torsion_residual(case.connection, points)
         _require(
             worst <= tol,
             f"case {case.id}: declared torsion-free but torsion residual is {worst:.3e}",
         )
 
     if case.flat:
-        curv = con.curvature(case.connection)
-        worst = 0.0
-        for x, y in itertools.combinations(basis, 2):
-            for z in basis:
-                worst = max(worst, _max_abs(curv.apply_to(x, y, z).comps, points))
+        worst = curvature_residual(case.connection, points)
         _require(
             worst <= tol,
             f"case {case.id}: declared flat but curvature residual is {worst:.3e}",
@@ -219,6 +202,30 @@ def _validate_case(case: GeometryCase, *, seed=0, samples: int = 8, tol: float =
         _validate_foliation(case.connection, case.foliation, points, tol=tol)
 
 
+def torsion_residual(conn: Connection, points) -> float:
+    """Worst torsion component on coordinate pairs; zero iff torsion-free."""
+    basis = conn.chart.coordinate_frame()
+    tor = con.torsion(conn)
+    return se.max_abs(
+        (c for x, y in itertools.combinations(basis, 2) for c in tor(x, y).comps), points
+    )
+
+
+def curvature_residual(conn: Connection, points) -> float:
+    """Worst curvature component on coordinate triples; zero iff flat."""
+    basis = conn.chart.coordinate_frame()
+    curv = con.curvature(conn)
+    return se.max_abs(
+        (
+            c
+            for x, y in itertools.combinations(basis, 2)
+            for z in basis
+            for c in curv.apply_to(x, y, z).comps
+        ),
+        points,
+    )
+
+
 def _metric_compatibility_residual(conn: Connection, metric: Metric, points) -> float:
     """(nabla_X g)(Y, Z) over coordinate fields; zero iff metric-compatible."""
     chart = conn.chart
@@ -231,7 +238,7 @@ def _metric_compatibility_residual(conn: Connection, metric: Metric, points) -> 
                 value = se.sub(value, metric.value(con.covariant_derivative(conn, x, y), z))
                 value = se.sub(value, metric.value(y, con.covariant_derivative(conn, x, z)))
                 exprs.append(value)
-    return _max_abs(exprs, points)
+    return se.max_abs(exprs, points)
 
 
 def _validate_foliation(
@@ -243,16 +250,16 @@ def _validate_foliation(
     if len(leaf) != chart.dim - 1:
         raise CaseValidationError("leaf fields must span a codimension-one distribution")
 
-    worst = _max_abs([theta.apply([u]) for u in leaf], points)
+    worst = se.max_abs([theta.apply([u]) for u in leaf], points)
     _require(worst <= tol, f"foliation: leaf fields do not annihilate the form ({worst:.3e})")
 
     normalization = se.sub(theta.apply([foliation.transverse]), se.ONE)
-    worst = _max_abs([normalization], points)
+    worst = se.max_abs([normalization], points)
     _require(worst <= tol, f"foliation: transverse pairing is not 1 ({worst:.3e})")
 
     d_theta = geo.exterior_derivative(theta)
     integrability = geo.wedge(d_theta, theta)
-    worst = _max_abs(integrability.comps.values(), points)
+    worst = se.max_abs(integrability.comps.values(), points)
     _require(worst <= tol, f"foliation: the form is not integrable ({worst:.3e})")
 
     basis = [chart.basis_field(i) for i in range(chart.dim)]
@@ -260,7 +267,7 @@ def _validate_foliation(
     for x in basis:
         for u in leaf:
             exprs.append(theta.apply([con.covariant_derivative(conn, x, u)]))
-    worst = _max_abs(exprs, points)
+    worst = se.max_abs(exprs, points)
     _require(
         worst <= tol,
         f"foliation: connection is not adapted to the leaves (residual {worst:.3e})",
@@ -272,7 +279,7 @@ def _validate_foliation(
         image = con.covariant_derivative(conn, x, foliation.transverse)
         scaled = foliation.transverse.scale(theta.apply([image]))
         exprs.extend((image - scaled).comps)
-    worst = _max_abs(exprs, points)
+    worst = se.max_abs(exprs, points)
     _require(
         worst <= tol,
         f"foliation: connection does not preserve the transverse line ({worst:.3e})",
@@ -341,21 +348,21 @@ def derive_contact_structure(
     d_alpha = geo.exterior_derivative(alpha)
 
     hooked = geo.interior_product(reeb, d_alpha)
-    worst = _max_abs(hooked.comps.values(), points)
+    worst = se.max_abs(hooked.comps.values(), points)
     _require(worst <= tol, f"contact invariant 'reeb-interior-product' violated ({worst:.3e})")
 
-    worst = _max_abs([se.sub(alpha.apply([reeb]), se.ONE)], points)
+    worst = se.max_abs([se.sub(alpha.apply([reeb]), se.ONE)], points)
     _require(worst <= tol, f"contact invariant 'reeb-normalization' violated ({worst:.3e})")
 
     exprs = [se.sub(metric.value(reeb, x), alpha.apply([x])) for x in fields]
-    worst = _max_abs(exprs, points)
+    worst = se.max_abs(exprs, points)
     _require(worst <= tol, f"contact invariant 'metric-reproduces-form' violated ({worst:.3e})")
 
     exprs = []
     for x, z in itertools.combinations(fields, 2):
         paired = se.mul(se.Const(2.0), metric.value(x, endo(z)))
         exprs.append(se.sub(paired, d_alpha.apply([x, z])))
-    worst = _max_abs(exprs, points)
+    worst = se.max_abs(exprs, points)
     _require(
         worst <= tol, f"contact invariant 'metric-endomorphism-pairing' violated ({worst:.3e})"
     )
@@ -365,7 +372,7 @@ def derive_contact_structure(
         twice = endo(endo(x))
         target = x.scale(se.neg(se.ONE)) + reeb.scale(alpha.apply([x]))
         exprs.extend((twice - target).comps)
-    worst = _max_abs(exprs, points)
+    worst = se.max_abs(exprs, points)
     _require(worst <= tol, f"contact invariant 'endomorphism-square' violated ({worst:.3e})")
 
     return ContactStructure(form=alpha, reeb=reeb, metric=metric, endomorphism=endo)
@@ -464,15 +471,13 @@ def build_sode_structure(chart: Chart, forces) -> SodeStructure:
 
     # the vertical endomorphism must send horizontals to verticals and
     # kill the semispray and the verticals
-    worst = 0.0
+    exprs = []
     for a in range(n):
-        worst = max(
-            worst,
-            _max_abs((vertical_endomorphism(horizontal[a]) - vertical[a]).comps, points),
-        )
-        worst = max(worst, _max_abs(vertical_endomorphism(vertical[a]).comps, points))
-    worst = max(worst, _max_abs(vertical_endomorphism(semispray).comps, points))
-    if worst > 1e-10:
+        exprs.extend((vertical_endomorphism(horizontal[a]) - vertical[a]).comps)
+        exprs.extend(vertical_endomorphism(vertical[a]).comps)
+    exprs.extend(vertical_endomorphism(semispray).comps)
+    worst = se.max_abs(exprs, points)
+    if not worst <= 1e-10:
         raise CaseValidationError(
             f"vertical endomorphism does not reproduce its frame action ({worst:.3e})"
         )
@@ -484,35 +489,17 @@ def build_sode_structure(chart: Chart, forces) -> SodeStructure:
             geo.lie_bracket(semispray, x)
         )
 
-    worst = _max_abs(lie_of_endomorphism(semispray).comps, points)
+    exprs = list(lie_of_endomorphism(semispray).comps)
     for a in range(n):
-        worst = max(worst, _max_abs((lie_of_endomorphism(horizontal[a]) + horizontal[a]).comps, points))
-        worst = max(worst, _max_abs((lie_of_endomorphism(vertical[a]) - vertical[a]).comps, points))
-    if worst > 1e-9:
+        exprs.extend((lie_of_endomorphism(horizontal[a]) + horizontal[a]).comps)
+        exprs.extend((lie_of_endomorphism(vertical[a]) - vertical[a]).comps)
+    worst = se.max_abs(exprs, points)
+    if not worst <= 1e-9:
         raise CaseValidationError(
             f"semispray Lie transport of the endomorphism breaks the 0/-1/+1 "
             f"eigenstructure ({worst:.3e})"
         )
     return structure
-
-
-def _symbolic_inverse(matrix) -> list[list[Expr]]:
-    """Adjugate-over-determinant inverse of a square symbolic matrix."""
-    n = len(matrix)
-    det = geo._symbolic_det([list(row) for row in matrix])
-    out = [[se.ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = geo._symbolic_det(minor) if minor else se.ONE
-            if (i + j) % 2 == 1:
-                cof = se.neg(cof)
-            out[j][i] = se.div(cof, det)
-    return out
 
 
 def derive_massa_pagani(sode: SodeStructure, *, tol: float = 1e-9) -> Connection:
@@ -595,7 +582,7 @@ def derive_massa_pagani(sode: SodeStructure, *, tol: float = 1e-9) -> Connection
     # convert frame coefficients to coordinate Christoffel symbols:
     # Gamma^l_{vu} = sum_ij Q^i_v Q^j_u [ sum_k P^l_k C^k_ij - E_i(P^l_j) ]
     p_matrix = [[frame[j].comps[mu] for j in range(m)] for mu in range(m)]
-    q_matrix = _symbolic_inverse(p_matrix)
+    q_matrix = geo.symbolic_inverse(p_matrix)
     gamma = [[[se.ZERO] * m for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(m):
@@ -618,70 +605,37 @@ def derive_massa_pagani(sode: SodeStructure, *, tol: float = 1e-9) -> Connection
 
     # oracle: the four defining properties, re-checked numerically
     points = _sample_points(chart, "massa-pagani-oracle", 20)
-    basis = [chart.basis_field(i) for i in range(m)]
-
-    worst = max(
-        _max_abs(con.covariant_derivative(conn, x, sode.semispray).comps, points)
-        for x in basis
-    )
-    if worst > tol:
-        raise FrameSolveError(f"derived connection fails 'semispray parallel' ({worst:.3e})")
-
-    worst = max(
-        _max_abs(
-            con.covariant_derivative(conn, x, sode.time_form).comps.values(), points
-        )
-        for x in basis
-    )
-    if worst > tol:
-        raise FrameSolveError(f"derived connection fails 'time form parallel' ({worst:.3e})")
-
-    worst = 0.0
-    for x in basis:
-        derived = con.covariant_derivative(conn, x, sode.vertical_endomorphism)
-        worst = max(worst, _max_abs(itertools.chain.from_iterable(derived.entries), points))
-    if worst > tol:
-        raise FrameSolveError(
-            f"derived connection fails 'vertical endomorphism parallel' ({worst:.3e})"
-        )
-
-    worst = max(
-        _max_abs(con.covariant_derivative(conn, x, v).comps, points)
-        for x in basis
-        for v in sode.vertical_fields
-    )
-    if worst > tol:
-        raise FrameSolveError(f"derived connection fails 'vertical frame parallel' ({worst:.3e})")
-
+    residuals = massa_pagani_property_residuals(conn, sode, points)
+    for name, worst in residuals.items():
+        if not worst <= tol:
+            raise FrameSolveError(f"derived connection fails '{name}' ({worst:.3e})")
     return conn
 
 
 def massa_pagani_property_residuals(conn: Connection, sode: SodeStructure, points) -> dict:
     """Residuals of the four defining properties, for external verification."""
-    chart = sode.chart
-    basis = [chart.basis_field(i) for i in range(chart.dim)]
-    semispray = max(
-        _max_abs(con.covariant_derivative(conn, x, sode.semispray).comps, points)
-        for x in basis
-    )
-    time_form = max(
-        _max_abs(con.covariant_derivative(conn, x, sode.time_form).comps.values(), points)
-        for x in basis
-    )
-    endo = 0.0
-    for x in basis:
-        derived = con.covariant_derivative(conn, x, sode.vertical_endomorphism)
-        endo = max(endo, _max_abs(itertools.chain.from_iterable(derived.entries), points))
-    vertical = max(
-        _max_abs(con.covariant_derivative(conn, x, v).comps, points)
-        for x in basis
-        for v in sode.vertical_fields
-    )
+    basis = sode.chart.coordinate_frame()
+    nabla = con.covariant_derivative
     return {
-        "semispray parallel": semispray,
-        "time form parallel": time_form,
-        "vertical endomorphism parallel": endo,
-        "vertical frame parallel": vertical,
+        "semispray parallel": se.max_abs(
+            (c for x in basis for c in nabla(conn, x, sode.semispray).comps), points
+        ),
+        "time form parallel": se.max_abs(
+            (c for x in basis for c in nabla(conn, x, sode.time_form).comps.values()), points
+        ),
+        "vertical endomorphism parallel": se.max_abs(
+            (
+                e
+                for x in basis
+                for row in nabla(conn, x, sode.vertical_endomorphism).entries
+                for e in row
+            ),
+            points,
+        ),
+        "vertical frame parallel": se.max_abs(
+            (c for x in basis for v in sode.vertical_fields for c in nabla(conn, x, v).comps),
+            points,
+        ),
     }
 
 
@@ -728,15 +682,15 @@ def build_cartan_form(
             paired = paired + geo.wedge(sode.force_forms[a], sode.contact_forms[b]).scale(
                 hessian[a][b]
             )
-    worst = _max_abs((omega - paired).comps.values(), points)
-    if worst > tol:
+    worst = se.max_abs((omega - paired).comps.values(), points)
+    if not worst <= tol:
         raise CaseValidationError(
             f"differential of the Lagrangian 1-form does not match the Hessian "
             f"pairing of force and contact forms ({worst:.3e})"
         )
 
     # Euler-Lagrange semispray: Hessian * F = dL/dx - d(momenta)/dt - d(momenta)/dx * u
-    inverse = _symbolic_inverse(hessian)
+    inverse = geo.symbolic_inverse(hessian)
     el_rhs = []
     for a in range(n):
         value = se.differentiate(lagrangian, position_names[a])
@@ -760,8 +714,8 @@ def build_cartan_form(
         el_comps[n + 1 + a] = el_forces[a]
     el_field = VectorField(chart, el_comps)
     hooked = geo.interior_product(el_field, omega)
-    worst = _max_abs(hooked.comps.values(), points)
-    if worst > tol:
+    worst = se.max_abs(hooked.comps.values(), points)
+    if not worst <= tol:
         raise CaseValidationError(
             f"Euler-Lagrange semispray does not annihilate the 2-form ({worst:.3e})"
         )
@@ -1026,21 +980,17 @@ def _report(case, check_id, worst, worst_point, config) -> Report:
 
 
 def _scan(case, check_id, exprs, points, config) -> Report:
-    worst, worst_point = 0.0, None
-    for expr in exprs:
-        for pt in points:
-            value = abs(se.evaluate(expr, pt))
-            if value > worst:
-                worst, worst_point = value, pt
+    """Report of the worst |e| over the (lazily built) expressions."""
+    worst, worst_point, _ = se.worst_residual(((None, e, 0) for e in exprs), points)
     return _report(case, check_id, worst, worst_point, config)
 
 
-def _random_leaf_fields(foliation: FoliationStructure, chart: Chart, seed, count: int):
-    rng = random.Random(str(seed))
+def _random_leaf_fields(leaf_fields, chart: Chart, rng: random.Random, count: int):
+    """``count`` random polynomial combinations of the leaf fields."""
     fields = []
     for _ in range(count):
         total = VectorField(chart, [se.ZERO] * chart.dim)
-        for leaf in foliation.leaf_fields:
+        for leaf in leaf_fields:
             total = total + leaf.scale(geo.random_polynomial(chart, rng))
         fields.append(total)
     return fields
@@ -1060,20 +1010,16 @@ def restricted_torsion_wedge_residual(
     Zero exactly when the kernel distribution of theta is integrable; feeding
     a contact form produces an order-one residual (the negative control).
     """
-    chart = theta.chart
     rng = random.Random(f"restricted-wedge/{seed}")
-    worst = 0.0
-    for _ in range(tuples):
-        pair = []
-        for _ in range(2):
-            total = VectorField(chart, [se.ZERO] * chart.dim)
-            for leaf in leaf_fields:
-                total = total + leaf.scale(geo.random_polynomial(chart, rng))
-            pair.append(total)
-        lhs = sf.torsion_form_apply(conn, theta, pair)
-        rhs = se.neg(sf.wedge_covector_identity_apply(conn, theta, pair))
-        worst = max(worst, _max_abs([se.sub(lhs, rhs)], points))
-    return worst
+
+    def residuals():
+        for _ in range(tuples):
+            pair = _random_leaf_fields(leaf_fields, theta.chart, rng, 2)
+            lhs = sf.torsion_form_apply(conn, theta, pair)
+            rhs = se.neg(sf.wedge_covector_identity_apply(conn, theta, pair))
+            yield se.sub(lhs, rhs)
+
+    return se.max_abs(residuals(), points)
 
 
 def _contact_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
@@ -1125,23 +1071,21 @@ def _contact_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
     # contraction of the curvature-form Bianchi identity with the Reeb field:
     # the differential's Reeb contraction balances the two wedge pairings
     d_curvature = geo.exterior_derivative(curvature_form)
-    worst, worst_point = 0.0, None
-    for t in range(config.tuples):
-        batch = sample_fields(
-            chart, f"{config.seed}/{case.id}/reeb-bianchi/{t}", SampleSpec(vectors=2)
-        )
-        args = [reeb, *batch.vectors]
-        lhs = d_curvature.apply(args)
-        rhs = se.add(
-            sf.wedge_covector_curvature_apply(conn, alpha, reeb, args),
-            sf.wedge_curvature_three_nabla_apply(conn, alpha, reeb, args),
-        )
-        residual = se.sub(lhs, rhs)
-        for pt in points:
-            value = abs(se.evaluate(residual, pt))
-            if value > worst:
-                worst, worst_point = value, pt
-    reports.append(_report(case, "reeb-contracted-second-bianchi", worst, worst_point, config))
+
+    def residuals():
+        for t in range(config.tuples):
+            batch = sample_fields(
+                chart, f"{config.seed}/{case.id}/reeb-bianchi/{t}", SampleSpec(vectors=2)
+            )
+            args = [reeb, *batch.vectors]
+            lhs = d_curvature.apply(args)
+            rhs = se.add(
+                sf.wedge_covector_curvature_apply(conn, alpha, reeb, args),
+                sf.wedge_curvature_three_nabla_apply(conn, alpha, reeb, args),
+            )
+            yield se.sub(lhs, rhs)
+
+    reports.append(_scan(case, "reeb-contracted-second-bianchi", residuals(), points, config))
     return reports
 
 
@@ -1173,10 +1117,13 @@ def _foliation_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
         exprs.extend(derived.apply([u]) for u in foliation.leaf_fields)
     reports.append(_scan(case, "adapted-derivative-is-scaling", exprs, points, config))
 
-    leaf_pairs = [
-        _random_leaf_fields(foliation, chart, f"{config.seed}/{case.id}/torsion/{t}", 2)
-        for t in range(config.tuples)
-    ]
+    leaves = foliation.leaf_fields
+
+    def leaf_fields(label, t, count):
+        rng = random.Random(f"{config.seed}/{case.id}/{label}/{t}")
+        return _random_leaf_fields(leaves, chart, rng, count)
+
+    leaf_pairs = [leaf_fields("torsion", t, 2) for t in range(config.tuples)]
     exprs = [sf.torsion_form_apply(conn, theta, pair) for pair in leaf_pairs]
     reports.append(_scan(case, "restricted-torsion-form-vanishes", exprs, points, config))
 
@@ -1185,9 +1132,7 @@ def _foliation_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
         batch = sample_fields(
             chart, f"{config.seed}/{case.id}/curvature/{t}", SampleSpec(vectors=2)
         )
-        (leaf_field,) = _random_leaf_fields(
-            foliation, chart, f"{config.seed}/{case.id}/curvature-leaf/{t}", 1
-        )
+        (leaf_field,) = leaf_fields("curvature-leaf", t, 1)
         exprs.append(
             sf.curvature_form_apply(conn, theta, leaf_field, list(batch.vectors))
         )
@@ -1198,9 +1143,7 @@ def _foliation_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
         d_torsion = geo.exterior_derivative(torsion_form)
         exprs = []
         for t in range(config.tuples):
-            triple = _random_leaf_fields(
-                foliation, chart, f"{config.seed}/{case.id}/d-torsion/{t}", 3
-            )
+            triple = leaf_fields("d-torsion", t, 3)
             exprs.append(d_torsion.apply(triple))
         reports.append(
             _scan(case, "restricted-torsion-differential-vanishes", exprs, points, config)
@@ -1208,9 +1151,7 @@ def _foliation_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
 
         exprs = []
         for t in range(config.tuples):
-            fields = _random_leaf_fields(
-                foliation, chart, f"{config.seed}/{case.id}/d-curvature/{t}", 4
-            )
+            fields = leaf_fields("d-curvature", t, 4)
             d_curv = geo.exterior_derivative(sf.curvature_form(conn, theta, fields[0]))
             exprs.append(d_curv.apply(fields[1:]))
         reports.append(

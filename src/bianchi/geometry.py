@@ -34,7 +34,6 @@ __all__ = [
     "DegreeError",
     "Chart",
     "Point",
-    "ScalarField",
     "VectorField",
     "PForm",
     "LinearMap",
@@ -44,8 +43,8 @@ __all__ = [
     "wedge",
     "interior_product",
     "exterior_derivative",
-    "exterior_derivative_intrinsic",
     "exterior_derivative_intrinsic_expr",
+    "symbolic_inverse",
     "sort_with_sign",
     "random_point",
     "random_polynomial",
@@ -127,15 +126,6 @@ def _same_chart(*objs):
     return chart
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    chart: Chart
-    expr: Expr
-
-    def __call__(self, point: Point) -> float:
-        return se.evaluate(self.expr, point)
-
-
 class VectorField:
     """Vector field with one symbolic component per coordinate."""
 
@@ -160,7 +150,7 @@ class VectorField:
         return VectorField(self.chart, tuple(-c for c in self.comps))
 
     def scale(self, factor) -> "VectorField":
-        f = factor.expr if isinstance(factor, ScalarField) else se.as_expr(factor)
+        f = se.as_expr(factor)
         return VectorField(self.chart, tuple(se.mul(f, c) for c in self.comps))
 
     def evaluate(self, point: Point) -> list[float]:
@@ -171,8 +161,8 @@ class VectorField:
 
 
 def apply_vector_field(X: VectorField, f) -> Expr:
-    """Directional derivative X(f).  ``f`` may be an Expr or ScalarField."""
-    expr = f.expr if isinstance(f, ScalarField) else se.as_expr(f)
+    """Directional derivative X(f) of an expression or number ``f``."""
+    expr = se.as_expr(f)
     chart = X.chart
     return se.add_all(
         se.mul(X.comps[i], se.differentiate(expr, chart.coords[i])) for i in range(chart.dim)
@@ -267,7 +257,7 @@ class PForm:
         return PForm(self.chart, self.degree, {k: se.neg(v) for k, v in self.comps.items()})
 
     def scale(self, factor) -> "PForm":
-        f = factor.expr if isinstance(factor, ScalarField) else se.as_expr(factor)
+        f = se.as_expr(factor)
         return PForm(self.chart, self.degree, {k: se.mul(f, v) for k, v in self.comps.items()})
 
     def apply(self, fields: Sequence[VectorField]) -> Expr:
@@ -281,14 +271,6 @@ class PForm:
         for key, value in self.comps.items():
             det = _symbolic_det([[fields[b].comps[key[a]] for b in range(len(key))] for a in range(len(key))])
             total = se.add(total, se.mul(value, det))
-        return total
-
-    def evaluate(self, point: Point, vectors: Sequence[Sequence[float]]) -> float:
-        """Numeric evaluation on component vectors at a point."""
-        total = 0.0
-        for key, value in self.comps.items():
-            det = _numeric_det([[vectors[b][key[a]] for b in range(len(key))] for a in range(len(key))])
-            total += se.evaluate(value, point) * det
         return total
 
     def __repr__(self):
@@ -310,17 +292,23 @@ def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
     return total
 
 
-def _numeric_det(matrix: list[list[float]]) -> float:
+def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+    """Adjugate-over-determinant inverse of a square symbolic matrix."""
     n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        term = 1.0
-        for row, col in enumerate(perm):
-            term *= matrix[row][col]
-        total += _perm_sign(perm) * term
-    return total
+    det = _symbolic_det([list(row) for row in matrix])
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [matrix[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            cof = _symbolic_det(minor) if minor else se.ONE
+            if (i + j) % 2 == 1:
+                cof = se.neg(cof)
+            out[j][i] = se.div(cof, det)
+    return out
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -430,10 +418,6 @@ def exterior_derivative_intrinsic_expr(theta: PForm, fields: Sequence[VectorFiel
     return total
 
 
-def exterior_derivative_intrinsic(theta: PForm, fields: Sequence[VectorField], point: Point) -> float:
-    return se.evaluate(exterior_derivative_intrinsic_expr(theta, fields), point)
-
-
 class LinearMap:
     """Endomorphism field: matrix of expressions acting on vector fields.
 
@@ -448,13 +432,6 @@ class LinearMap:
             raise GeometryError("endomorphism entries must form a dim x dim matrix")
         self.chart = chart
         self.entries = entries
-
-    @staticmethod
-    def identity(chart: Chart) -> "LinearMap":
-        return LinearMap(
-            chart,
-            [[se.ONE if i == j else ZERO for j in range(chart.dim)] for i in range(chart.dim)],
-        )
 
     def __call__(self, X: VectorField) -> VectorField:
         _same_chart(self, X)
@@ -481,7 +458,7 @@ class LinearMap:
         return LinearMap(self.chart, [[se.neg(e) for e in row] for row in self.entries])
 
     def scale(self, factor) -> "LinearMap":
-        f = factor.expr if isinstance(factor, ScalarField) else se.as_expr(factor)
+        f = se.as_expr(factor)
         return LinearMap(self.chart, [[se.mul(f, e) for e in row] for row in self.entries])
 
 

@@ -338,11 +338,18 @@ def _b2v_factory(case):
     return build
 
 
+def _cartan_forms(case):
+    """Coframe structure forms of the left and the right connection; one
+    build serves both sides when they are the same connection."""
+    lhs_forms = sf.cartan_coframe_forms(case.connection, case.coframe)
+    if case.reference_connection is case.connection:
+        return lhs_forms, lhs_forms
+    return lhs_forms, sf.cartan_coframe_forms(case.reference_connection, case.coframe)
+
+
 def _cs1_factory(case):
-    clhs, crhs = case.connection, case.reference_connection
     coframe = case.coframe
-    lhs_forms = sf.cartan_coframe_forms(clhs, coframe)
-    rhs_forms = sf.cartan_coframe_forms(crhs, coframe)
+    lhs_forms, rhs_forms = _cartan_forms(case)
     n = case.chart.dim
     rhs_sides = []
     for a in range(n):
@@ -362,10 +369,7 @@ def _cs1_factory(case):
 
 
 def _cs2_factory(case):
-    clhs, crhs = case.connection, case.reference_connection
-    coframe = case.coframe
-    lhs_forms = sf.cartan_coframe_forms(clhs, coframe)
-    rhs_forms = sf.cartan_coframe_forms(crhs, coframe)
+    lhs_forms, rhs_forms = _cartan_forms(case)
     n = case.chart.dim
     rhs_sides = []
     for a in range(n):
@@ -404,10 +408,8 @@ def _wedge_capped(a: PForm, b: PForm) -> PForm:
 
 
 def _c1_factory(case):
-    clhs, crhs = case.connection, case.reference_connection
     coframe = case.coframe
-    lhs_forms = sf.cartan_coframe_forms(clhs, coframe)
-    rhs_forms = sf.cartan_coframe_forms(crhs, coframe)
+    lhs_forms, rhs_forms = _cartan_forms(case)
     n = case.chart.dim
     lhs_sides, rhs_sides = [], []
     for a in range(n):
@@ -431,10 +433,7 @@ def _c1_factory(case):
 
 
 def _c2_factory(case):
-    clhs, crhs = case.connection, case.reference_connection
-    coframe = case.coframe
-    lhs_forms = sf.cartan_coframe_forms(clhs, coframe)
-    rhs_forms = sf.cartan_coframe_forms(crhs, coframe)
+    lhs_forms, rhs_forms = _cartan_forms(case)
     n = case.chart.dim
     lhs_sides, rhs_sides = [], []
     for a in range(n):
@@ -730,22 +729,15 @@ def check_identity(check_id: str, case, config: CheckConfig | None = None) -> Re
     build = check.factory(case)
     spec = check.sample_spec(chart)
 
-    worst = 0.0
-    worst_point = None
-    worst_tuple = None
-    for t in range(config.tuples):
-        batch = sample_fields(chart, f"{config.seed}/{case.id}/{check_id}/{t}", spec)
-        for lhs, rhs in build(batch.vectors, batch.forms):
-            for pt in point_batch.points:
-                left = se.evaluate(lhs, pt)
-                right = se.evaluate(rhs, pt)
-                residual = abs(left - right)
-                if config.relative:
-                    residual /= 1.0 + max(abs(left), abs(right))
-                if residual > worst:
-                    worst = residual
-                    worst_point = pt
-                    worst_tuple = t
+    def pairs():
+        for t in range(config.tuples):
+            batch = sample_fields(chart, f"{config.seed}/{case.id}/{check_id}/{t}", spec)
+            for lhs, rhs in build(batch.vectors, batch.forms):
+                yield t, lhs, rhs
+
+    worst, worst_point, worst_tuple = se.worst_residual(
+        pairs(), point_batch.points, config.relative
+    )
     return Report(
         case_id=case.id,
         check_id=check_id,

@@ -9,8 +9,8 @@ operator families appearing in those splittings:
   ``torsion_mixed_form``, ``curvature_three_form``),
 * alternating covariant-derivative sums (``xi_form``, ``psi_form``,
   ``connection_form``),
-* the seven tensor-valued wedge pairings the identities use
-  (``tensor_wedge``),
+* the tensor-valued wedge pairings the identities use, each evaluated
+  directly on its arguments (``wedge_*_apply``),
 * the exterior covariant derivative on vector- and endomorphism-valued
   forms (``exterior_covariant_derivative``),
 * the moving-frame apparatus: connection one-forms plus torsion and
@@ -43,7 +43,6 @@ from .geometry import (
     PForm,
     TensorValuedForm,
     VectorField,
-    exterior_derivative,
     lie_bracket,
     random_point,
 )
@@ -57,10 +56,6 @@ from .connection import (
 
 class StructureFormError(GeometryError):
     pass
-
-
-class UnsupportedPairingError(StructureFormError):
-    """tensor_wedge received a pairing it has no contract for."""
 
 
 class UnsupportedValueKindError(StructureFormError):
@@ -351,86 +346,7 @@ def curvature_three_form_via_iterated_derivatives(
     return se.add_all(terms)
 
 
-# -- generalized curvature candidate ------------------------------------------
-
-
-def curvature_form_candidate(conn: Connection, theta: PForm) -> PForm:
-    """Candidate general-degree curvature form: d(torsion form) minus the
-    derivative-torsion wedge.
-
-    For degree 1 this is exactly the curvature 3-form by the first Bianchi
-    identity.  For higher degree no independent definition is available;
-    this combination is the unique one making the general first Bianchi
-    identity hold by construction.  Its pointwise dependence on the input
-    form (function-linearity) is probed numerically in the tests rather
-    than assumed.
-    """
-    _require_degree(theta)
-    if theta.degree + 2 > conn.chart.dim + 1:
-        raise DegreeError(
-            "candidate curvature form would exceed top degree; "
-            f"need degree <= {conn.chart.dim - 1}, got {theta.degree}"
-        )
-    lead = exterior_derivative(torsion_form(conn, theta))
-    wedge_part = _componentwise(
-        conn.chart, theta.degree + 2, lambda fs: wedge_form_torsion_apply(conn, theta, fs)
-    )
-    return lead - wedge_part
-
-
 # -- tensor-valued wedge pairings ----------------------------------------------
-
-
-class WedgeOperand:
-    """Tagged operand for ``tensor_wedge``; build via the factory functions."""
-
-    __slots__ = ("tag", "chart", "conn", "form", "field")
-
-    def __init__(self, tag: str, chart: Chart, conn=None, form=None, field=None):
-        self.tag = tag
-        self.chart = chart
-        self.conn = conn
-        self.form = form
-        self.field = field
-
-    def __repr__(self):
-        return f"WedgeOperand({self.tag})"
-
-
-def nabla_form_operand(conn: Connection, theta: PForm) -> WedgeOperand:
-    """Covariant differential of a form, as a wedge operand."""
-    _require_degree(theta)
-    return WedgeOperand("nabla_form", conn.chart, conn=conn, form=theta)
-
-
-def nabla_field_operand(conn: Connection, z: VectorField) -> WedgeOperand:
-    """Covariant differential of a vector field, as a wedge operand."""
-    return WedgeOperand("nabla_field", conn.chart, conn=conn, field=z)
-
-
-def identity_operand(chart: Chart) -> WedgeOperand:
-    """The identity endomorphism (soldering form), as a wedge operand."""
-    return WedgeOperand("identity", chart)
-
-
-def torsion_operand(conn: Connection) -> WedgeOperand:
-    return WedgeOperand("torsion", conn.chart, conn=conn)
-
-
-def curvature_operand(conn: Connection) -> WedgeOperand:
-    return WedgeOperand("curvature", conn.chart, conn=conn)
-
-
-def curried_curvature_operand(conn: Connection, z: VectorField) -> WedgeOperand:
-    """Curvature with its endomorphism slot filled by Z, as a wedge operand."""
-    return WedgeOperand("curvature_field", conn.chart, conn=conn, field=z)
-
-
-def curvature_three_operand(conn: Connection, theta: PForm) -> WedgeOperand:
-    """The curvature 3-form contraction of a 1-form, as a wedge operand."""
-    if theta.degree != 1:
-        raise DegreeError("curvature-three operand needs a 1-form")
-    return WedgeOperand("curvature_three", conn.chart, conn=conn, form=theta)
 
 
 def wedge_covector_identity_apply(conn: Connection, theta: PForm, fields) -> Expr:
@@ -443,16 +359,6 @@ def wedge_covector_identity_apply(conn: Connection, theta: PForm, fields) -> Exp
     )
 
 
-def wedge_covector_nabla_apply(conn: Connection, theta: PForm, z: VectorField, fields) -> Expr:
-    """(nabla theta ^ nabla Z)(X, Y) = nabla_X theta(nabla_Y Z) - nabla_Y theta(nabla_X Z)."""
-    _expect_args(fields, 2)
-    x, y = fields
-    return se.sub(
-        covariant_derivative(conn, x, theta).apply([covariant_derivative(conn, y, z)]),
-        covariant_derivative(conn, y, theta).apply([covariant_derivative(conn, x, z)]),
-    )
-
-
 def wedge_covector_torsion_apply(conn: Connection, theta: PForm, fields) -> Expr:
     """(nabla theta ^ T)(X, Y, Z) = cyclic sum of nabla_X theta(T(Y, Z))."""
     _expect_args(fields, 3)
@@ -460,38 +366,6 @@ def wedge_covector_torsion_apply(conn: Connection, theta: PForm, fields) -> Expr
     terms = []
     for x, y, z in _rotations(tuple(fields)):
         terms.append(covariant_derivative(conn, x, theta).apply([tor(y, z)]))
-    return se.add_all(terms)
-
-
-def wedge_form_torsion_apply(conn: Connection, theta: PForm, fields) -> Expr:
-    """General-degree derivative-torsion wedge on p+2 fields.
-
-    Every increasing triple of positions contributes three terms: the
-    middle position differentiates while torsion takes the outer pair,
-    and the roles then rotate cyclically.  With one-based positions and
-    sign (-1)^(i+j+k) for the triple i<j<k::
-
-        - nabla_{X_j} Theta(T(X_i, X_k), rest)
-        - nabla_{X_i} Theta(T(X_k, X_j), rest)
-        - nabla_{X_k} Theta(T(X_j, X_i), rest)
-
-    Degree 1 collapses to the cyclic three-term wedge above; the tests
-    pin the agreement.
-    """
-    _require_degree(theta)
-    _expect_args(fields, theta.degree + 2)
-    tor = torsion(conn)
-    terms = []
-    for key in combinations(range(len(fields)), 3):
-        # one-based (-1)^(i+j+k+1)
-        sign = -1 if sum(key) % 2 else 1
-        rest = _drop(fields, *key)
-        xa, xb, xc = (fields[pos] for pos in key)
-        for first, direction, second in ((xa, xb, xc), (xc, xa, xb), (xb, xc, xa)):
-            value = covariant_derivative(conn, direction, theta).apply(
-                [tor(first, second)] + rest
-            )
-            terms.append(value if sign > 0 else se.neg(value))
     return se.add_all(terms)
 
 
@@ -532,70 +406,6 @@ def wedge_curvature_identity_apply(conn: Connection, fields) -> VectorField:
         value = curv.apply_to(x, y, z)
         total = value if total is None else total + value
     return total
-
-
-_SUPPORTED_PAIRINGS = (
-    "(nabla theta, identity)",
-    "(nabla theta, nabla Z)",
-    "(nabla Theta, torsion)",
-    "(nabla theta, curried curvature)",
-    "(curvature three-form, nabla Z)",
-    "(curvature, identity)",
-)
-
-
-def tensor_wedge(left: WedgeOperand, right: WedgeOperand):
-    """Wedge two tensor-valued operands under one of the supported pairings.
-
-    Returns a componentwise PForm for the scalar-valued pairings and a
-    vector-valued form of arity 3 for (curvature, identity).  Pairings
-    outside the published list raise :class:`UnsupportedPairingError`;
-    this is deliberately not a general graded-wedge machine.
-    """
-    if not isinstance(left, WedgeOperand) or not isinstance(right, WedgeOperand):
-        raise UnsupportedPairingError("tensor_wedge operands must be WedgeOperand values")
-    key = (left.tag, right.tag)
-    chart = left.chart
-    if key == ("nabla_form", "identity"):
-        if left.form.degree != 1:
-            raise UnsupportedPairingError("the identity pairing needs a 1-form differential")
-        conn, theta = left.conn, left.form
-        return _componentwise(chart, 2, lambda fs: wedge_covector_identity_apply(conn, theta, fs))
-    if key == ("nabla_form", "nabla_field"):
-        if left.form.degree != 1:
-            raise UnsupportedPairingError("the field pairing needs a 1-form differential")
-        conn, theta, z = left.conn, left.form, right.field
-        return _componentwise(chart, 2, lambda fs: wedge_covector_nabla_apply(conn, theta, z, fs))
-    if key == ("nabla_form", "torsion"):
-        conn, theta = left.conn, left.form
-        if theta.degree == 1:
-            return _componentwise(chart, 3, lambda fs: wedge_covector_torsion_apply(conn, theta, fs))
-        if theta.degree + 2 > chart.dim + 1:
-            raise DegreeError("derivative-torsion wedge would exceed top degree")
-        return _componentwise(
-            chart, theta.degree + 2, lambda fs: wedge_form_torsion_apply(conn, theta, fs)
-        )
-    if key == ("nabla_form", "curvature_field"):
-        if left.form.degree != 1:
-            raise UnsupportedPairingError("the curvature pairing needs a 1-form differential")
-        conn, theta, z0 = left.conn, left.form, right.field
-        return _componentwise(
-            chart, 3, lambda fs: wedge_covector_curvature_apply(conn, theta, z0, fs)
-        )
-    if key == ("curvature_three", "nabla_field"):
-        conn, theta, z0 = left.conn, left.form, right.field
-        return _componentwise(
-            chart, 3, lambda fs: wedge_curvature_three_nabla_apply(conn, theta, z0, fs)
-        )
-    if key == ("curvature", "identity"):
-        conn = left.conn
-        return TensorValuedForm(
-            chart, "vector", 3, lambda *fs: wedge_curvature_identity_apply(conn, list(fs))
-        )
-    raise UnsupportedPairingError(
-        f"no wedge contract for ({left.tag}, {right.tag}); supported: "
-        + ", ".join(_SUPPORTED_PAIRINGS)
-    )
 
 
 # -- exterior covariant derivative ---------------------------------------------
@@ -703,18 +513,17 @@ class CoFrame:
         )
 
     def duality_residual(self, points) -> float:
-        worst = 0.0
-        for point in points:
-            for a in range(self.chart.dim):
-                for b in range(self.chart.dim):
-                    value = se.evaluate(self.coframe[a].apply([self.frame[b]]), point)
-                    target = 1.0 if a == b else 0.0
-                    worst = max(worst, abs(value - target))
-        return worst
+        n = self.chart.dim
+        pairs = (
+            (None, self.coframe[a].apply([self.frame[b]]), 1 if a == b else 0)
+            for a in range(n)
+            for b in range(n)
+        )
+        return se.worst_residual(pairs, points)[0]
 
     def validate(self, points, tol: float = 1e-10) -> None:
         worst = self.duality_residual(points)
-        if worst > tol:
+        if not worst <= tol:
             raise CoFrameError(f"coframe duality violated: residual {worst:.3e} > {tol:.1e}")
 
 

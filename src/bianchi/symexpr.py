@@ -47,7 +47,8 @@ __all__ = [
     "add_all",
     "differentiate",
     "evaluate",
-    "free_variables",
+    "worst_residual",
+    "max_abs",
     "parse",
     "to_text",
     "ExpressionError",
@@ -118,9 +119,6 @@ class Expr:
 
     def __neg__(self):
         return neg(self)
-
-    def diff(self, var: str) -> "Expr":
-        return differentiate(self, var)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -372,27 +370,6 @@ def add_all(terms: Iterable[Expr]) -> Expr:
     return total
 
 
-# -- structural queries -----------------------------------------------------
-
-def free_variables(e: Expr) -> frozenset:
-    seen: dict[int, frozenset] = {}
-
-    def walk(node: Expr) -> frozenset:
-        got = seen.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            out = frozenset((node.name,))
-        elif isinstance(node, Const):
-            out = frozenset()
-        else:
-            out = frozenset().union(*(walk(c) for c in node.children()))
-        seen[id(node)] = out
-        return out
-
-    return walk(e)
-
-
 # -- differentiation --------------------------------------------------------
 
 def differentiate(e: Expr, var: str) -> Expr:
@@ -444,8 +421,9 @@ def differentiate(e: Expr, var: str) -> Expr:
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     """Evaluate at an assignment of floats to variable names.
 
-    Raises :class:`EvaluationError` on domain failures and on variables
-    missing from ``point``.  Shared subtrees are evaluated once.
+    Raises :class:`EvaluationError`, and no other error, on domain
+    failures, on results too large for a float and on variables missing
+    from ``point``.  Shared subtrees are evaluated once.
     """
 
     memo: dict[int, float] = {}
@@ -454,46 +432,85 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
         got = memo.get(id(node))
         if got is not None:
             return got
-        if isinstance(node, Const):
-            out = float(node.value)
-        elif isinstance(node, Var):
-            try:
-                out = float(point[node.name])
-            except KeyError:
-                raise EvaluationError(f"no value supplied for variable '{node.name}'") from None
-        elif isinstance(node, Add):
-            out = ev(node.a) + ev(node.b)
-        elif isinstance(node, Mul):
-            out = ev(node.a) * ev(node.b)
-        elif isinstance(node, Div):
-            den = ev(node.b)
-            if den == 0.0:
-                raise EvaluationError(f"division by zero in '{_clip(node)}'")
-            out = ev(node.a) / den
-        elif isinstance(node, Pow):
-            base = ev(node.base)
-            if base == 0.0 and node.exponent < 0:
-                raise EvaluationError(f"zero raised to a negative power in '{_clip(node)}'")
-            out = base**node.exponent
-        elif isinstance(node, Neg):
-            out = -ev(node.arg)
-        elif isinstance(node, Sin):
-            out = math.sin(ev(node.arg))
-        elif isinstance(node, Cos):
-            out = math.cos(ev(node.arg))
-        elif isinstance(node, Exp):
-            out = math.exp(ev(node.arg))
-        elif isinstance(node, Ln):
-            val = ev(node.arg)
-            if val <= 0.0:
-                raise EvaluationError(f"ln of non-positive value {val!r} in '{_clip(node)}'")
-            out = math.log(val)
-        else:  # pragma: no cover - closed node set
-            raise TypeError(f"cannot evaluate {type(node).__name__}")
+        try:
+            if isinstance(node, Const):
+                out = float(node.value)
+            elif isinstance(node, Var):
+                try:
+                    out = float(point[node.name])
+                except KeyError:
+                    raise EvaluationError(f"no value supplied for variable '{node.name}'") from None
+            elif isinstance(node, Add):
+                out = ev(node.a) + ev(node.b)
+            elif isinstance(node, Mul):
+                out = ev(node.a) * ev(node.b)
+            elif isinstance(node, Div):
+                den = ev(node.b)
+                if den == 0.0:
+                    raise EvaluationError(f"division by zero in '{_clip(node)}'")
+                out = ev(node.a) / den
+            elif isinstance(node, Pow):
+                base = ev(node.base)
+                if base == 0.0 and node.exponent < 0:
+                    raise EvaluationError(f"zero raised to a negative power in '{_clip(node)}'")
+                out = base**node.exponent
+            elif isinstance(node, Neg):
+                out = -ev(node.arg)
+            elif isinstance(node, Sin):
+                out = math.sin(ev(node.arg))
+            elif isinstance(node, Cos):
+                out = math.cos(ev(node.arg))
+            elif isinstance(node, Exp):
+                out = math.exp(ev(node.arg))
+            elif isinstance(node, Ln):
+                val = ev(node.arg)
+                if val <= 0.0:
+                    raise EvaluationError(f"ln of non-positive value {val!r} in '{_clip(node)}'")
+                out = math.log(val)
+            else:  # pragma: no cover - closed node set
+                raise TypeError(f"cannot evaluate {type(node).__name__}")
+        except (OverflowError, ValueError) as exc:
+            # float(Const), ** and exp overflow; sin and cos reject infinities
+            raise EvaluationError(f"cannot evaluate '{_clip(node)}': {exc}") from None
         memo[id(node)] = out
         return out
 
     return ev(e)
+
+
+def worst_residual(pairs, points, relative: bool = False) -> tuple:
+    """Worst residual |lhs - rhs| over ``(tag, lhs, rhs)`` triples and points.
+
+    ``pairs`` is consumed lazily, one triple at a time.  ``rhs`` is an
+    expression or a plain number.  Each expression is evaluated on its own
+    through this module's ``evaluate`` attribute, so a replacement
+    evaluator decides every value; the residual arithmetic also works on
+    ``decimal.Decimal`` values.  With ``relative`` each residual is divided
+    by 1 + max(|lhs|, |rhs|).  A residual replaces the worst only when it
+    is strictly greater, except that the first NaN or infinite residual is
+    returned at once: it fails every tolerance.
+
+    Returns ``(residual, point, tag)``; ``(0.0, None, None)`` when every
+    residual is zero.
+    """
+    worst, worst_point, worst_tag = 0.0, None, None
+    for tag, lhs, rhs in pairs:
+        for point in points:
+            left = evaluate(lhs, point)
+            right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
+            residual = abs(left - right)
+            if relative:
+                residual /= 1 + max(abs(left), abs(right))
+            if residual != residual or residual == math.inf:
+                return residual, point, tag
+            if residual > worst:
+                worst, worst_point, worst_tag = residual, point, tag
+    return worst, worst_point, worst_tag
+
+
+def max_abs(exprs, points) -> float:
+    """Worst |e| over expressions and points, by :func:`worst_residual`."""
+    return worst_residual(((None, e, 0) for e in exprs), points)[0]
 
 
 def _clip(node: Expr, limit: int = 80) -> str:

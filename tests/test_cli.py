@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +320,43 @@ def test_case_file_form_indices_must_increase(tmp_path):
     path.write_text("[chart]\ncoords = x y z\n\n[forms]\nw[2,1] = x\n")
     with pytest.raises(casefile.CaseFileError, match="increasing"):
         casefile.load_case_file(str(path))
+
+
+@pytest.mark.parametrize("command", ["verify", "describe-case"])
+@pytest.mark.parametrize(
+    "chart_range, culprit",
+    [("", "ln(x)"), ("range = 800 900\n", "exp(x)")],
+    ids=["ln", "exp"],
+)
+def test_case_file_domain_error_exits_2(tmp_path, capsys, command, chart_range, culprit):
+    path = tmp_path / "domain.case"
+    path.write_text(f"[chart]\ncoords = x y\n{chart_range}\n[christoffel]\n1 1 2 = {culprit}\n")
+    if command == "verify":
+        argv = ["verify", "--case-file", str(path), "--check", "S1", "--points", "3"]
+    else:
+        argv = ["describe-case", "user", "--case-file", str(path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert culprit in err
+
+
+def test_case_file_torsion_probe_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "overflow.case"
+    nan = "10^300*x*10^300 - 10^300*x*10^300"  # inf - inf
+    path.write_text(f"[chart]\ncoords = x y\n\n[christoffel]\n1 1 2 = {nan}\n")
+    assert not casefile.load_case_file(str(path)).case.torsion_free
+
+
+def test_readme_case_file_example_verifies(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "heisenberg.case"
+    path.write_text(example)
+    assert casefile.load_case_file(str(path)).case.id == "heisenberg"
+    code, _, _ = run_cli(
+        capsys, "verify", "--case-file", str(path), "--check", "S1", "--points", "3"
+    )
+    assert code == 0
 
 
 # -- console entry point ----------------------------------------------------------------

@@ -3,9 +3,11 @@ the gallery, applicability rules, and mutation sensitivity."""
 
 import dataclasses
 import json
+import math
 
 import pytest
 
+from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
 from bianchi import identity_suite as ids
@@ -268,4 +270,46 @@ def test_two_sided_evaluation_detects_connection_mismatch():
     other = gallery.build_case("random_poly:5")
     crossed = dataclasses.replace(case, rhs_connection=other.connection)
     report = ids.check_identity("S1", crossed, ids.CheckConfig(points=5, tuples=3))
+    assert not report.passed
+
+
+# -- non-finite residuals and the evaluate hook ----------------------------------------
+
+
+def overflowing_case():
+    """flat_with_torsion with coefficients whose products overflow to inf."""
+    case = gallery.build_case("flat_with_torsion")
+    big = se.Const(10**300)
+    conn = con.Connection.from_nonzero(
+        case.chart,
+        {(2, 0, 1): big, (2, 1, 0): se.neg(big), (0, 0, 0): se.mul(big, se.Var("x"))},
+    )
+    return dataclasses.replace(case, connection=conn)
+
+
+# CS1 is left out: on this connection both of its sides are finite and equal
+@pytest.mark.parametrize("check_id", ["B1v", "S2", "CS2"])
+def test_non_finite_residual_fails_the_check(check_id):
+    report = ids.check_identity(check_id, overflowing_case())
+    assert not report.passed
+    assert not math.isfinite(report.max_residual)
+    assert report.worst_point is not None
+
+
+def test_check_identity_evaluates_through_the_module_hook(monkeypatch):
+    """Each side of each pair is evaluated once per point through the
+    module attribute symexpr.evaluate, and its values decide the residual."""
+    case = gallery.build_case("flat_with_torsion")
+    config = ids.CheckConfig(points=3, tuples=2)
+    pairs = config.tuples * case.chart.dim  # D1 pairs up vector components
+    calls = []
+
+    def counting(expr, point):
+        calls.append(expr)
+        return 0.25 if len(calls) % 2 else 1.0  # lhs 0.25, rhs 1.0
+
+    monkeypatch.setattr(se, "evaluate", counting)
+    report = ids.check_identity("D1", case, config)
+    assert len(calls) == 2 * pairs * config.points
+    assert report.max_residual == 0.75
     assert not report.passed

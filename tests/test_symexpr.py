@@ -192,3 +192,37 @@ def test_folding_preserves_value_not_structure():
     assert e == se.Var("x")
     e = se.mul(se.Const(1), se.Var("y"))
     assert e == se.Var("y")
+
+
+def test_evaluate_overflow_raises_evaluation_error():
+    with pytest.raises(se.EvaluationError, match=r"exp\(x\)"):
+        se.evaluate(se.parse("exp(x)", VARS), {"x": 800.0})
+    with pytest.raises(se.EvaluationError):
+        se.evaluate(se.Const(10**400), {})
+    with pytest.raises(se.EvaluationError):
+        se.evaluate(se.parse("x^3", VARS), {"x": 1e200})
+    with pytest.raises(se.EvaluationError, match="sin"):
+        se.evaluate(se.parse("sin(x*x)", VARS), {"x": 1e200})
+
+
+def test_worst_residual_never_passes_non_finite_values():
+    x = se.Var("x")
+    big = se.Const(10**300)
+    overflow = se.Mul(se.Mul(big, x), big)  # inf wherever x != 0
+    nan = se.Add(overflow, se.Neg(overflow))
+    points = [{"x": 0.5}, {"x": 0.25}]
+    assert math.isnan(se.max_abs([se.ZERO, nan, se.ONE], points))
+    worst, point, tag = se.worst_residual(
+        [("a", x, 0), ("b", overflow, 0), ("c", x, 100)], points
+    )
+    assert (worst, point, tag) == (math.inf, points[0], "b")
+
+
+def test_worst_residual_keeps_the_first_strictly_greater():
+    x = se.Var("x")
+    points = [{"x": 1.0}, {"x": -1.0}, {"x": 0.5}]
+    worst, point, tag = se.worst_residual([(0, x, 0), (1, se.neg(x), se.ZERO)], points)
+    assert (worst, point, tag) == (1.0, points[0], 0)
+    # relative residuals divide by 1 + the larger member: |-1 - 1| / (1 + 1)
+    worst, point, _ = se.worst_residual([(0, x, se.ONE)], points, relative=True)
+    assert (worst, point) == (1.0, points[1])
