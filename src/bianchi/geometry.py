@@ -95,12 +95,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def axis(self, name: str) -> int:
-        try:
-            return self.coords.index(name)
-        except ValueError:
-            raise GeometryError(f"no coordinate '{name}' in chart '{self.name}'") from None
-
     def parse(self, text: str) -> Expr:
         return se.parse(text, self.coords)
 

@@ -177,22 +177,6 @@ def _cyclic(triple):
     return ((a, b, c), (b, c, a), (c, a, b))
 
 
-def _s1_factory(case):
-    clhs, crhs = case.connection, case.reference_connection
-
-    def build(vectors, forms):
-        (theta,) = forms
-        args = list(vectors[:2])
-        lhs = sf.torsion_form_apply(clhs, theta, args)
-        rhs = se.add(
-            geo.exterior_derivative(theta).apply(args),
-            sf.xi_form_apply(crhs, theta, args),
-        )
-        return [(lhs, rhs)]
-
-    return build
-
-
 def _s1p_factory(case):
     clhs, crhs = case.connection, case.reference_connection
 
@@ -578,7 +562,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "torsion form of a 1-form equals its differential plus the alternating derivative sum",
             "first structure equation for 1-forms",
             _spec_fixed(2, (1,)),
-            _s1_factory,
+            _s1p_factory,
         ),
         IdentityCheck(
             "S1p",

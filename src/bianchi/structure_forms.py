@@ -30,6 +30,7 @@ blackboard presentation; the code is zero-based throughout.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -521,10 +522,10 @@ class CoFrame:
         )
         return se.worst_residual(pairs, points)[0]
 
-    def validate(self, points, tol: float = 1e-10) -> None:
+    def validate(self, points) -> None:
         worst = self.duality_residual(points)
-        if not worst <= tol:
-            raise CoFrameError(f"coframe duality violated: residual {worst:.3e} > {tol:.1e}")
+        if not worst <= 1e-10:
+            raise CoFrameError(f"coframe duality violated: residual {worst:.3e} > 1.0e-10")
 
 
 @dataclass(frozen=True)
@@ -542,80 +543,29 @@ class CartanForms:
     curvature_two_forms: tuple
 
 
-def cartan_coframe_forms(
-    conn: Connection,
-    coframe: CoFrame,
-    points=None,
-    *,
-    seed: int = 0,
-    samples: int = 5,
-    tol: float = 1e-10,
-) -> CartanForms:
+def cartan_coframe_forms(conn: Connection, coframe: CoFrame) -> CartanForms:
     """Build the classical structure forms of a coframe.
 
-    The coframe's duality is validated first (at ``points``, or at seeded
-    random points when none are given); a violation beyond ``tol`` raises
+    They are the connection, torsion and curvature forms of the coframe's
+    1-forms theta^a against its frame fields U_b.  The coframe's duality is
+    validated first at 5 seeded points; a violation raises
     :class:`CoFrameError`.
     """
     chart = conn.chart
     if coframe.chart is not chart:
         raise CoFrameError("coframe lives on a different chart than the connection")
-    if points is None:
-        import random as _random
-
-        rng = _random.Random(f"coframe-duality/{seed}")
-        points = [random_point(chart, rng) for _ in range(samples)]
-    coframe.validate(points, tol)
-
-    n = chart.dim
-    frame = chart.coordinate_frame()
-    tor = torsion(conn)
-    curv = curvature(conn)
-
-    connection_rows = []
-    curvature_rows = []
-    for a in range(n):
-        theta_a = coframe.coframe[a]
-        conn_row = []
-        curv_row = []
-        for b in range(n):
-            u_b = coframe.frame[b]
-            one_form = PForm(
-                chart,
-                1,
-                {
-                    (i,): theta_a.apply([covariant_derivative(conn, frame[i], u_b)])
-                    for i in range(n)
-                },
-            )
-            conn_row.append(one_form)
-            two_form = PForm(
-                chart,
-                2,
-                {
-                    (i, j): theta_a.apply([curv.apply_to(frame[i], frame[j], u_b)])
-                    for i, j in combinations(range(n), 2)
-                },
-            )
-            curv_row.append(two_form)
-        connection_rows.append(tuple(conn_row))
-        curvature_rows.append(tuple(curv_row))
-
-    torsion_forms = tuple(
-        PForm(
-            chart,
-            2,
-            {
-                (i, j): coframe.coframe[a].apply([tor(frame[i], frame[j])])
-                for i, j in combinations(range(n), 2)
-            },
-        )
-        for a in range(n)
-    )
+    rng = random.Random("coframe-duality/0")
+    coframe.validate([random_point(chart, rng) for _ in range(5)])
 
     return CartanForms(
         coframe=coframe,
-        connection_one_forms=tuple(connection_rows),
-        torsion_two_forms=torsion_forms,
-        curvature_two_forms=tuple(curvature_rows),
+        connection_one_forms=tuple(
+            tuple(connection_form(conn, theta, u) for u in coframe.frame)
+            for theta in coframe.coframe
+        ),
+        torsion_two_forms=tuple(torsion_form(conn, theta) for theta in coframe.coframe),
+        curvature_two_forms=tuple(
+            tuple(curvature_form(conn, theta, u) for u in coframe.frame)
+            for theta in coframe.coframe
+        ),
     )

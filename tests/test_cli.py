@@ -1,5 +1,6 @@
 """CLI tests: exit codes, output formats, determinism, and case-file parsing."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -106,6 +107,22 @@ def test_verify_json_runs_are_byte_identical(capsys):
     code_b, out_b, _ = run_cli(capsys, *argv)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_verify_json_output_matches_the_pinned_digest(capsys):
+    """Default JSON output is byte-identical across refactors.  These cases
+    evaluate only Add, Const, Mul, Neg and Var nodes, so the digits do not
+    depend on the platform's libm."""
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--case", "flat_with_torsion", "--case", "random_poly",
+        "--case", "foliation_adapted", "--case-checks", "--points", "5",
+        "--tuples", "2", "--format", "json", "--seed", "0",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b6a8e95ecbf72e93badf7bd12e2f494e84b5028eca3ce38ad783606f5c7f985a"
+    )
 
 
 def test_verify_orders_output_by_case_then_check(capsys):

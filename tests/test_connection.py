@@ -125,8 +125,7 @@ def test_curvature_antisymmetry_and_curried_view():
     X, Y, Z = (geo.random_vector_field(R3, rng) for _ in range(3))
     diff = R(X, Y)(Z) + R(Y, X)(Z)
     assert max_abs(diff, sample_points(R3, rng)) <= 1e-9
-    r_z = R.curried(Z)
-    diff = r_z(X, Y) - R(X, Y)(Z)
+    diff = R.apply_to(X, Y, Z) - R(X, Y)(Z)
     assert max_abs(diff, sample_points(R3, rng)) <= 1e-12
 
 
@@ -219,6 +218,36 @@ def test_levi_civita_rejects_singular_metric():
     degenerate = con.Metric.from_nonzero(R3, {(0, 0): se.ONE, (1, 1): se.ONE, (2, 2): se.ZERO})
     with pytest.raises(con.SingularMetricError):
         con.levi_civita(degenerate)
+
+
+def test_levi_civita_rejects_nan_metric():
+    big = se.Const(10**300)
+    overflow = se.Mul(se.Mul(big, se.Var("x")), big)
+    nan = se.Add(overflow, se.Neg(overflow))
+    plane = geo.Chart("plane", ("x", "y"), ((-1.0, 1.0),) * 2)
+    metric = con.Metric.from_nonzero(plane, {(0, 0): nan, (1, 1): se.ONE})
+    with pytest.raises(con.SingularMetricError):
+        con.levi_civita(metric)
+
+
+def test_torsion_and_curvature_are_built_once_per_connection():
+    conn = random_linear_connection(R3, 40)
+    assert con.torsion(conn) is con.torsion(conn)
+    assert con.curvature(conn) is con.curvature(conn)
+
+
+def test_perturbed_connection_builds_its_own_torsion_and_curvature():
+    conn = random_linear_connection(R3, 41)
+    tor, curv = con.torsion(conn), con.curvature(conn)
+    mutant = conn.perturbed(2, 0, 1, 1)
+    mutant_tor, mutant_curv = con.torsion(mutant), con.curvature(mutant)
+    assert mutant_tor is not tor
+    assert mutant_curv is not curv
+    assert mutant_tor.components != tor.components
+    assert mutant_curv.components != curv.components
+    shift = se.sub(mutant_tor.components[2][0][1], tor.components[2][0][1])
+    for pt in sample_points(R3, random.Random(42)):
+        assert se.evaluate(shift, pt) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metric_inverse_is_symbolic_inverse():

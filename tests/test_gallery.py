@@ -122,6 +122,19 @@ def test_contact_condition_rejected_for_closed_form():
         gallery.derive_contact_structure(R3.basis_covector(2), R3)
 
 
+def nan_valued(name):
+    """An expression that evaluates to NaN wherever the variable is nonzero."""
+    big = se.Const(10**300)
+    overflow = se.Mul(se.Mul(big, se.Var(name)), big)
+    return se.Add(overflow, se.Neg(overflow))
+
+
+def test_contact_condition_rejects_nan_component():
+    alpha = gallery.standard_contact_form(R3) + geo.PForm(R3, 1, {(2,): nan_valued("z")})
+    with pytest.raises(gallery.ContactConditionError):
+        gallery.derive_contact_structure(alpha, R3)
+
+
 def test_contact_rejects_wrong_degree_and_dimension():
     plane = geo.Chart("plane", ("x", "y"), ((-1.0, 1.0),) * 2)
     with pytest.raises(gallery.ContactConditionError):
@@ -373,8 +386,19 @@ def test_massa_pagani_rejects_frame_varying_endomorphism():
         gallery.derive_massa_pagani(doctored)
 
 
+def test_massa_pagani_makes_the_adapted_frame_parallel():
+    sode = gallery.build_case("sode_oscillator").sode
+    conn = gallery.derive_massa_pagani(sode)
+    frame = [sode.semispray, *sode.horizontal_fields, *sode.vertical_fields]
+    basis = sode.chart.coordinate_frame()
+    exprs = [
+        c for x in basis for field in frame for c in con.covariant_derivative(conn, x, field).comps
+    ]
+    assert_vanishes(exprs, points_on(sode.chart, 19, 10))
+
+
 def test_massa_pagani_two_degrees_of_freedom():
-    """Coupled forces exercise the n=2 frame solve end to end."""
+    """Coupled forces exercise the n=2 frame construction end to end."""
     chart = geo.Chart(
         "double", ("t", "x1", "x2", "u1", "u2"), ((-1.0, 1.0),) * 5
     )
@@ -419,6 +443,14 @@ def test_cartan_form_rejects_singular_lagrangian():
     case = gallery.build_case("sode_oscillator")
     with pytest.raises(gallery.SingularLagrangianError):
         gallery.build_cartan_form(case.sode, se.Var("u"))
+
+
+def test_cartan_form_rejects_nan_hessian():
+    case = gallery.build_case("sode_oscillator")
+    u = se.Var("u")
+    lagrangian = se.add(case.lagrangian, se.mul(nan_valued("x"), se.mul(u, u)))
+    with pytest.raises(gallery.SingularLagrangianError):
+        gallery.build_cartan_form(case.sode, lagrangian)
 
 
 def test_cartan_two_form_has_rank_two_everywhere():

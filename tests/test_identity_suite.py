@@ -252,6 +252,14 @@ def test_mutation_probe_leaves_original_case_intact():
     assert ids.check_identity("S1", case, ids.CheckConfig(points=4, tuples=2)).passed
 
 
+def test_mutation_probe_fails_d1_after_the_original_curvature_is_built():
+    case = gallery.build_case("flat_with_torsion")
+    con.torsion(case.connection)
+    con.curvature(case.connection)
+    (report,) = ids.mutation_probe(case, ("D1",), config=ids.CheckConfig(points=4, tuples=2))
+    assert not report.passed
+
+
 def test_failing_report_records_worst_tuple_and_point():
     case = gallery.build_case("flat_with_torsion")
     failed = [r for r in ids.mutation_probe(case) if not r.passed]
