@@ -248,7 +248,7 @@ def _cmd_describe_case(args) -> int:
             print(f"  force {a + 1}:    {se.to_text(force)}")
     if case.lagrangian is not None:
         print(f"lagrangian: {se.to_text(case.lagrangian)}")
-    check_ids = gallery.case_check_ids(case)
+    check_ids = [c for c, check in gallery.CASE_CHECKS.items() if check.applicable(case)]
     if check_ids:
         print("case checks:")
         for check_id in check_ids:

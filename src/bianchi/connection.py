@@ -392,8 +392,9 @@ def levi_civita(metric: Metric) -> Connection:
     rng = random.Random(0)
     for _ in range(5):
         pt = random_point(chart, rng)
-        if not abs(se.evaluate(det, pt)) >= 1e-12:
-            raise SingularMetricError(f"metric determinant vanishes near {pt}")
+        value = se.evaluate(det, pt)
+        if not abs(value) >= 1e-12:
+            raise SingularMetricError(f"metric determinant is {value:.3e} near {pt}")
     inv = metric.inverse()
     coords = chart.coords
     half = se.Const(Fraction(1, 2))

@@ -15,8 +15,10 @@ carries three structured applications:
 Every structural claim a case makes (flatness, torsion-freeness, metric
 compatibility, coframe duality, adaptedness, the contact invariants) is
 verified numerically when the case is built; violations raise errors naming
-the broken property.  Case-specific checks return the same Report objects
-the generic identity suite produces.
+the broken property.  The applications' own claims are the
+``IdentityCheck`` entries of :data:`CASE_CHECKS`, each with an
+applicability predicate; :func:`identity_suite.run_check` runs them like
+the catalog checks.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import symexpr as se
 from . import geometry as geo
 from . import connection as con
 from . import structure_forms as sf
 from .geometry import Chart, GeometryError, LinearMap, PForm, VectorField
 from .connection import Connection, Metric
-from .identity_suite import CheckConfig, Report, SampleSpec, sample_fields
+from .identity_suite import CheckConfig, IdentityCheck, Report, SampleSpec, run_check
 from .symexpr import Expr
 
 
@@ -896,328 +896,232 @@ def build_case(case_id: str) -> GeometryCase:
 
 
 # -- case-specific checks ----------------------------------------------------------------
+#
+# Each application claim is an IdentityCheck: identity_suite.run_check samples
+# its points and vectors and scans its (lhs, rhs) pairs like any catalog
+# check.  They stay out of identity_suite.CATALOG, so ``verify`` runs them
+# only with ``--case-checks``.
 
 
-def _report(case, check_id, worst, worst_point, config) -> Report:
-    return Report(
-        case_id=case.id,
-        check_id=check_id,
-        points=config.points,
-        tuples=config.tuples,
-        max_residual=worst,
-        tolerance=config.tolerance,
-        passed=worst <= config.tolerance,
-        seed=config.seed,
-        worst_point=worst_point,
-    )
+def _vanishes(exprs):
+    """Builder of the pairs (e, 0) of a claim that takes no sampled fields."""
+    pairs = [(e, 0) for e in exprs]
+    return lambda vectors, forms: pairs
 
 
-def _scan(case, check_id, exprs, points, config) -> Report:
-    """Report of the worst |e| over the (lazily built) expressions."""
-    worst, worst_point, _ = se.worst_residual(((None, e, 0) for e in exprs), points)
-    return _report(case, check_id, worst, worst_point, config)
+def _reeb_parallel(case):
+    reeb = case.contact.reeb
+    return _vanishes(con.covariant_derivative(case.connection, reeb, reeb).comps)
 
 
-def _random_leaf_fields(leaf_fields, chart: Chart, rng: random.Random, count: int):
-    """``count`` random polynomial combinations of the leaf fields."""
-    fields = []
-    for _ in range(count):
-        total = VectorField(chart, [se.ZERO] * chart.dim)
-        for leaf in leaf_fields:
-            total = total + leaf.scale(geo.random_polynomial(chart, rng))
-        fields.append(total)
-    return fields
-
-
-def restricted_torsion_wedge_residual(
-    conn: Connection,
-    theta: PForm,
-    leaf_fields,
-    points,
-    *,
-    seed=0,
-    tuples: int = 5,
-) -> float:
-    """Worst |T_theta(U, U') + (nabla theta wedge I)(U, U')| over leaf pairs.
-
-    Zero exactly when the kernel distribution of theta is integrable; feeding
-    a contact form produces an order-one residual (the negative control).
-    """
-    rng = random.Random(f"restricted-wedge/{seed}")
-
-    def residuals():
-        for _ in range(tuples):
-            pair = _random_leaf_fields(leaf_fields, theta.chart, rng, 2)
-            lhs = sf.torsion_form_apply(conn, theta, pair)
-            rhs = se.neg(sf.wedge_covector_identity_apply(conn, theta, pair))
-            yield se.sub(lhs, rhs)
-
-    return se.max_abs(residuals(), points)
-
-
-def _contact_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
-    conn = case.connection
+def _reeb_covector_parallel(case):
     contact = case.contact
-    alpha, reeb = contact.form, contact.reeb
-    chart = case.chart
-    points = _sample_points(chart, f"{config.seed}/{case.id}/points", config.points)
-    reports = []
+    derived = con.covariant_derivative(case.connection, contact.reeb, contact.form)
+    return _vanishes(derived.comps.values())
 
-    reports.append(
-        _scan(
-            case,
-            "reeb-parallel",
-            con.covariant_derivative(conn, reeb, reeb).comps,
-            points,
-            config,
-        )
-    )
-    reports.append(
-        _scan(
-            case,
-            "reeb-covector-parallel",
-            con.covariant_derivative(conn, reeb, alpha).comps.values(),
-            points,
-            config,
-        )
-    )
-    reports.append(
-        _scan(
-            case,
-            "reeb-connection-form-vanishes",
-            sf.connection_form(conn, alpha, reeb).comps.values(),
-            points,
-            config,
-        )
-    )
-    curvature_form = sf.curvature_form(conn, alpha, reeb)
-    reports.append(
-        _scan(
-            case,
-            "reeb-curvature-form-vanishes",
-            curvature_form.comps.values(),
-            points,
-            config,
-        )
-    )
 
+def _reeb_connection_form(case):
+    contact = case.contact
+    form = sf.connection_form(case.connection, contact.form, contact.reeb)
+    return _vanishes(form.comps.values())
+
+
+def _reeb_curvature_form(case):
+    contact = case.contact
+    form = sf.curvature_form(case.connection, contact.form, contact.reeb)
+    return _vanishes(form.comps.values())
+
+
+def _reeb_contracted_second_bianchi(case):
     # contraction of the curvature-form Bianchi identity with the Reeb field:
     # the differential's Reeb contraction balances the two wedge pairings
-    d_curvature = geo.exterior_derivative(curvature_form)
+    conn, alpha, reeb = case.connection, case.contact.form, case.contact.reeb
+    d_curvature = geo.exterior_derivative(sf.curvature_form(conn, alpha, reeb))
 
-    def residuals():
-        for t in range(config.tuples):
-            batch = sample_fields(
-                chart, f"{config.seed}/{case.id}/reeb-bianchi/{t}", SampleSpec(vectors=2)
-            )
-            args = [reeb, *batch.vectors]
-            lhs = d_curvature.apply(args)
-            rhs = se.add(
-                sf.wedge_covector_curvature_apply(conn, alpha, reeb, args),
-                sf.wedge_curvature_three_nabla_apply(conn, alpha, reeb, args),
-            )
-            yield se.sub(lhs, rhs)
+    def build(vectors, forms):
+        args = [reeb, *vectors]
+        rhs = se.add(
+            sf.wedge_covector_curvature_apply(conn, alpha, reeb, args),
+            sf.wedge_curvature_three_nabla_apply(conn, alpha, reeb, args),
+        )
+        return [(d_curvature.apply(args), rhs)]
 
-    reports.append(_scan(case, "reeb-contracted-second-bianchi", residuals(), points, config))
-    return reports
+    return build
 
 
-def _foliation_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
-    conn = case.connection
-    foliation = case.foliation
-    theta = foliation.form
-    chart = case.chart
-    points = _sample_points(chart, f"{config.seed}/{case.id}/points", config.points)
-    reports = []
+def _leaf(foliation: FoliationStructure, x: VectorField) -> VectorField:
+    """Projection X - theta(X) T of a field onto the leaves."""
+    return x - foliation.transverse.scale(foliation.form.apply([x]))
 
-    worst = restricted_torsion_wedge_residual(
-        conn,
-        theta,
-        foliation.leaf_fields,
-        points,
-        seed=f"{config.seed}/{case.id}",
-        tuples=config.tuples,
-    )
-    reports.append(_report(case, "restricted-torsion-is-identity-wedge", worst, None, config))
 
+def _restricted_torsion_is_identity_wedge(case):
+    # T_theta(U, U') = -(nabla theta wedge I)(U, U') on leaf fields; it holds
+    # exactly when the kernel of theta is integrable, for any connection
+    conn, foliation = case.connection, case.foliation
+
+    def build(vectors, forms):
+        pair = [_leaf(foliation, x) for x in vectors]
+        lhs = sf.torsion_form_apply(conn, foliation.form, pair)
+        return [(lhs, se.neg(sf.wedge_covector_identity_apply(conn, foliation.form, pair)))]
+
+    return build
+
+
+def _adapted_derivative_is_scaling(case):
     # nabla_X theta is a multiple of theta: its leaf components vanish
-    exprs = []
-    for t in range(config.tuples):
-        batch = sample_fields(
-            chart, f"{config.seed}/{case.id}/scaling/{t}", SampleSpec(vectors=1)
-        )
-        derived = con.covariant_derivative(conn, batch.vectors[0], theta)
-        exprs.extend(derived.apply([u]) for u in foliation.leaf_fields)
-    reports.append(_scan(case, "adapted-derivative-is-scaling", exprs, points, config))
+    conn, foliation = case.connection, case.foliation
 
-    leaves = foliation.leaf_fields
+    def build(vectors, forms):
+        derived = con.covariant_derivative(conn, vectors[0], foliation.form)
+        return [(derived.apply([u]), 0) for u in foliation.leaf_fields]
 
-    def leaf_fields(label, t, count):
-        rng = random.Random(f"{config.seed}/{case.id}/{label}/{t}")
-        return _random_leaf_fields(leaves, chart, rng, count)
-
-    leaf_pairs = [leaf_fields("torsion", t, 2) for t in range(config.tuples)]
-    exprs = [sf.torsion_form_apply(conn, theta, pair) for pair in leaf_pairs]
-    reports.append(_scan(case, "restricted-torsion-form-vanishes", exprs, points, config))
-
-    exprs = []
-    for t in range(config.tuples):
-        batch = sample_fields(
-            chart, f"{config.seed}/{case.id}/curvature/{t}", SampleSpec(vectors=2)
-        )
-        (leaf_field,) = leaf_fields("curvature-leaf", t, 1)
-        exprs.append(
-            sf.curvature_form_apply(conn, theta, leaf_field, list(batch.vectors))
-        )
-    reports.append(_scan(case, "restricted-curvature-form-vanishes", exprs, points, config))
-
-    if len(foliation.leaf_fields) >= 3:
-        torsion_form = sf.torsion_form(conn, theta)
-        d_torsion = geo.exterior_derivative(torsion_form)
-        exprs = []
-        for t in range(config.tuples):
-            triple = leaf_fields("d-torsion", t, 3)
-            exprs.append(d_torsion.apply(triple))
-        reports.append(
-            _scan(case, "restricted-torsion-differential-vanishes", exprs, points, config)
-        )
-
-        exprs = []
-        for t in range(config.tuples):
-            fields = leaf_fields("d-curvature", t, 4)
-            d_curv = geo.exterior_derivative(sf.curvature_form(conn, theta, fields[0]))
-            exprs.append(d_curv.apply(fields[1:]))
-        reports.append(
-            _scan(case, "restricted-curvature-differential-vanishes", exprs, points, config)
-        )
-    return reports
+    return build
 
 
-def omega_rank_profile(omega: PForm, points):
-    """Numeric rank of the 2-form's component matrix at each point."""
-    chart = omega.chart
-    ranks = []
-    for pt in points:
-        matrix = np.zeros((chart.dim, chart.dim))
-        for (i, j), expr in omega.comps.items():
-            value = se.evaluate(expr, pt)
-            matrix[i][j] = value
-            matrix[j][i] = -value
-        singular = np.linalg.svd(matrix, compute_uv=False)
-        top = singular[0] if len(singular) else 0.0
-        ranks.append(int(np.sum(singular > 1e-8 * max(top, 1e-300))))
-    return ranks
+def _restricted_torsion_form(case):
+    conn, foliation = case.connection, case.foliation
+
+    def build(vectors, forms):
+        pair = [_leaf(foliation, x) for x in vectors]
+        return [(sf.torsion_form_apply(conn, foliation.form, pair), 0)]
+
+    return build
 
 
-def _sode_checks(case: GeometryCase, config: CheckConfig) -> list[Report]:
-    conn = case.connection
-    sode = case.sode
-    chart = case.chart
-    points = _sample_points(chart, f"{config.seed}/{case.id}/points", config.points)
-    _, omega = build_cartan_form(sode, case.lagrangian)
-    reports = []
+def _restricted_curvature_form(case):
+    conn, foliation = case.connection, case.foliation
 
-    d_omega = geo.exterior_derivative(omega)
-    torsion_of_omega = sf.torsion_form(conn, omega)
-    xi_of_omega = sf.xi_form(conn, omega)
-    exprs = list(d_omega.comps.values())
-    exprs.extend(torsion_of_omega.comps.values())
-    exprs.extend(xi_of_omega.comps.values())
-    reports.append(_scan(case, "closure-structure-equivalence", exprs, points, config))
+    def build(vectors, forms):
+        x, y, z = vectors
+        leaf = _leaf(foliation, z)
+        return [(sf.curvature_form_apply(conn, foliation.form, leaf, [x, y]), 0)]
 
-    semispray = sode.semispray
-    horizontal = sode.horizontal_fields
-    vertical = sode.vertical_fields
-    n = sode.degrees_of_freedom
+    return build
 
-    exprs = [
-        sf.torsion_form_apply(conn, omega, [semispray, vertical[a], vertical[b]])
-        for a in range(n)
-        for b in range(n)
+
+def _restricted_torsion_differential(case):
+    foliation = case.foliation
+    d_torsion = geo.exterior_derivative(sf.torsion_form(case.connection, foliation.form))
+
+    def build(vectors, forms):
+        return [(d_torsion.apply([_leaf(foliation, x) for x in vectors]), 0)]
+
+    return build
+
+
+def _restricted_curvature_differential(case):
+    conn, foliation = case.connection, case.foliation
+
+    def build(vectors, forms):
+        z, *args = [_leaf(foliation, x) for x in vectors]
+        d_curvature = geo.exterior_derivative(sf.curvature_form(conn, foliation.form, z))
+        return [(d_curvature.apply(args), 0)]
+
+    return build
+
+
+def _cartan_claims(claims):
+    """Factory of the claims ``claims(conn, sode, omega)`` that vanish, where
+    omega is the differential of the case's Lagrangian 1-form."""
+
+    def factory(case):
+        _, omega = build_cartan_form(case.sode, case.lagrangian)
+        return _vanishes(claims(case.connection, case.sode, omega))
+
+    return factory
+
+
+def _closure(conn, sode, omega):
+    # omega is closed, and so are its torsion and derivative-sum forms
+    return [
+        *geo.exterior_derivative(omega).comps.values(),
+        *sf.torsion_form(conn, omega).comps.values(),
+        *sf.xi_form(conn, omega).comps.values(),
     ]
-    reports.append(_scan(case, "helmholtz-torsion-vertical", exprs, points, config))
-
-    exprs = [
-        sf.torsion_form_apply(conn, omega, [semispray, horizontal[a], horizontal[b]])
-        for a in range(n)
-        for b in range(n)
-    ]
-    reports.append(_scan(case, "helmholtz-torsion-horizontal", exprs, points, config))
-
-    exprs = [
-        sf.xi_form_apply(conn, omega, [semispray, vertical[a], horizontal[b]])
-        for a in range(n)
-        for b in range(n)
-    ]
-    reports.append(_scan(case, "helmholtz-derivative-mixed", exprs, points, config))
-
-    exprs = [
-        sf.xi_form_apply(conn, omega, [vertical[a], vertical[b], horizontal[c]])
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    ]
-    reports.append(_scan(case, "helmholtz-derivative-vertical", exprs, points, config))
-
-    ranks = omega_rank_profile(omega, points)
-    worst = float(max(abs(rank - 2 * n) for rank in ranks))
-    reports.append(_report(case, "maximal-rank", worst, None, config))
-    return reports
 
 
-CONTACT_CHECK_IDS = (
-    "reeb-parallel",
-    "reeb-covector-parallel",
-    "reeb-connection-form-vanishes",
-    "reeb-curvature-form-vanishes",
-    "reeb-contracted-second-bianchi",
+def _helmholtz(form_apply: str, *slots: str):
+    """Claims ``sf.<form_apply>(conn, omega, [A, B, C]) = 0`` with each
+    argument running over the semispray (S), horizontal (H) or vertical (V)
+    frame fields its slot names."""
+
+    def claims(conn, sode, omega):
+        frame = {"S": (sode.semispray,), "H": sode.horizontal_fields, "V": sode.vertical_fields}
+        # looked up at call time, like every other structure_forms call here,
+        # so a wrapper installed on the module (perfbench's tracer) sees it
+        apply = getattr(sf, form_apply)
+        fields = itertools.product(*(frame[slot] for slot in slots))
+        return [apply(conn, omega, list(args)) for args in fields]
+
+    return _cartan_claims(claims)
+
+
+def _vectors(count: int):
+    return lambda chart: SampleSpec(vectors=count)
+
+
+def _table(*groups) -> dict[str, IdentityCheck]:
+    """Entries from (anchor, predicate, rows) groups; a row is (id, name,
+    number of sampled vectors, factory)."""
+    return {
+        identifier: IdentityCheck(identifier, name, anchor, _vectors(count), factory, applies)
+        for anchor, applies, rows in groups
+        for identifier, name, count, factory in rows
+    }
+
+
+CASE_CHECKS: dict[str, IdentityCheck] = _table(
+    ("contact structure", lambda case: case.contact is not None, (
+        ("reeb-parallel", "the Reeb field is parallel along itself", 0, _reeb_parallel),
+        ("reeb-covector-parallel", "the contact form is parallel along the Reeb field", 0,
+         _reeb_covector_parallel),
+        ("reeb-connection-form-vanishes", "connection form of the Reeb field vanishes", 0,
+         _reeb_connection_form),
+        ("reeb-curvature-form-vanishes", "curvature form of the Reeb field vanishes", 0,
+         _reeb_curvature_form),
+        ("reeb-contracted-second-bianchi", "second Bianchi identity contracted with the Reeb "
+         "field", 2, _reeb_contracted_second_bianchi),
+    )),
+    ("codimension-one foliation", lambda case: case.foliation is not None, (
+        ("restricted-torsion-is-identity-wedge", "on leaves the torsion form is the identity "
+         "wedge", 2, _restricted_torsion_is_identity_wedge),
+        ("adapted-derivative-is-scaling", "covariant derivatives of the form scale it", 1,
+         _adapted_derivative_is_scaling),
+        ("restricted-torsion-form-vanishes", "torsion form vanishes on leaves", 2,
+         _restricted_torsion_form),
+        ("restricted-curvature-form-vanishes", "curvature form of a leaf field vanishes", 3,
+         _restricted_curvature_form),
+    )),
+    (
+        "codimension-one foliation with leaves of dimension 3 or more",
+        lambda case: case.foliation is not None and len(case.foliation.leaf_fields) >= 3,
+        (
+            ("restricted-torsion-differential-vanishes", "differential of the torsion form "
+             "vanishes on leaves", 3, _restricted_torsion_differential),
+            ("restricted-curvature-differential-vanishes", "differential of a leaf field's "
+             "curvature form vanishes on leaves", 4, _restricted_curvature_differential),
+        ),
+    ),
+    ("Cartan form of a regular Lagrangian", lambda case: case.sode is not None, (
+        ("closure-structure-equivalence", "closed 2-form has closed torsion and derivative-sum "
+         "forms", 0, _cartan_claims(_closure)),
+        ("helmholtz-torsion-vertical", "torsion form on (S, V, V) vanishes", 0,
+         _helmholtz("torsion_form_apply", "S", "V", "V")),
+        ("helmholtz-torsion-horizontal", "torsion form on (S, H, H) vanishes", 0,
+         _helmholtz("torsion_form_apply", "S", "H", "H")),
+        ("helmholtz-derivative-mixed", "derivative-sum form on (S, V, H) vanishes", 0,
+         _helmholtz("xi_form_apply", "S", "V", "H")),
+        ("helmholtz-derivative-vertical", "derivative-sum form on (V, V, H) vanishes", 0,
+         _helmholtz("xi_form_apply", "V", "V", "H")),
+    )),
 )
-FOLIATION_CHECK_IDS = (
-    "restricted-torsion-is-identity-wedge",
-    "adapted-derivative-is-scaling",
-    "restricted-torsion-form-vanishes",
-    "restricted-curvature-form-vanishes",
-)
-FOLIATION_DIFFERENTIAL_CHECK_IDS = (
-    "restricted-torsion-differential-vanishes",
-    "restricted-curvature-differential-vanishes",
-)
-SODE_CHECK_IDS = (
-    "closure-structure-equivalence",
-    "helmholtz-torsion-vertical",
-    "helmholtz-torsion-horizontal",
-    "helmholtz-derivative-mixed",
-    "helmholtz-derivative-vertical",
-    "maximal-rank",
-)
-
-
-def case_check_ids(case: GeometryCase) -> list[str]:
-    """Ids of the structure-dependent checks :func:`case_specific_checks` runs."""
-    ids: list[str] = []
-    if case.contact is not None:
-        ids.extend(CONTACT_CHECK_IDS)
-    if case.foliation is not None:
-        ids.extend(FOLIATION_CHECK_IDS)
-        if case.chart.dim >= 4:
-            ids.extend(FOLIATION_DIFFERENTIAL_CHECK_IDS)
-    if case.sode is not None:
-        ids.extend(SODE_CHECK_IDS)
-    return ids
 
 
 def case_specific_checks(case: GeometryCase, config: CheckConfig | None = None) -> list[Report]:
-    """Structure-dependent checks for the application cases.
+    """The :data:`CASE_CHECKS` that apply to the case, in table order.
 
     Baseline cases have none and get an empty list.  Failures are reported,
     not raised.
     """
-    config = config or CheckConfig(points=10, tuples=5, tolerance=1e-9)
-    reports = []
-    if case.contact is not None:
-        reports.extend(_contact_checks(case, config))
-    if case.foliation is not None:
-        reports.extend(_foliation_checks(case, config))
-    if case.sode is not None:
-        reports.extend(_sode_checks(case, config))
-    return reports
+    config = config or CheckConfig()
+    return [run_check(c, case, config) for c in CASE_CHECKS.values() if c.applicable(case)]

@@ -4,7 +4,9 @@ Every entry in the catalog is a theorem: an equation between two expressions
 built from an arbitrary linear connection (some entries additionally need a
 coframe or a torsion-free connection).  A check evaluates both sides on
 seeded random points and argument fields and records the worst absolute
-difference, so a run is reproducible from its seed alone.
+difference, so a run is reproducible from its seed alone.  :func:`run_check`
+is the one runner: the case-specific checks of the gallery's applications
+are ``IdentityCheck`` entries too, kept outside :data:`CATALOG`.
 
 Checks operate on geometry cases supplied by the caller.  A case provides a
 chart, a connection, and optionally a coframe, structural flags and a second
@@ -150,15 +152,16 @@ class IdentityCheck:
     anchor: str
     sample_spec: Callable[[Chart], SampleSpec]
     factory: BuilderFactory
-    needs_coframe: bool = False
-    needs_torsion_free: bool = False
+    # whether the check's equation is defined on a case
+    applicable: Callable[[object], bool] = lambda case: True
 
-    def applicable(self, case) -> bool:
-        if self.needs_coframe and getattr(case, "coframe", None) is None:
-            return False
-        if self.needs_torsion_free and not getattr(case, "torsion_free", False):
-            return False
-        return True
+
+def _has_coframe(case) -> bool:
+    return case.coframe is not None
+
+
+def _is_torsion_free(case) -> bool:
+    return case.torsion_free
 
 
 def _max_form_degree(chart: Chart) -> int:
@@ -619,7 +622,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "Cartan's first structure equation",
             _spec_fixed(2),
             _cs1_factory,
-            needs_coframe=True,
+            _has_coframe,
         ),
         IdentityCheck(
             "CS2",
@@ -627,7 +630,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "Cartan's second structure equation",
             _spec_fixed(2),
             _cs2_factory,
-            needs_coframe=True,
+            _has_coframe,
         ),
         IdentityCheck(
             "C1",
@@ -635,7 +638,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "Cartan's first Bianchi identity",
             _spec_fixed(3),
             _c1_factory,
-            needs_coframe=True,
+            _has_coframe,
         ),
         IdentityCheck(
             "C2",
@@ -643,7 +646,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "Cartan's second Bianchi identity",
             _spec_fixed(3),
             _c2_factory,
-            needs_coframe=True,
+            _has_coframe,
         ),
         IdentityCheck(
             "D1",
@@ -686,7 +689,7 @@ CATALOG: dict[str, IdentityCheck] = {
             "algebraic Bianchi identity in the torsion-free case",
             _spec_fixed(3, (1,)),
             _lc1_factory,
-            needs_torsion_free=True,
+            _is_torsion_free,
         ),
     )
 }
@@ -695,27 +698,17 @@ CATALOG: dict[str, IdentityCheck] = {
 # -- running checks -----------------------------------------------------------------
 
 
-def check_identity(check_id: str, case, config: CheckConfig | None = None) -> Report:
-    """Evaluate one catalog identity on a case and report the worst residual."""
-    if check_id not in CATALOG:
-        raise UnknownCheckError(f"unknown check '{check_id}'")
-    check = CATALOG[check_id]
-    if check.needs_coframe and getattr(case, "coframe", None) is None:
-        raise ApplicabilityError(f"check {check_id} needs a case with a coframe")
-    if check.needs_torsion_free and not getattr(case, "torsion_free", False):
-        raise ApplicabilityError(f"check {check_id} needs a torsion-free connection")
-    config = config or CheckConfig()
+def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
+    """Evaluate both sides of one check on a case and report the worst residual."""
     chart = case.chart
-
-    point_batch = sample_fields(
-        chart, f"{config.seed}/{case.id}/{check_id}/points", SampleSpec(), points=config.points
-    )
+    stem = f"{config.seed}/{case.id}/{check.identifier}"
+    point_batch = sample_fields(chart, f"{stem}/points", SampleSpec(), points=config.points)
     build = check.factory(case)
     spec = check.sample_spec(chart)
 
     def pairs():
         for t in range(config.tuples):
-            batch = sample_fields(chart, f"{config.seed}/{case.id}/{check_id}/{t}", spec)
+            batch = sample_fields(chart, f"{stem}/{t}", spec)
             for lhs, rhs in build(batch.vectors, batch.forms):
                 yield t, lhs, rhs
 
@@ -724,7 +717,7 @@ def check_identity(check_id: str, case, config: CheckConfig | None = None) -> Re
     )
     return Report(
         case_id=case.id,
-        check_id=check_id,
+        check_id=check.identifier,
         points=config.points,
         tuples=config.tuples,
         max_residual=worst,
@@ -734,6 +727,16 @@ def check_identity(check_id: str, case, config: CheckConfig | None = None) -> Re
         worst_point=worst_point,
         worst_tuple=worst_tuple,
     )
+
+
+def check_identity(check_id: str, case, config: CheckConfig | None = None) -> Report:
+    """Run one catalog check on a case it applies to."""
+    if check_id not in CATALOG:
+        raise UnknownCheckError(f"unknown check '{check_id}'")
+    check = CATALOG[check_id]
+    if not check.applicable(case):
+        raise ApplicabilityError(f"check {check_id} does not apply to case {case.id}")
+    return run_check(check, case, config or CheckConfig())
 
 
 def run_suite(case, config: CheckConfig | None = None) -> list[Report]:

@@ -6,6 +6,7 @@ stated inline; they are contracts, not suggestions — a red test here means
 the claim it encodes does not hold numerically.
 """
 
+import dataclasses
 import random
 import time
 
@@ -149,9 +150,10 @@ def test_criterion_5_contact_case():
     points = sample_points(chart, "contact-acceptance", 20)
 
     config = ids.CheckConfig(points=20, tuples=5, tolerance=1e-8)
-    reports = {r.check_id: r for r in gallery.case_specific_checks(case, config)}
-    for check_id in gallery.CONTACT_CHECK_IDS:
-        assert reports[check_id].passed, (check_id, reports[check_id].max_residual)
+    reports = gallery.case_specific_checks(case, config)
+    assert len(reports) == 5
+    for report in reports:
+        assert report.passed, (report.check_id, report.max_residual)
 
     # rebuilding the structure re-runs every invariant at 1e-9
     rebuilt = gallery.derive_contact_structure(alpha, chart)
@@ -192,46 +194,44 @@ def test_criterion_5_contact_case():
 def test_criterion_6_foliation_case():
     config = ids.CheckConfig(points=20, tuples=5, tolerance=1e-8)
     case = gallery.build_case("foliation_adapted")
-    reports = {r.check_id: r for r in gallery.case_specific_checks(case, config)}
-    for check_id in gallery.FOLIATION_CHECK_IDS:
-        assert reports[check_id].passed, (check_id, reports[check_id].max_residual)
+    reports = gallery.case_specific_checks(case, config)
+    assert len(reports) == 4
+    for report in reports:
+        assert report.passed, (report.check_id, report.max_residual)
 
     # the restricted torsion identity needs only integrability of the form,
     # not adaptedness: any connection satisfies it on the leaves
-    chart = case.chart
+    restricted = gallery.CASE_CHECKS["restricted-torsion-is-identity-wedge"]
     any_conn = gallery.build_case("random_poly:9").connection
-    points = sample_points(chart, "foliation-acceptance", 20)
-    residual = gallery.restricted_torsion_wedge_residual(
-        any_conn,
-        chart.basis_covector(2),
-        (chart.basis_field(0), chart.basis_field(1)),
-        points,
-    )
+    probe = dataclasses.replace(case, connection=any_conn)
+    residual = ids.run_check(restricted, probe, config).max_residual
     assert residual <= 1e-8, residual
 
     # negative control: a non-integrable kernel distribution breaks it
+    chart = case.chart
     contact_case = gallery.build_case("contact_r3")
-    y = se.Var("y")
+    contact = contact_case.contact
     kernel = (
         chart.basis_field(1),
-        geo.VectorField(chart, (se.ONE, se.ZERO, y)),
+        geo.VectorField(chart, (se.ONE, se.ZERO, se.Var("y"))),
     )
-    defect = gallery.restricted_torsion_wedge_residual(
-        contact_case.connection, contact_case.contact.form, kernel, points
-    )
+    foliation = gallery.FoliationStructure(contact.form, kernel, contact.reeb)
+    probe = dataclasses.replace(contact_case, foliation=foliation)
+    defect = ids.run_check(restricted, probe, config).max_residual
     assert defect > 0.5, "non-integrable control unexpectedly passed"
 
     n4 = gallery.build_case("foliation_adapted_n4")
-    n4_reports = {r.check_id: r for r in gallery.case_specific_checks(n4, config)}
-    for check_id in gallery.FOLIATION_DIFFERENTIAL_CHECK_IDS:
-        assert n4_reports[check_id].passed, (
-            check_id,
-            n4_reports[check_id].max_residual,
-        )
+    n4_reports = gallery.case_specific_checks(n4, config)
+    assert [r.check_id for r in n4_reports][4:] == [
+        "restricted-torsion-differential-vanishes",
+        "restricted-curvature-differential-vanishes",
+    ]
+    for report in n4_reports:
+        assert report.passed, (report.check_id, report.max_residual)
     print(f"ACCEPTANCE 6 PASS: foliation checks at 1e-8, control defect {defect:.2f}")
 
 
-def test_criterion_7_mechanics_case():
+def test_criterion_7_mechanics_case(omega_rank_profile):
     case = gallery.build_case("sode_oscillator")
     sode = case.sode
     chart = case.chart
@@ -265,11 +265,12 @@ def test_criterion_7_mechanics_case():
         assert value <= 1e-9, (name, value)
 
     config = ids.CheckConfig(points=20, tuples=5, tolerance=1e-9)
-    reports = {r.check_id: r for r in gallery.case_specific_checks(case, config)}
-    for check_id in gallery.SODE_CHECK_IDS:
-        assert reports[check_id].passed, (check_id, reports[check_id].max_residual)
+    reports = gallery.case_specific_checks(case, config)
+    assert len(reports) == 5
+    for report in reports:
+        assert report.passed, (report.check_id, report.max_residual)
 
-    ranks = gallery.omega_rank_profile(omega, points)
+    ranks = omega_rank_profile(omega, points)
     assert ranks == [2] * len(points)
     print("ACCEPTANCE 7 PASS: energy form, closure, frame connection and rank checks")
 

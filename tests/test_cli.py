@@ -14,6 +14,10 @@ ALL_CHECKS = [
     "B1", "B1v", "B2", "B2v", "C1", "C2", "CS1", "CS2", "D1", "D2",
     "DB1", "DB2", "E1", "LC1", "S1", "S1p", "S2", "S2p",
 ]
+CONTACT_CHECKS = [
+    "reeb-parallel", "reeb-covector-parallel", "reeb-connection-form-vanishes",
+    "reeb-curvature-form-vanishes", "reeb-contracted-second-bianchi",
+]
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +129,22 @@ def test_verify_json_output_matches_the_pinned_digest(capsys):
     )
 
 
+def test_verify_application_checks_match_the_pinned_digest(capsys):
+    """JSON output of the foliation and mechanics checks is byte-identical
+    across refactors; like the pin above it needs no libm (``contact_r3``
+    evaluates powers and is left out)."""
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--case", "foliation_adapted_n4", "--case", "sode_oscillator",
+        "--case-checks", "--points", "5", "--tuples", "2", "--format", "json",
+        "--seed", "0",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6e5d70ec05c656b93b681124dc2cb647f1bbcd7781fb71a8acdd8f448e7db9f0"
+    )
+
+
 def test_verify_orders_output_by_case_then_check(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--case", "flat_with_torsion", "--case", "flat_euclidean",
@@ -188,7 +208,7 @@ def test_verify_case_checks_flag_appends_structure_checks(capsys):
     )
     assert code == 0
     ids = [r["check"] for r in json.loads(out)]
-    assert ids == sorted(["S1", *gallery.CONTACT_CHECK_IDS])
+    assert ids == sorted(["S1", *CONTACT_CHECKS])
 
 
 # -- list and describe ---------------------------------------------------------------
@@ -213,7 +233,7 @@ def test_describe_contact_case_prints_structure_and_checks(capsys):
     assert code == 0
     assert "(-y) dx + (1) dz" in out
     assert "reeb field: (1) d/dz" in out
-    for check_id in gallery.CONTACT_CHECK_IDS:
+    for check_id in CONTACT_CHECKS:
         assert check_id in out
 
 

@@ -10,6 +10,7 @@ import pytest
 from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
+from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
 from bianchi.identity_suite import CheckConfig
@@ -269,32 +270,50 @@ def test_foliation_torsion_nonzero_off_the_leaves():
     assert any(abs(se.evaluate(c, pt)) > 0.5 for c in value.comps)
 
 
+RESTRICTED_WEDGE = gallery.CASE_CHECKS["restricted-torsion-is-identity-wedge"]
+
+
+def contact_kernel_case():
+    """The contact case with the kernel of its contact form posing as a
+    foliation, the Reeb field as the transverse field."""
+    case = gallery.build_case("contact_r3")
+    kernel = (R3.basis_field(1), geo.VectorField(R3, (se.ONE, se.ZERO, se.Var("y"))))
+    foliation = gallery.FoliationStructure(case.contact.form, kernel, case.contact.reeb)
+    return dataclasses.replace(case, foliation=foliation)
+
+
 def test_non_integrable_form_fails_restricted_wedge_identity():
     """Negative control: the contact form's kernel is not a foliation."""
-    contact_case = gallery.build_case("contact_r3")
-    alpha = contact_case.contact.form
-    y = se.Var("y")
-    kernel = (
-        R3.basis_field(1),
-        geo.VectorField(R3, (se.ONE, se.ZERO, y)),
-    )
-    points = points_on(R3, 8)
-    residual = gallery.restricted_torsion_wedge_residual(
-        contact_case.connection, alpha, kernel, points, seed=0, tuples=5
-    )
-    assert residual > 0.5
+    report = ids.run_check(RESTRICTED_WEDGE, contact_kernel_case(), CheckConfig(points=10))
+    assert report.max_residual > 0.5
+    assert not report.passed
+    assert report.worst_point is not None
+    assert report.worst_tuple is not None
 
 
 def test_integrable_form_passes_restricted_wedge_identity_for_any_connection():
     """The restricted identity needs integrability, not adaptedness."""
+    case = gallery.build_case("foliation_adapted")
     conn = gallery.build_case("random_poly").connection
-    theta = R3.basis_covector(2)
-    leaves = (R3.basis_field(0), R3.basis_field(1))
-    points = points_on(R3, 8)
-    residual = gallery.restricted_torsion_wedge_residual(
-        conn, theta, leaves, points, seed=1, tuples=5
-    )
-    assert residual <= 1e-9
+    probe = dataclasses.replace(case, connection=conn)
+    report = ids.run_check(RESTRICTED_WEDGE, probe, CheckConfig(points=10))
+    assert report.max_residual <= 1e-9
+
+
+def test_relative_residuals_reach_the_case_checks():
+    probe = contact_kernel_case()
+    residual = {}
+    for relative in (False, True):
+        reports = gallery.case_specific_checks(probe, CheckConfig(points=10, relative=relative))
+        (residual[relative],) = (
+            r.max_residual for r in reports if r.check_id == RESTRICTED_WEDGE.identifier
+        )
+    assert residual[False] > 0.5
+    assert residual[True] < 1
+
+
+def test_case_checks_stay_out_of_the_catalog():
+    assert set(gallery.CASE_CHECKS).isdisjoint(ids.CATALOG)
 
 
 # -- second-order ODE machinery ---------------------------------------------------------
@@ -453,10 +472,10 @@ def test_cartan_form_rejects_nan_hessian():
         gallery.build_cartan_form(case.sode, lagrangian)
 
 
-def test_cartan_two_form_has_rank_two_everywhere():
+def test_cartan_two_form_has_rank_two_everywhere(omega_rank_profile):
     case = gallery.build_case("sode_oscillator")
     _, omega = gallery.build_cartan_form(case.sode, case.lagrangian)
-    ranks = gallery.omega_rank_profile(omega, points_on(case.chart, 37, 12))
+    ranks = omega_rank_profile(omega, points_on(case.chart, 37, 12))
     assert ranks == [2] * 12
 
 
@@ -469,7 +488,6 @@ def test_sode_case_checks_all_pass():
         "helmholtz-torsion-horizontal",
         "helmholtz-derivative-mixed",
         "helmholtz-derivative-vertical",
-        "maximal-rank",
     ]
     assert all(r.passed for r in reports), [
         (r.check_id, r.max_residual) for r in reports if not r.passed
@@ -480,11 +498,3 @@ def test_case_checks_empty_for_baseline_cases():
     for case_id in ("flat_euclidean", "sphere_lc", "random_poly"):
         case = gallery.build_case(case_id)
         assert gallery.case_specific_checks(case, CheckConfig(points=2, tuples=1)) == []
-
-
-def test_case_check_ids_match_the_reports():
-    config = CheckConfig(points=2, tuples=1, tolerance=1e-9)
-    for case_id in gallery.case_ids():
-        case = gallery.build_case(case_id)
-        reports = gallery.case_specific_checks(case, config)
-        assert [r.check_id for r in reports] == gallery.case_check_ids(case)
