@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="append",
         metavar="ID",
-        help="check id, repeatable; default is every applicable check",
+        help="check id (catalog or case check), repeatable; default is every "
+        "applicable catalog check",
     )
     verify.add_argument(
         "--all-checks",
@@ -118,21 +119,24 @@ def _cmd_verify(args) -> int:
 
     if args.check:
         for check_id in args.check:
-            if check_id not in ids.CATALOG:
+            if check_id not in ids.CATALOG and check_id not in gallery.CASE_CHECKS:
                 return _usage_error(f"unknown check '{check_id}'")
 
     reports = []
     for case in cases:
         if args.check:
             for check_id in sorted(args.check):
-                if not ids.CATALOG[check_id].applicable(case):
+                case_check = gallery.CASE_CHECKS.get(check_id)
+                if not (case_check or ids.CATALOG[check_id]).applicable(case):
                     print(
                         f"note: check {check_id} is not applicable to case "
                         f"{case.id}, skipped",
                         file=sys.stderr,
                     )
-                    continue
-                reports.append(ids.check_identity(check_id, case, config))
+                elif case_check is None:
+                    reports.append(ids.check_identity(check_id, case, config))
+                elif not args.case_checks:  # else --case-checks runs it below
+                    reports.append(ids.run_check(case_check, case, config))
         else:
             reports.extend(ids.run_suite(case, config))
         if args.case_checks:
@@ -144,9 +148,10 @@ def _cmd_verify(args) -> int:
     else:
         for r in reports:
             verdict = "pass" if r.passed else "FAIL"
+            exact = "  (holds exactly: rounding error)" if r.cleared else ""
             print(
                 f"{r.case_id:<24} {r.check_id:<42} {verdict}  "
-                f"max_residual={r.max_residual:.3e}  tol={r.tolerance:g}"
+                f"max_residual={r.max_residual:.3e}  tol={r.tolerance:g}{exact}"
             )
         failed = sum(1 for r in reports if not r.passed)
         print(f"{len(reports)} checks, {len(reports) - failed} passed, {failed} failed")

@@ -101,9 +101,11 @@ class Report:
     seed: object
     worst_point: dict | None = None
     worst_tuple: int | None = None
+    # residuals above the tolerance, all in pairs that hold exactly
+    cleared: bool = False
 
     def __post_init__(self):
-        if self.passed != (self.max_residual <= self.tolerance):
+        if self.passed != (self.max_residual <= self.tolerance or self.cleared):
             raise SuiteError("pass flag contradicts the recorded residual")
 
     def to_json_dict(self) -> dict:
@@ -712,8 +714,8 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
             for lhs, rhs in build(batch.vectors, batch.forms):
                 yield t, lhs, rhs
 
-    worst, worst_point, worst_tuple = se.worst_residual(
-        pairs(), point_batch.points, config.relative
+    worst, worst_point, worst_tuple, cleared = se.worst_residual(
+        pairs(), point_batch.points, config.relative, config.tolerance
     )
     return Report(
         case_id=case.id,
@@ -722,10 +724,11 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
         tuples=config.tuples,
         max_residual=worst,
         tolerance=config.tolerance,
-        passed=worst <= config.tolerance,
+        passed=worst <= config.tolerance or cleared,
         seed=config.seed,
         worst_point=worst_point,
         worst_tuple=worst_tuple,
+        cleared=cleared,
     )
 
 

@@ -10,12 +10,25 @@ There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
 not swell, but any such rewrite preserves the value of the expression at
 every point where it is defined.
+
+Checks compare two expressions over many sample points with
+:func:`worst_residual`.  Over several points the scan evaluates each side of
+a pair at every point in one walk of its DAG, node by node over lists of
+floats, with the same IEEE operation per point as :func:`evaluate`'s
+per-point walk, so the values are bit-identical; ``evaluate`` is still
+called once per side and point and serves each value from that walk.  A
+pair with a residual above the check's tolerance is rechecked by
+:func:`holds_exactly`, an identity test modulo a prime; a pair that holds
+exactly keeps its float residual in the result, but that residual is
+rounding error and does not fail the check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -47,6 +60,7 @@ __all__ = [
     "add_all",
     "differentiate",
     "evaluate",
+    "holds_exactly",
     "worst_residual",
     "max_abs",
     "parse",
@@ -423,9 +437,19 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
 
     Raises :class:`EvaluationError`, and no other error, on domain
     failures, on results too large for a float and on variables missing
-    from ``point``.  Shared subtrees are evaluated once.
+    from ``point``.  Shared subtrees are evaluated once.  A sample point of
+    a :func:`worst_residual` scan over several points is served from the
+    scan's walk over all its points, which gives the same value.
     """
+    if type(point) is _ScanPoint:
+        column = point.scan.column(e)
+        if column is not None:
+            return column[point.index]
+    return _walk(e, point)
 
+
+def _walk(e: Expr, point: Mapping[str, float]) -> float:
+    """The reference evaluator: one walk of the DAG at one point."""
     memo: dict[int, float] = {}
 
     def ev(node: Expr) -> float:
@@ -475,14 +499,115 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
         memo[id(node)] = out
         return out
 
-    return ev(e)
+    try:
+        return ev(e)
+    finally:
+        del ev  # ev refers to itself; free its memo without the cycle collector
 
 
-def worst_residual(pairs, points, relative: bool = False) -> tuple:
+class _ScanPoint(dict):
+    """A sampled point of a scan: its values, its scan and its index."""
+
+    __slots__ = ("scan", "index")
+
+
+_UNARY = {Neg: operator.neg, Sin: math.sin, Cos: math.cos, Exp: math.exp, Ln: math.log}
+_BINARY = {Add: operator.add, Mul: operator.mul, Div: operator.truediv}
+
+
+class _Scan:
+    """The values of the current pair's sides at every point of a scan.
+
+    A side is computed at all points in one walk of its DAG, node by node
+    over lists of floats, with one memo shared by both sides of the pair.
+    Where :func:`_walk` raises at some point, Python raises here too
+    (ZeroDivisionError for a zero denominator or zero to a negative power,
+    ValueError for ln of a non-positive value or sin of an infinity,
+    OverflowError, KeyError for a missing variable).  Such a side has no
+    column and is evaluated point by point, which raises the
+    EvaluationError at the same point as before.
+    """
+
+    def __init__(self, samples: list):
+        self.samples = samples
+        self.variables: dict[str, list] = {}
+        self.start_pair()
+
+    def points(self) -> list:
+        """The samples as points that know this scan (which keeps no
+        reference to them, so no cycle keeps its memo alive)."""
+        points = []
+        for index, sample in enumerate(self.samples):
+            point = _ScanPoint(sample)
+            point.scan, point.index = self, index
+            points.append(point)
+        return points
+
+    def start_pair(self) -> None:
+        # sides holds each side it has seen, so every node id in memo and
+        # sides stays in use until the next pair
+        self.memo: dict[int, list] = {}
+        self.sides: dict[int, tuple] = {}
+
+    def column(self, e: Expr):
+        """The values of ``e`` at every point, or None when the walk raised."""
+        got = self.sides.get(id(e))
+        if got is None:
+            try:
+                values = self._batch(e)
+            except (ArithmeticError, ValueError, KeyError):
+                values = None
+            got = self.sides[id(e)] = (e, values)
+        return got[1]
+
+    def _batch(self, e: Expr) -> list:
+        memo, samples, variables = self.memo, self.samples, self.variables
+        size = len(samples)
+
+        def ev(node: Expr) -> list:
+            got = memo.get(id(node))
+            if got is not None:
+                return got
+            kind = type(node)
+            op = _BINARY.get(kind)
+            if op is not None:
+                out = list(map(op, ev(node.a), ev(node.b)))
+            else:
+                op = _UNARY.get(kind)
+                if op is not None:
+                    out = list(map(op, ev(node.arg)))
+                elif kind is Pow:
+                    out = list(map(pow, ev(node.base), repeat(node.exponent, size)))
+                elif kind is Var:
+                    out = variables.get(node.name)
+                    if out is None:
+                        out = variables[node.name] = list(
+                            map(float, map(operator.itemgetter(node.name), samples))
+                        )
+                elif kind is Const:
+                    out = [float(node.value)] * size
+                else:  # pragma: no cover - closed node set
+                    raise TypeError(f"cannot evaluate {kind.__name__}")
+            memo[id(node)] = out
+            return out
+
+        try:
+            return ev(e)
+        finally:
+            del ev  # ev refers to itself; free its memo without the cycle collector
+
+
+# Scans over fewer points than this walk each point on its own: over one
+# point the walk over lists costs more than the per-point walk, from two
+# points on it costs less.
+_SCAN_MIN_POINTS = 2
+
+
+def worst_residual(pairs, points, relative: bool = False, tol=None) -> tuple:
     """Worst residual |lhs - rhs| over ``(tag, lhs, rhs)`` triples and points.
 
     ``pairs`` is consumed lazily, one triple at a time.  ``rhs`` is an
-    expression or a plain number.  Each expression is evaluated on its own
+    expression or a plain number.  Each side is evaluated once per point
     through this module's ``evaluate`` attribute, so a replacement
     evaluator decides every value; the residual arithmetic also works on
     ``decimal.Decimal`` values.  With ``relative`` each residual is divided
@@ -490,22 +615,137 @@ def worst_residual(pairs, points, relative: bool = False) -> tuple:
     is strictly greater, except that the first NaN or infinite residual is
     returned at once: it fails every tolerance.
 
-    Returns ``(residual, point, tag)``; ``(0.0, None, None)`` when every
-    residual is zero.
+    With a tolerance ``tol``, a pair with a residual above it is tested
+    once by :func:`holds_exactly`.  The residuals of a pair that holds
+    exactly are float rounding error: they are still the worst residual,
+    but they do not fail the tolerance.  Once some pair fails that test,
+    the result is the worst residual among the pairs that fail it, so its
+    point and tag name a pair that really fails; a pair whose residual
+    cannot raise that worst is not tested.
+
+    Returns ``(residual, point, tag, cleared)``; ``(0.0, None, None,
+    False)`` when every residual is zero.  ``point`` is one of the given
+    points.  ``cleared`` is True when ``residual`` exceeds ``tol`` and
+    every residual above ``tol`` belongs to a pair that holds exactly.
     """
-    worst, worst_point, worst_tag = 0.0, None, None
+    samples = list(points)
+    scan = _Scan(samples) if len(samples) >= _SCAN_MIN_POINTS else None
+    points = samples if scan is None else scan.points()
+    worst, failing = (0.0, None, None), None
     for tag, lhs, rhs in pairs:
-        for point in points:
+        if scan is not None:
+            scan.start_pair()
+        exact = None
+        for index, point in enumerate(points):
             left = evaluate(lhs, point)
             right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
             residual = abs(left - right)
             if relative:
                 residual /= 1 + max(abs(left), abs(right))
             if residual != residual or residual == math.inf:
-                return residual, point, tag
-            if residual > worst:
-                worst, worst_point, worst_tag = residual, point, tag
-    return worst, worst_point, worst_tag
+                return residual, samples[index], tag, False
+            if residual > worst[0]:
+                worst = residual, samples[index], tag
+            if tol is not None and residual > tol and (failing is None or residual > failing[0]):
+                if exact is None:
+                    exact = holds_exactly(lhs, rhs)
+                if not exact:
+                    failing = residual, samples[index], tag
+    if failing is not None:
+        return (*failing, False)
+    return (*worst, tol is not None and worst[0] > tol)
+
+
+# The prime of holds_exactly, and how often it redraws a point at which a
+# denominator vanishes.
+_PRIME = 2**61 - 1
+_REDRAWS = 3
+
+
+class _Redraw(Exception):
+    """A denominator vanished at the drawn residues."""
+
+
+def _residue(*key) -> int:
+    """A pseudo-random residue modulo _PRIME fixed by ``key``."""
+    # imported here: only the exact recheck needs it, and importing it
+    # takes about 5 ms, a tenth of the start-up of a short run
+    import hashlib
+
+    digest = hashlib.blake2b("/".join(map(str, key)).encode(), digest_size=16).digest()
+    return int.from_bytes(digest, "big") % _PRIME
+
+
+def holds_exactly(lhs: Expr, rhs) -> bool:
+    """Whether ``lhs == rhs`` holds at a pseudo-random point of GF(p).
+
+    Both sides are evaluated exactly modulo the prime p = 2^61 - 1: each
+    variable is a pseudo-random residue, a constant num/den is
+    num * den^-1, and each sin/cos/exp/ln node is a pseudo-random function
+    of its argument's residue, a fresh indeterminate whose derivative rule
+    holds in any differential ring.  Every catalog identity follows
+    formally from the definitions, so its sides agree at every such point;
+    a nonzero rational function whose numerator has degree d vanishes at a
+    random point with probability at most d/p (Schwartz, J. ACM 27(4),
+    1980).  A True answer therefore overturns only float rounding error.
+    An identity that needs a relation between those functions, such as
+    sin^2 + cos^2 = 1, gets False: a float failure of it stays a failure,
+    never a false pass.
+
+    A zero denominator, or zero raised to a negative power, redraws the
+    point, up to _REDRAWS times; after that the answer is False.  Every
+    draw is seeded from fixed keys through hashlib, so the answer is the
+    same in every process.
+    """
+    rhs = as_expr(rhs)
+    for draw in range(1 + _REDRAWS):
+        memo: dict[int, int] = {}
+        try:
+            return _modular(lhs, draw, memo) == _modular(rhs, draw, memo)
+        except _Redraw:
+            continue
+    return False
+
+
+def _modular(e: Expr, draw: int, memo: dict) -> int:
+    """The residue of ``e`` at draw ``draw``; ``memo`` is keyed by node id."""
+
+    def inverse(value: int) -> int:
+        if value == 0:
+            raise _Redraw
+        return pow(value, -1, _PRIME)
+
+    def ev(node: Expr) -> int:
+        got = memo.get(id(node))
+        if got is not None:
+            return got
+        kind = type(node)
+        if kind is Add:
+            out = (ev(node.a) + ev(node.b)) % _PRIME
+        elif kind is Mul:
+            out = ev(node.a) * ev(node.b) % _PRIME
+        elif kind is Div:
+            out = ev(node.a) * inverse(ev(node.b)) % _PRIME
+        elif kind is Neg:
+            out = -ev(node.arg) % _PRIME
+        elif kind is Pow:
+            base, n = ev(node.base), node.exponent
+            out = pow(inverse(base) if n < 0 else base, abs(n), _PRIME)
+        elif kind is Var:
+            out = _residue("var", draw, node.name)
+        elif kind is Const:
+            out = node.value.numerator * inverse(node.value.denominator % _PRIME) % _PRIME
+        elif kind in (Sin, Cos, Exp, Ln):
+            out = _residue(kind.__name__, ev(node.arg))
+        else:  # pragma: no cover - closed node set
+            raise TypeError(f"cannot evaluate {kind.__name__}")
+        memo[id(node)] = out
+        return out
+
+    try:
+        return ev(e)
+    finally:
+        del ev  # ev refers to itself; free its memo without the cycle collector
 
 
 def max_abs(exprs, points) -> float:

@@ -304,10 +304,21 @@ def test_non_finite_residual_fails_the_check(check_id):
     assert report.worst_point is not None
 
 
+def mutated_case():
+    """flat_with_torsion with Gamma^2_01 += 1 on the left side only: D1's
+    third pair fails exactly."""
+    case = gallery.build_case("flat_with_torsion")
+    return dataclasses.replace(
+        case, id=f"{case.id}+mutated",
+        connection=case.connection.perturbed(2, 0, 1, 1), rhs_connection=case.connection,
+    )
+
+
 def test_check_identity_evaluates_through_the_module_hook(monkeypatch):
     """Each side of each pair is evaluated once per point through the
-    module attribute symexpr.evaluate, and its values decide the residual."""
-    case = gallery.build_case("flat_with_torsion")
+    module attribute symexpr.evaluate, and its values decide the residual
+    unless the exact recheck overrules them."""
+    case, mutant = gallery.build_case("flat_with_torsion"), mutated_case()
     config = ids.CheckConfig(points=3, tuples=2)
     pairs = config.tuples * case.chart.dim  # D1 pairs up vector components
     calls = []
@@ -317,7 +328,37 @@ def test_check_identity_evaluates_through_the_module_hook(monkeypatch):
         return 0.25 if len(calls) % 2 else 1.0  # lhs 0.25, rhs 1.0
 
     monkeypatch.setattr(se, "evaluate", counting)
-    report = ids.check_identity("D1", case, config)
+    report = ids.check_identity("D1", mutant, config)
     assert len(calls) == 2 * pairs * config.points
     assert report.max_residual == 0.75
     assert not report.passed
+
+    # on the true identity the recheck overrules the fake values' verdict
+    calls.clear()
+    report = ids.check_identity("D1", case, config)
+    assert len(calls) == 2 * pairs * config.points
+    assert report.max_residual == 0.75
+    assert report.passed and report.cleared
+
+
+# -- the exact recheck ----------------------------------------------------------------
+
+
+def test_every_catalog_pair_holds_exactly_on_random_poly():
+    case = gallery.build_case("random_poly")
+    chart = case.chart
+    for check_id, check in sorted(ids.CATALOG.items()):
+        if not check.applicable(case):
+            continue
+        batch = ids.sample_fields(chart, f"exact/{check_id}", check.sample_spec(chart))
+        pairs = check.factory(case)(batch.vectors, batch.forms)
+        assert pairs, check_id
+        assert all(se.holds_exactly(lhs, rhs) for lhs, rhs in pairs), check_id
+
+
+def test_holds_exactly_rejects_the_d1_pair_of_a_perturbed_connection():
+    case = mutated_case()
+    check = ids.CATALOG["D1"]
+    batch = ids.sample_fields(case.chart, "exact/D1", check.sample_spec(case.chart))
+    pairs = check.factory(case)(batch.vectors, batch.forms)
+    assert [se.holds_exactly(lhs, rhs) for lhs, rhs in pairs] == [True, True, False]

@@ -7,6 +7,7 @@ checked by evaluation-equivalent round trips.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -212,17 +213,158 @@ def test_worst_residual_never_passes_non_finite_values():
     nan = se.Add(overflow, se.Neg(overflow))
     points = [{"x": 0.5}, {"x": 0.25}]
     assert math.isnan(se.max_abs([se.ZERO, nan, se.ONE], points))
-    worst, point, tag = se.worst_residual(
+    worst, point, tag, cleared = se.worst_residual(
         [("a", x, 0), ("b", overflow, 0), ("c", x, 100)], points
     )
-    assert (worst, point, tag) == (math.inf, points[0], "b")
+    assert (worst, point, tag, cleared) == (math.inf, points[0], "b", False)
 
 
 def test_worst_residual_keeps_the_first_strictly_greater():
     x = se.Var("x")
     points = [{"x": 1.0}, {"x": -1.0}, {"x": 0.5}]
-    worst, point, tag = se.worst_residual([(0, x, 0), (1, se.neg(x), se.ZERO)], points)
+    worst, point, tag, _ = se.worst_residual([(0, x, 0), (1, se.neg(x), se.ZERO)], points)
     assert (worst, point, tag) == (1.0, points[0], 0)
     # relative residuals divide by 1 + the larger member: |-1 - 1| / (1 + 1)
-    worst, point, _ = se.worst_residual([(0, x, se.ONE)], points, relative=True)
+    worst, point, _, _ = se.worst_residual([(0, x, se.ONE)], points, relative=True)
     assert (worst, point) == (1.0, points[1])
+
+
+# -- scans over several points ------------------------------------------------------
+
+
+def random_dag(rng: random.Random, size: int) -> list:
+    """Nodes of a random DAG: every node kind, children drawn from the
+    nodes before, so subtrees are shared."""
+    pool = [se.Var(v) for v in VARS] + [se.Const(rng.randint(1, 5)), se.Const(Fraction(-2, 7))]
+    kinds = ("add", "mul", "div", "pow", "neg", "sin", "cos", "exp", "ln")
+    for step in range(size):
+        kind = kinds[step % len(kinds)]
+        a, b = rng.choice(pool), rng.choice(pool)
+        if kind == "add":
+            node = se.Add(a, b)
+        elif kind == "mul":
+            node = se.Mul(a, b)
+        elif kind == "div":
+            node = se.Div(a, se.Add(se.Const(2), se.Pow(se.Sin(b), 2)))
+        elif kind == "pow":
+            node = se.Pow(se.Add(se.Const(3), se.Cos(a)), rng.choice((-2, -1, 2, 3)))
+        elif kind == "neg":
+            node = se.Neg(a)
+        elif kind == "sin":
+            node = se.Sin(a)
+        elif kind == "cos":
+            node = se.Cos(a)
+        elif kind == "exp":
+            node = se.Exp(se.Div(a, se.Add(se.Const(4), se.Pow(a, 2))))
+        else:
+            node = se.Ln(se.Add(se.Const(3), se.Pow(a, 2)))
+        pool.append(node)
+    return pool
+
+
+@pytest.mark.parametrize("count", [1, 2, 20])
+def test_scan_values_equal_the_per_point_walk(monkeypatch, count):
+    """Every value a scan serves is bit-identical to evaluating its side
+    alone at a plain copy of the point."""
+    rng = random.Random(f"scan/{count}")
+    evaluate = se.evaluate
+    served = []
+
+    def recording(expr, point):
+        value = evaluate(expr, point)
+        served.append((expr, dict(point), value))
+        return value
+
+    monkeypatch.setattr(se, "evaluate", recording)
+    compared = 0
+    for _ in range(10):
+        pool = random_dag(rng, 40)
+        points = [random_point(rng) for _ in range(count)]
+        if not all(math.isfinite(evaluate(e, p)) for e in pool for p in points):
+            continue
+        compared += 1
+        pairs = [(i, rng.choice(pool[20:]), rng.choice(pool[20:])) for i in range(6)]
+        served.clear()
+        se.worst_residual(pairs + [(6, pool[-1], 0.5)], points)
+        assert len(served) == (2 * len(pairs) + 1) * count
+        for expr, point, value in served:
+            assert repr(value) == repr(evaluate(expr, point))
+    assert compared >= 5
+
+
+def test_scan_returns_an_earlier_nan_before_a_later_domain_error():
+    ratio = se.Div(se.Var("y"), se.Var("x"))
+    points = [{"x": 1.0, "y": 1.0}, {"x": 1.0, "y": math.nan}, {"x": 1.0, "y": 1.0},
+              {"x": 0.0, "y": 1.0}]
+    worst, point, tag, _ = se.worst_residual([("r", ratio, 0)], points)
+    assert math.isnan(worst)
+    assert point is points[1] and tag == "r"
+    points[1] = {"x": 1.0, "y": 2.0}
+    with pytest.raises(se.EvaluationError) as raised:
+        se.worst_residual([("r", ratio, 0)], points)
+    assert str(raised.value) == "division by zero in 'y/x'"
+
+
+def test_replaced_evaluator_receives_the_sampled_values(monkeypatch):
+    points = [{"x": 0.5}, {"x": 2.0}, {"x": 1.0}]
+    seen = []
+
+    def fake(expr, point):
+        seen.append(point)
+        return point["x"]
+
+    monkeypatch.setattr(se, "evaluate", fake)
+    worst, point, _, _ = se.worst_residual([(0, se.Var("x"), 0)], points)
+    assert all(isinstance(p, dict) for p in seen)
+    assert [dict(p) for p in seen] == points
+    assert worst == 2.0
+    assert type(point) is dict and point is points[1]
+
+
+# -- exact identity test -------------------------------------------------------------
+
+
+def test_holds_exactly_on_formal_identities():
+    x, y = se.Var("x"), se.Var("y")
+    assert se.holds_exactly(se.parse("(x + y)^2", VARS), se.parse("x^2 + 2*x*y + y^2", VARS))
+    assert se.holds_exactly(se.differentiate(se.sin(x * y) / x, "x"),
+                            se.parse("y*cos(x*y)/x - sin(x*y)/x^2", VARS))
+    assert se.holds_exactly(se.parse("x^(-2)*x^3", VARS), x)
+    assert not se.holds_exactly(se.parse("x*y", VARS), se.parse("x*y + 1/1000000000000", VARS))
+    # a denominator that vanishes at every draw gives False
+    assert not se.holds_exactly(se.div(x, se.sub(x, x)), 0)
+
+
+def test_holds_exactly_does_not_know_trigonometric_relations():
+    assert not se.holds_exactly(se.parse("sin(x)^2 + cos(x)^2", VARS), 1)
+
+
+def fake_residuals(monkeypatch, residuals: dict):
+    """Replace evaluate: each lhs gives its residual at the second point,
+    every other value is 0."""
+    def fake(expr, point):
+        return residuals.get(expr, 0.0) if point["x"] == 2.0 else 0.0
+
+    monkeypatch.setattr(se, "evaluate", fake)
+    return [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]
+
+
+def test_rounding_residuals_stay_the_worst_but_are_cleared(monkeypatch):
+    x, y = se.Var("x"), se.Var("y")
+    exact = se.Mul(x, y)  # against y*x: holds exactly
+    points = fake_residuals(monkeypatch, {exact: 1.2e-7})
+    pairs = [(0, se.Add(x, y), se.Add(y, x)), (1, exact, se.Mul(y, x))]
+    assert se.worst_residual(pairs, points, tol=1e-8) == (1.2e-7, points[1], 1, True)
+    assert se.worst_residual(pairs, points, tol=1e-6) == (1.2e-7, points[1], 1, False)
+    assert se.worst_residual(pairs, points) == (1.2e-7, points[1], 1, False)
+
+
+def test_a_failing_pair_is_reported_before_a_larger_rounding_residual(monkeypatch):
+    """The point and tag name the pair that fails exactly, although a
+    pair that holds exactly has the larger float residual."""
+    x, y = se.Var("x"), se.Var("y")
+    wrong, exact = se.Add(x, y), se.Mul(x, y)  # x + y against y: fails exactly
+    points = fake_residuals(monkeypatch, {wrong: 2e-8, exact: 1.2e-7})
+    for pairs in ([(0, wrong, y), (1, exact, se.Mul(y, x))],
+                  [(1, exact, se.Mul(y, x)), (0, wrong, y)]):
+        assert se.worst_residual(pairs, points, tol=1e-8) == (2e-8, points[1], 0, False)
