@@ -4,7 +4,9 @@ This module is the computational bedrock of the package: every geometric
 object (vector field component, form component, Christoffel symbol) is an
 expression tree built from rational constants, variables, arithmetic, integer
 powers and the elementary functions sin, cos, exp, ln.  Trees are immutable,
-support exact differentiation, and evaluate to IEEE doubles.
+support exact differentiation, and evaluate to IEEE doubles.  Each node
+memoises its own derivatives (:func:`differentiate`), so a derivative is
+computed once per node and variable and shared by every caller.
 
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
@@ -101,7 +103,9 @@ class EvaluationError(ExpressionError):
 class Expr:
     """Immutable expression node.  Subclasses fix the arity and payload."""
 
-    __slots__ = ("_hash",)
+    # _derivs: None until the node is first differentiated, then a dict
+    # from variable name to derivative (Const and Var keep no memo)
+    __slots__ = ("_hash", "_derivs")
 
     # Arithmetic sugar; all routes go through the folding constructors.
     def __add__(self, other):
@@ -186,6 +190,7 @@ class _Binary(Expr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_hash", hash((type(self).__name__, a._hash, b._hash)))
+        object.__setattr__(self, "_derivs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
@@ -205,6 +210,7 @@ class _Unary(Expr):
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "_hash", hash((type(self).__name__, arg._hash)))
+        object.__setattr__(self, "_derivs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
@@ -239,6 +245,7 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", int(exponent))
         object.__setattr__(self, "_hash", hash(("pow", base._hash, exponent)))
+        object.__setattr__(self, "_derivs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
@@ -337,13 +344,15 @@ def div(a: Expr, b: Expr) -> Expr:
             return a
     # 0/e is left alone unless e is a constant: it still has to fail
     # wherever e vanishes.
-    if _is_const(a, 0) and isinstance(b, Const):
-        return ZERO
     return Div(a, b)
 
 
 def power(base: Expr, exponent: int) -> Expr:
+    """``base`` to an integral power; ``exponent`` may be any number equal
+    to an int (``2.0``, ``Fraction(4, 2)``), anything else is a ValueError."""
     n = int(exponent)
+    if n != exponent:
+        raise ValueError(f"exponent must be an integer, not {exponent!r}")
     if n == 1:
         return base
     if n == 0:
@@ -389,22 +398,30 @@ def add_all(terms: Iterable[Expr]) -> Expr:
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative of ``e`` with respect to ``var``.
 
-    Shared subtrees are differentiated once per call, so iterated
-    derivatives of heavily shared trees stay close to linear in the
-    size of the underlying DAG.
+    Each node keeps its derivatives in its ``_derivs`` memo, which lives
+    and dies with the node: a (node, variable) pair is differentiated
+    once, in whichever call first reaches it, and every later call
+    returns the same derivative object.  Iterated derivatives of heavily
+    shared trees therefore stay close to linear in the size of the
+    underlying DAG, and derivatives share their subtrees.  A derivative
+    refers only to its node's descendants, never to the node itself, so
+    no memo makes a reference cycle.
     """
 
-    memo: dict[int, Expr] = {}
-
     def d(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
         if isinstance(node, Const):
-            out = ZERO
-        elif isinstance(node, Var):
-            out = ONE if node.name == var else ZERO
-        elif isinstance(node, Add):
+            return ZERO
+        if isinstance(node, Var):
+            return ONE if node.name == var else ZERO
+        memo = node._derivs
+        if memo is None:
+            memo = {}
+            object.__setattr__(node, "_derivs", memo)
+        else:
+            got = memo.get(var)
+            if got is not None:
+                return got
+        if isinstance(node, Add):
             out = add(d(node.a), d(node.b))
         elif isinstance(node, Mul):
             out = add(mul(d(node.a), node.b), mul(node.a, d(node.b)))
@@ -419,15 +436,19 @@ def differentiate(e: Expr, var: str) -> Expr:
         elif isinstance(node, Cos):
             out = neg(mul(sin(node.arg), d(node.arg)))
         elif isinstance(node, Exp):
-            out = mul(node, d(node.arg))
+            # a copy of the node, not the node: its memo must not refer to it
+            out = mul(Exp(node.arg), d(node.arg))
         elif isinstance(node, Ln):
             out = div(d(node.arg), node.arg)
         else:  # pragma: no cover - closed node set
             raise TypeError(f"cannot differentiate {type(node).__name__}")
-        memo[id(node)] = out
+        memo[var] = out
         return out
 
-    return d(e)
+    try:
+        return d(e)
+    finally:
+        del d  # d refers to itself; free it without the cycle collector
 
 
 # -- evaluation --------------------------------------------------------------

@@ -250,6 +250,16 @@ def test_perturbed_connection_builds_its_own_torsion_and_curvature():
         assert se.evaluate(shift, pt) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_mutant_component_reuses_the_original_derivative():
+    conn = con.levi_civita(sphere_metric())
+    k, i, j = 1, 0, 1  # Gamma^psi_{phi psi} = cos(phi)/sin(phi)
+    original = se.differentiate(conn.christoffel(k, i, j), "phi")
+    mutant = conn.perturbed(k, i, j, se.Var("phi"))
+    shifted = se.differentiate(mutant.christoffel(k, i, j), "phi")
+    assert shifted == se.Add(original, se.ONE)
+    assert shifted.a is original
+
+
 def test_metric_inverse_is_symbolic_inverse():
     metric = sphere_metric()
     inv = metric.inverse()

@@ -5,6 +5,7 @@ agree with numeric ones on randomly generated expression trees.  Parsing is
 checked by evaluation-equivalent round trips.
 """
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -149,6 +150,15 @@ def test_parse_rejects_non_integer_exponent():
         se.parse("x^(1/2)", VARS)
 
 
+def test_power_rejects_non_integral_exponents():
+    x = se.Var("x")
+    assert x**2.0 == se.power(x, Fraction(4, 2)) == se.Pow(x, 2)
+    with pytest.raises(ValueError):
+        x**2.5
+    with pytest.raises(ValueError):
+        se.power(x, Fraction(3, 2))
+
+
 def test_parse_rejects_trailing_input():
     with pytest.raises(se.ParseError):
         se.parse("x + 1) * 2", VARS)
@@ -185,6 +195,42 @@ def test_negative_powers_differentiate():
 
 def test_derivative_of_constants_is_zero():
     assert se.differentiate(se.parse("3/4", VARS), "x") == se.ZERO
+
+
+MEMO_TEXT = "sin(x*y)^3/(1+x^2) + exp(y)*ln(2+x)"
+
+
+def test_derivatives_are_memoised_per_node_and_variable():
+    e = se.parse(MEMO_TEXT, VARS)
+    dx = se.differentiate(e, "x")
+    assert se.differentiate(e, "x") is dx
+    dy = se.differentiate(e, "y")
+    assert se.differentiate(e, "y") is dy
+    assert dy != dx
+    fresh = se.parse(MEMO_TEXT, VARS)
+    assert se.differentiate(fresh, "x") == dx
+    assert se.differentiate(fresh, "y") == dy
+    # a subtree differentiated inside e's call serves later calls on it
+    assert se.differentiate(e.b, "y") is dy.b
+
+
+def test_differentiate_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for var in ("x", "y") * 50:
+            se.differentiate(se.parse(MEMO_TEXT, VARS), var)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_zero_over_an_expression_still_fails_where_it_vanishes():
+    x = se.Var("x")
+    e = se.div(se.ZERO, x)
+    assert isinstance(e, se.Div)
+    with pytest.raises(se.EvaluationError, match="division by zero"):
+        se.evaluate(e, {"x": 0.0})
 
 
 def test_folding_preserves_value_not_structure():
