@@ -4,25 +4,30 @@ This module is the computational bedrock of the package: every geometric
 object (vector field component, form component, Christoffel symbol) is an
 expression tree built from rational constants, variables, arithmetic, integer
 powers and the elementary functions sin, cos, exp, ln.  Trees are immutable,
-support exact differentiation, and evaluate to IEEE doubles.  Each node
-memoises its own derivatives (:func:`differentiate`), so a derivative is
-computed once per node and variable and shared by every caller.
+support exact differentiation, and evaluate to IEEE doubles or to residues
+modulo a prime.  Each node memoises its own derivatives
+(:func:`differentiate`), so a derivative is computed once per node and
+variable and shared by every caller.
 
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
 not swell, but any such rewrite preserves the value of the expression at
 every point where it is defined.
 
+Every evaluation is one postorder walk of the DAG, ``_fold``, in one of
+three arithmetics, each a table of operations by node kind: floats at one
+point (:func:`evaluate`), lists of floats with one entry per sample point,
+and residues modulo a prime (:func:`holds_exactly`).
+
 Checks compare two expressions over many sample points with
 :func:`worst_residual`.  Over several points the scan evaluates each side of
-a pair at every point in one walk of its DAG, node by node over lists of
-floats, with the same IEEE operation per point as :func:`evaluate`'s
-per-point walk, so the values are bit-identical; ``evaluate`` is still
-called once per side and point and serves each value from that walk.  A
-pair with a residual above the check's tolerance is rechecked by
-:func:`holds_exactly`, an identity test modulo a prime; a pair that holds
-exactly keeps its float residual in the result, but that residual is
-rounding error and does not fail the check.
+a pair at every point in one walk over lists, with the same IEEE operation
+per point as the walk at one point, so the values are bit-identical;
+``evaluate`` is still called once per side and point and serves each value
+from that walk.  A pair with a residual above the check's tolerance is
+rechecked by :func:`holds_exactly`, an identity test modulo a prime; a pair
+that holds exactly keeps its float residual in the result, but that
+residual is rounding error and does not fail the check.
 """
 
 from __future__ import annotations
@@ -237,14 +242,17 @@ class Div(_Binary):
 
 
 class Pow(Expr):
-    """Integer power.  The exponent is a plain int, never an expression."""
+    """Integer power.  The exponent is a plain int, never an expression; a
+    number equal to an int is taken as that int, anything else is a
+    ValueError."""
 
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
+        n = _integral(exponent)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", int(exponent))
-        object.__setattr__(self, "_hash", hash(("pow", base._hash, exponent)))
+        object.__setattr__(self, "exponent", n)
+        object.__setattr__(self, "_hash", hash(("pow", base._hash, n)))
         object.__setattr__(self, "_derivs", None)
 
     def __setattr__(self, *a):
@@ -347,12 +355,21 @@ def div(a: Expr, b: Expr) -> Expr:
     return Div(a, b)
 
 
-def power(base: Expr, exponent: int) -> Expr:
-    """``base`` to an integral power; ``exponent`` may be any number equal
-    to an int (``2.0``, ``Fraction(4, 2)``), anything else is a ValueError."""
-    n = int(exponent)
+def _integral(exponent) -> int:
+    """``exponent`` as an int: any number equal to an int (``2.0``,
+    ``Fraction(4, 2)``) is accepted, anything else is a ValueError."""
+    try:
+        n = int(exponent)
+    except (OverflowError, ValueError):  # inf, nan
+        n = None
     if n != exponent:
         raise ValueError(f"exponent must be an integer, not {exponent!r}")
+    return n
+
+
+def power(base: Expr, exponent: int) -> Expr:
+    """``base`` to an integral power, as for :class:`Pow`."""
+    n = _integral(exponent)
     if n == 1:
         return base
     if n == 0:
@@ -453,6 +470,60 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 # -- evaluation --------------------------------------------------------------
 
+def _fold(e: Expr, memo: dict, leaf, unary: Mapping, binary: Mapping, power, fail=None):
+    """The value of ``e`` in one arithmetic, by one postorder walk of its DAG.
+
+    The arithmetic is a table of operations by node kind: ``leaf(node)``
+    is the value of a Const or Var, ``unary[kind]`` and ``binary[kind]``
+    map the values of a node's children to its value, and
+    ``power(value, exponent)`` raises a Pow's base to its int exponent.
+    ``memo`` maps node ids to values, so a shared subtree is computed
+    once; the caller keeps every node in it alive.  Children are computed
+    left to right, so of two failing subtrees the left one raises.  An
+    operation's ArithmeticError, ValueError or KeyError propagates, or,
+    with ``fail``, is replaced by the exception ``fail(node, exc)``, which
+    must be none of those, so that it passes the node's ancestors as is.
+    """
+
+    def ev(node: Expr):
+        key = id(node)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        kind = type(node)
+        try:
+            op = binary.get(kind)
+            if op is not None:
+                out = op(ev(node.a), ev(node.b))
+            else:
+                op = unary.get(kind)
+                if op is not None:
+                    out = op(ev(node.arg))
+                elif kind is Pow:
+                    out = power(ev(node.base), node.exponent)
+                else:
+                    out = leaf(node)
+        except (ArithmeticError, ValueError, KeyError) as exc:
+            if fail is None:
+                raise
+            raise fail(node, exc) from None
+        memo[key] = out
+        return out
+
+    try:
+        return ev(e)
+    finally:
+        del ev  # ev refers to itself; free it without the cycle collector
+
+
+# Float arithmetic.  Python raises where an operation has no float value:
+# x/0.0 and 0.0**-n raise ZeroDivisionError, ln of a non-positive value and
+# sin or cos of an infinity ValueError, and exp, ** and float(Const)
+# OverflowError; ln of NaN is NaN.
+_UNARY = {Neg: operator.neg, Sin: math.sin, Cos: math.cos, Exp: math.exp, Ln: math.log}
+_BINARY = {Add: operator.add, Mul: operator.mul, Div: operator.truediv}
+
+
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     """Evaluate at an assignment of floats to variable names.
 
@@ -466,64 +537,23 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
         column = point.scan.column(e)
         if column is not None:
             return column[point.index]
-    return _walk(e, point)
-
-
-def _walk(e: Expr, point: Mapping[str, float]) -> float:
-    """The reference evaluator: one walk of the DAG at one point."""
     memo: dict[int, float] = {}
 
-    def ev(node: Expr) -> float:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        try:
-            if isinstance(node, Const):
-                out = float(node.value)
-            elif isinstance(node, Var):
-                try:
-                    out = float(point[node.name])
-                except KeyError:
-                    raise EvaluationError(f"no value supplied for variable '{node.name}'") from None
-            elif isinstance(node, Add):
-                out = ev(node.a) + ev(node.b)
-            elif isinstance(node, Mul):
-                out = ev(node.a) * ev(node.b)
-            elif isinstance(node, Div):
-                den = ev(node.b)
-                if den == 0.0:
-                    raise EvaluationError(f"division by zero in '{_clip(node)}'")
-                out = ev(node.a) / den
-            elif isinstance(node, Pow):
-                base = ev(node.base)
-                if base == 0.0 and node.exponent < 0:
-                    raise EvaluationError(f"zero raised to a negative power in '{_clip(node)}'")
-                out = base**node.exponent
-            elif isinstance(node, Neg):
-                out = -ev(node.arg)
-            elif isinstance(node, Sin):
-                out = math.sin(ev(node.arg))
-            elif isinstance(node, Cos):
-                out = math.cos(ev(node.arg))
-            elif isinstance(node, Exp):
-                out = math.exp(ev(node.arg))
-            elif isinstance(node, Ln):
-                val = ev(node.arg)
-                if val <= 0.0:
-                    raise EvaluationError(f"ln of non-positive value {val!r} in '{_clip(node)}'")
-                out = math.log(val)
-            else:  # pragma: no cover - closed node set
-                raise TypeError(f"cannot evaluate {type(node).__name__}")
-        except (OverflowError, ValueError) as exc:
-            # float(Const), ** and exp overflow; sin and cos reject infinities
-            raise EvaluationError(f"cannot evaluate '{_clip(node)}': {exc}") from None
-        memo[id(node)] = out
-        return out
+    def leaf(node: Expr) -> float:
+        return float(node.value) if type(node) is Const else float(point[node.name])
 
-    try:
-        return ev(e)
-    finally:
-        del ev  # ev refers to itself; free its memo without the cycle collector
+    def fail(node: Expr, exc: Exception) -> EvaluationError:
+        if isinstance(exc, KeyError):
+            return EvaluationError(f"no value supplied for variable '{node.name}'")
+        if isinstance(exc, ZeroDivisionError):
+            what = "division by zero" if type(node) is Div else "zero raised to a negative power"
+            return EvaluationError(f"{what} in '{_clip(node)}'")
+        if type(node) is Ln and isinstance(exc, ValueError):
+            value = memo[id(node.arg)]
+            return EvaluationError(f"ln of non-positive value {value!r} in '{_clip(node)}'")
+        return EvaluationError(f"cannot evaluate '{_clip(node)}': {exc}")
+
+    return _fold(e, memo, leaf, _UNARY, _BINARY, pow, fail)
 
 
 class _ScanPoint(dict):
@@ -532,20 +562,22 @@ class _ScanPoint(dict):
     __slots__ = ("scan", "index")
 
 
-_UNARY = {Neg: operator.neg, Sin: math.sin, Cos: math.cos, Exp: math.exp, Ln: math.log}
-_BINARY = {Add: operator.add, Mul: operator.mul, Div: operator.truediv}
+# The float arithmetic over lists of values, one per point of a scan.
+_UNARY_LISTS = {kind: lambda a, op=op: list(map(op, a)) for kind, op in _UNARY.items()}
+_BINARY_LISTS = {kind: lambda a, b, op=op: list(map(op, a, b)) for kind, op in _BINARY.items()}
+
+
+def _power_lists(column: list, exponent: int) -> list:
+    return list(map(pow, column, repeat(exponent)))
 
 
 class _Scan:
     """The values of the current pair's sides at every point of a scan.
 
-    A side is computed at all points in one walk of its DAG, node by node
-    over lists of floats, with one memo shared by both sides of the pair.
-    Where :func:`_walk` raises at some point, Python raises here too
-    (ZeroDivisionError for a zero denominator or zero to a negative power,
-    ValueError for ln of a non-positive value or sin of an infinity,
-    OverflowError, KeyError for a missing variable).  Such a side has no
-    column and is evaluated point by point, which raises the
+    A side is computed at all points in one walk of its DAG over lists of
+    floats, with one memo shared by both sides of the pair.  The walk
+    raises wherever :func:`evaluate` raises at some point; such a side has
+    no column and is evaluated point by point, which raises the
     EvaluationError at the same point as before.
     """
 
@@ -575,47 +607,21 @@ class _Scan:
         got = self.sides.get(id(e))
         if got is None:
             try:
-                values = self._batch(e)
+                values = _fold(e, self.memo, self._leaf, _UNARY_LISTS, _BINARY_LISTS, _power_lists)
             except (ArithmeticError, ValueError, KeyError):
                 values = None
             got = self.sides[id(e)] = (e, values)
         return got[1]
 
-    def _batch(self, e: Expr) -> list:
-        memo, samples, variables = self.memo, self.samples, self.variables
-        size = len(samples)
-
-        def ev(node: Expr) -> list:
-            got = memo.get(id(node))
-            if got is not None:
-                return got
-            kind = type(node)
-            op = _BINARY.get(kind)
-            if op is not None:
-                out = list(map(op, ev(node.a), ev(node.b)))
-            else:
-                op = _UNARY.get(kind)
-                if op is not None:
-                    out = list(map(op, ev(node.arg)))
-                elif kind is Pow:
-                    out = list(map(pow, ev(node.base), repeat(node.exponent, size)))
-                elif kind is Var:
-                    out = variables.get(node.name)
-                    if out is None:
-                        out = variables[node.name] = list(
-                            map(float, map(operator.itemgetter(node.name), samples))
-                        )
-                elif kind is Const:
-                    out = [float(node.value)] * size
-                else:  # pragma: no cover - closed node set
-                    raise TypeError(f"cannot evaluate {kind.__name__}")
-            memo[id(node)] = out
-            return out
-
-        try:
-            return ev(e)
-        finally:
-            del ev  # ev refers to itself; free its memo without the cycle collector
+    def _leaf(self, node: Expr) -> list:
+        if type(node) is Const:
+            return [float(node.value)] * len(self.samples)
+        out = self.variables.get(node.name)
+        if out is None:
+            out = self.variables[node.name] = list(
+                map(float, map(operator.itemgetter(node.name), self.samples))
+            )
+        return out
 
 
 # Scans over fewer points than this walk each point on its own: over one
@@ -683,10 +689,6 @@ _PRIME = 2**61 - 1
 _REDRAWS = 3
 
 
-class _Redraw(Exception):
-    """A denominator vanished at the drawn residues."""
-
-
 def _residue(*key) -> int:
     """A pseudo-random residue modulo _PRIME fixed by ``key``."""
     # imported here: only the exact recheck needs it, and importing it
@@ -695,6 +697,26 @@ def _residue(*key) -> int:
 
     digest = hashlib.blake2b("/".join(map(str, key)).encode(), digest_size=16).digest()
     return int.from_bytes(digest, "big") % _PRIME
+
+
+# Arithmetic modulo _PRIME.  Sums and negations are left unreduced, so they
+# cost no Python-level call, and grow by a bit per nested sum; every other
+# operation reduces its result.  A sin/cos/exp/ln node is a pseudo-random
+# function of its argument's residue.  pow(b, -1, p) raises ValueError where
+# b has no inverse.
+_MOD_UNARY = {Neg: operator.neg}
+_MOD_UNARY.update(
+    {kind: lambda a, name=kind.__name__: _residue(name, a % _PRIME) for kind in (Sin, Cos, Exp, Ln)}
+)
+_MOD_BINARY = {
+    Add: operator.add,
+    Mul: lambda a, b: a * b % _PRIME,
+    Div: lambda a, b: a * pow(b, -1, _PRIME) % _PRIME,
+}
+
+
+def _mod_power(base: int, exponent: int) -> int:
+    return pow(base, exponent, _PRIME)
 
 
 def holds_exactly(lhs: Expr, rhs) -> bool:
@@ -720,53 +742,24 @@ def holds_exactly(lhs: Expr, rhs) -> bool:
     """
     rhs = as_expr(rhs)
     for draw in range(1 + _REDRAWS):
+        variables: dict[str, int] = {}
+
+        def leaf(node: Expr) -> int:
+            if type(node) is Const:
+                return node.value.numerator * pow(node.value.denominator, -1, _PRIME) % _PRIME
+            got = variables.get(node.name)
+            if got is None:
+                got = variables[node.name] = _residue("var", draw, node.name)
+            return got
+
         memo: dict[int, int] = {}
         try:
-            return _modular(lhs, draw, memo) == _modular(rhs, draw, memo)
-        except _Redraw:
+            difference = (_fold(lhs, memo, leaf, _MOD_UNARY, _MOD_BINARY, _mod_power)
+                          - _fold(rhs, memo, leaf, _MOD_UNARY, _MOD_BINARY, _mod_power))
+        except ValueError:  # something to invert is 0 at this draw: redraw
             continue
+        return difference % _PRIME == 0
     return False
-
-
-def _modular(e: Expr, draw: int, memo: dict) -> int:
-    """The residue of ``e`` at draw ``draw``; ``memo`` is keyed by node id."""
-
-    def inverse(value: int) -> int:
-        if value == 0:
-            raise _Redraw
-        return pow(value, -1, _PRIME)
-
-    def ev(node: Expr) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        kind = type(node)
-        if kind is Add:
-            out = (ev(node.a) + ev(node.b)) % _PRIME
-        elif kind is Mul:
-            out = ev(node.a) * ev(node.b) % _PRIME
-        elif kind is Div:
-            out = ev(node.a) * inverse(ev(node.b)) % _PRIME
-        elif kind is Neg:
-            out = -ev(node.arg) % _PRIME
-        elif kind is Pow:
-            base, n = ev(node.base), node.exponent
-            out = pow(inverse(base) if n < 0 else base, abs(n), _PRIME)
-        elif kind is Var:
-            out = _residue("var", draw, node.name)
-        elif kind is Const:
-            out = node.value.numerator * inverse(node.value.denominator % _PRIME) % _PRIME
-        elif kind in (Sin, Cos, Exp, Ln):
-            out = _residue(kind.__name__, ev(node.arg))
-        else:  # pragma: no cover - closed node set
-            raise TypeError(f"cannot evaluate {kind.__name__}")
-        memo[id(node)] = out
-        return out
-
-    try:
-        return ev(e)
-    finally:
-        del ev  # ev refers to itself; free its memo without the cycle collector
 
 
 def max_abs(exprs, points) -> float:

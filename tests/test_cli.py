@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -439,9 +440,12 @@ def test_readme_case_file_example_verifies(tmp_path, capsys):
 
 
 def test_module_invocation_round_trip():
+    # the child imports the package from where this process found it
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bianchi.cli", "list", "checks"],
-        capture_output=True, text=True, check=False,
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "S2p" in proc.stdout

@@ -157,6 +157,15 @@ def test_power_rejects_non_integral_exponents():
         x**2.5
     with pytest.raises(ValueError):
         se.power(x, Fraction(3, 2))
+    for exponent in (2.5, Fraction(3, 2), math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            se.Pow(x, exponent)
+        with pytest.raises(ValueError):
+            x**exponent
+    # an integral exponent is stored, compared and hashed as the int
+    exact = se.Pow(x, 2.0)
+    assert type(exact.exponent) is int and exact.exponent == 2
+    assert hash(exact) == hash(se.Pow(x, 2)) and exact in {se.Pow(x, 2)}
 
 
 def test_parse_rejects_trailing_input():
@@ -175,8 +184,20 @@ def test_evaluate_domain_errors_name_the_subexpression():
         se.evaluate(e, {"x": -2.0, "y": 0.0, "z": 0.0})
     assert "ln" in str(err.value)
 
-    with pytest.raises(se.EvaluationError):
+    e = se.parse("(x - 1)^(-2)", VARS)
+    with pytest.raises(se.EvaluationError) as err:
+        se.evaluate(e, {"x": 1.0, "y": 0.0, "z": 0.0})
+    assert str(err.value) == "zero raised to a negative power in '(x - 1)^(-2)'"
+
+    # of two failing subexpressions, the left one is named
+    e = se.div(se.ln(se.Var("x")), se.sub(se.Var("y"), se.Var("y")))
+    with pytest.raises(se.EvaluationError) as err:
+        se.evaluate(e, {"x": -1.0, "y": 0.0, "z": 0.0})
+    assert str(err.value) == "ln of non-positive value -1.0 in 'ln(x)'"
+
+    with pytest.raises(se.EvaluationError) as err:
         se.evaluate(se.Var("missing"), {"x": 0.0})
+    assert str(err.value) == "no value supplied for variable 'missing'"
 
 
 def test_structural_equality_and_hash():
@@ -220,6 +241,21 @@ def test_differentiate_leaves_no_reference_cycles():
     try:
         for var in ("x", "y") * 50:
             se.differentiate(se.parse(MEMO_TEXT, VARS), var)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_evaluation_leaves_no_reference_cycles():
+    e = se.parse(MEMO_TEXT, VARS)
+    points = [{"x": 0.5, "y": 1.5}, {"x": 1.0, "y": 2.0}, {"x": 2.0, "y": 0.5}]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            se.evaluate(e, points[0])
+            se.worst_residual([(0, e, se.parse(MEMO_TEXT, VARS))], points)
+            se.holds_exactly(e, se.parse(MEMO_TEXT, VARS))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -377,8 +413,10 @@ def test_holds_exactly_on_formal_identities():
                             se.parse("y*cos(x*y)/x - sin(x*y)/x^2", VARS))
     assert se.holds_exactly(se.parse("x^(-2)*x^3", VARS), x)
     assert not se.holds_exactly(se.parse("x*y", VARS), se.parse("x*y + 1/1000000000000", VARS))
-    # a denominator that vanishes at every draw gives False
+    # a denominator, or zero to a negative power, that vanishes at every
+    # draw gives False
     assert not se.holds_exactly(se.div(x, se.sub(x, x)), 0)
+    assert not se.holds_exactly(se.Pow(x - x, -2), 0)
 
 
 def test_holds_exactly_does_not_know_trigonometric_relations():
