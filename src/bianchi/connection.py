@@ -17,6 +17,8 @@ with genuine Lie brackets (oracle path).  Tests pit one against the other on
 non-commuting argument fields.  The component objects are built once per
 connection: :func:`torsion` and :func:`curvature` store them on the
 connection at the first call and return the stored object afterwards.
+:func:`bianchi.structure_forms.cartan_coframe_forms` keeps the Cartan forms
+of the last coframe it was given the same way; another coframe replaces them.
 """
 
 from __future__ import annotations
@@ -73,10 +75,13 @@ class Connection:
     ``gamma[k][i][j]`` holds Gamma^k_{ij}; access through
     :meth:`christoffel` to keep index roles straight.  The symbols are
     never changed after construction, which is what lets :func:`torsion`
-    and :func:`curvature` keep their result on the connection.
+    and :func:`curvature` keep their result on the connection, and
+    :func:`bianchi.structure_forms.cartan_coframe_forms` its forms for one
+    coframe.  :meth:`perturbed` returns a new connection, which builds its
+    own.
     """
 
-    __slots__ = ("chart", "gamma", "_torsion", "_curvature")
+    __slots__ = ("chart", "gamma", "_torsion", "_curvature", "_cartan")
 
     def __init__(self, chart: Chart, gamma: Sequence[Sequence[Sequence[Expr]]]):
         n = chart.dim
@@ -88,6 +93,7 @@ class Connection:
         self.gamma = gamma
         self._torsion = None
         self._curvature = None
+        self._cartan = None
 
     @staticmethod
     def zero(chart: Chart) -> "Connection":

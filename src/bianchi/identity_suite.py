@@ -327,18 +327,10 @@ def _b2v_factory(case):
     return build
 
 
-def _cartan_forms(case):
-    """Coframe structure forms of the left and the right connection; one
-    build serves both sides when they are the same connection."""
-    lhs_forms = sf.cartan_coframe_forms(case.connection, case.coframe)
-    if case.reference_connection is case.connection:
-        return lhs_forms, lhs_forms
-    return lhs_forms, sf.cartan_coframe_forms(case.reference_connection, case.coframe)
-
-
 def _cs1_factory(case):
     coframe = case.coframe
-    lhs_forms, rhs_forms = _cartan_forms(case)
+    lhs_forms = sf.cartan_coframe_forms(case.connection, coframe)
+    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, coframe)
     n = case.chart.dim
     rhs_sides = []
     for a in range(n):
@@ -358,7 +350,8 @@ def _cs1_factory(case):
 
 
 def _cs2_factory(case):
-    lhs_forms, rhs_forms = _cartan_forms(case)
+    lhs_forms = sf.cartan_coframe_forms(case.connection, case.coframe)
+    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, case.coframe)
     n = case.chart.dim
     rhs_sides = []
     for a in range(n):
@@ -398,7 +391,8 @@ def _wedge_capped(a: PForm, b: PForm) -> PForm:
 
 def _c1_factory(case):
     coframe = case.coframe
-    lhs_forms, rhs_forms = _cartan_forms(case)
+    lhs_forms = sf.cartan_coframe_forms(case.connection, coframe)
+    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, coframe)
     n = case.chart.dim
     lhs_sides, rhs_sides = [], []
     for a in range(n):
@@ -422,7 +416,8 @@ def _c1_factory(case):
 
 
 def _c2_factory(case):
-    lhs_forms, rhs_forms = _cartan_forms(case)
+    lhs_forms = sf.cartan_coframe_forms(case.connection, case.coframe)
+    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, case.coframe)
     n = case.chart.dim
     lhs_sides, rhs_sides = [], []
     for a in range(n):

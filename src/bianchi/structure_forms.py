@@ -549,23 +549,44 @@ def cartan_coframe_forms(conn: Connection, coframe: CoFrame) -> CartanForms:
     They are the connection, torsion and curvature forms of the coframe's
     1-forms theta^a against its frame fields U_b.  The coframe's duality is
     validated first at 5 seeded points; a violation raises
-    :class:`CoFrameError`.
+    :class:`CoFrameError`.  One build computes nabla_{d/dx^i} U_b, T(d/dx^i,
+    d/dx^j) and R(d/dx^i, d/dx^j) U_b once each and inserts them into every
+    theta^a.
+
+    The forms are kept on ``conn``: a later call with the same coframe
+    object returns them, and a call with another coframe builds that
+    coframe's forms and keeps those instead.  A coframe that fails its
+    duality check is never kept.
     """
     chart = conn.chart
     if coframe.chart is not chart:
         raise CoFrameError("coframe lives on a different chart than the connection")
+    if conn._cartan is not None and conn._cartan.coframe is coframe:
+        return conn._cartan
     rng = random.Random("coframe-duality/0")
     coframe.validate([random_point(chart, rng) for _ in range(5)])
 
-    return CartanForms(
+    axes = chart.coordinate_frame()
+    planes = list(combinations(range(chart.dim), 2))
+    tor, curv = torsion(conn), curvature(conn)
+    torsion_values = {(i, j): tor(axes[i], axes[j]) for i, j in planes}
+    nabla_u = [
+        {(i,): covariant_derivative(conn, x, u) for i, x in enumerate(axes)}
+        for u in coframe.frame
+    ]
+    curvature_u = [
+        {(i, j): curv.apply_to(axes[i], axes[j], u) for i, j in planes} for u in coframe.frame
+    ]
+
+    def inserted(theta, degree, vectors):
+        """The form whose component at each key is theta(vectors[key])."""
+        return PForm(chart, degree, {key: theta.apply([v]) for key, v in vectors.items()})
+
+    thetas = coframe.coframe
+    conn._cartan = CartanForms(
         coframe=coframe,
-        connection_one_forms=tuple(
-            tuple(connection_form(conn, theta, u) for u in coframe.frame)
-            for theta in coframe.coframe
-        ),
-        torsion_two_forms=tuple(torsion_form(conn, theta) for theta in coframe.coframe),
-        curvature_two_forms=tuple(
-            tuple(curvature_form(conn, theta, u) for u in coframe.frame)
-            for theta in coframe.coframe
-        ),
+        connection_one_forms=tuple(tuple(inserted(t, 1, v) for v in nabla_u) for t in thetas),
+        torsion_two_forms=tuple(inserted(t, 2, torsion_values) for t in thetas),
+        curvature_two_forms=tuple(tuple(inserted(t, 2, v) for v in curvature_u) for t in thetas),
     )
+    return conn._cartan

@@ -829,7 +829,10 @@ def to_text(e: Expr) -> str:
                 return f"{name}({render(node.arg)})"
         raise TypeError(f"cannot print {type(node).__name__}")  # pragma: no cover
 
-    return render(e)
+    try:
+        return render(e)
+    finally:
+        del render, wrap  # they refer to each other; free them without the cycle collector
 
 
 # -- parsing -----------------------------------------------------------------

@@ -11,6 +11,7 @@ from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
 from bianchi import identity_suite as ids
+from bianchi import structure_forms as sf
 from bianchi import symexpr as se
 
 
@@ -258,6 +259,21 @@ def test_mutation_probe_fails_d1_after_the_original_curvature_is_built():
     con.curvature(case.connection)
     (report,) = ids.mutation_probe(case, ("D1",), config=ids.CheckConfig(points=4, tuples=2))
     assert not report.passed
+
+
+def test_mutation_probe_fails_cs1_after_the_original_cartan_forms_are_built():
+    case = gallery.build_case("flat_with_torsion")
+    sf.cartan_coframe_forms(case.connection, case.coframe)
+    reports = ids.mutation_probe(
+        case,
+        ["CS1", "CS2", "C1", "C2"],
+        index=(2, 0, 1),
+        delta=1,
+        config=ids.CheckConfig(points=5, tuples=2),
+    )
+    cs1 = reports[0]
+    assert cs1.check_id == "CS1" and not cs1.passed
+    assert cs1.max_residual == pytest.approx(13.958, abs=1e-3)
 
 
 def test_failing_report_records_worst_tuple_and_point():

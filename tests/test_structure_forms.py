@@ -1,12 +1,14 @@
 """Operator-family tests: defining sums against hand-derived values,
 dual-path cross-checks, tensoriality of the componentwise builders."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from bianchi import connection as con
+from bianchi import gallery
 from bianchi import geometry as geo
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
@@ -601,15 +603,67 @@ def test_cartan_torsion_forms_match_torsion_form_builder():
                 assert se.evaluate(value, pt) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_coframe_duality_violation_raises():
-    bad = sf.CoFrame(
+@pytest.mark.parametrize("case_id", ["random_linear", "sode_oscillator"])
+def test_cartan_forms_equal_the_single_form_builders(case_id):
+    """The shared build gives the values of connection_form and
+    curvature_form bit for bit, on a non-coordinate coframe too."""
+    if case_id == "sode_oscillator":
+        case = gallery.build_case(case_id)
+        conn, coframe = case.connection, case.coframe
+    else:
+        conn, coframe = random_linear_connection(R3, 352), sf.CoFrame.coordinate(R3)
+    forms = sf.cartan_coframe_forms(conn, coframe)
+    points = sample_points(conn.chart, random.Random(353), n=3)
+    n = conn.chart.dim
+    for a, theta in enumerate(coframe.coframe):
+        for b, u in enumerate(coframe.frame):
+            pairs = (
+                (forms.connection_one_forms[a][b], sf.connection_form(conn, theta, u)),
+                (forms.curvature_two_forms[a][b], sf.curvature_form(conn, theta, u)),
+            )
+            for built, direct in pairs:
+                for key in itertools.combinations(range(n), direct.degree):
+                    for pt in points:
+                        assert se.evaluate(built.component(key), pt) == se.evaluate(
+                            direct.component(key), pt
+                        )
+
+
+def test_cartan_forms_are_built_once_per_connection_and_coframe():
+    conn = random_linear_connection(R3, 354)
+    frame = sf.CoFrame.coordinate(R3)
+    forms = sf.cartan_coframe_forms(conn, frame)
+    assert sf.cartan_coframe_forms(conn, frame) is forms
+    mutant_forms = sf.cartan_coframe_forms(conn.perturbed(2, 0, 1, 1), frame)
+    assert mutant_forms is not forms
+    assert mutant_forms.torsion_two_forms[2].comps != forms.torsion_two_forms[2].comps
+    other = sf.CoFrame.coordinate(R3)
+    assert sf.cartan_coframe_forms(conn, other).coframe is other
+
+
+def bad_coframe():
+    return sf.CoFrame(
         R3,
         (R3.basis_field(0), R3.basis_field(0) + R3.basis_field(1), R3.basis_field(2)),
         tuple(R3.basis_covector(i) for i in range(3)),
     )
+
+
+def test_coframe_duality_violation_raises():
     conn = con.Connection.zero(R3)
     with pytest.raises(sf.CoFrameError):
-        sf.cartan_coframe_forms(conn, bad)
+        sf.cartan_coframe_forms(conn, bad_coframe())
+
+
+def test_coframe_duality_violation_raises_after_a_valid_coframe_was_kept():
+    conn = con.Connection.zero(R3)
+    good = sf.CoFrame.coordinate(R3)
+    forms = sf.cartan_coframe_forms(conn, good)
+    bad = bad_coframe()
+    for _ in range(2):
+        with pytest.raises(sf.CoFrameError):
+            sf.cartan_coframe_forms(conn, bad)
+    assert sf.cartan_coframe_forms(conn, good) is forms
 
 
 def test_coframe_shape_validation():

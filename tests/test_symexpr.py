@@ -249,6 +249,7 @@ def test_differentiate_leaves_no_reference_cycles():
 def test_evaluation_leaves_no_reference_cycles():
     e = se.parse(MEMO_TEXT, VARS)
     points = [{"x": 0.5, "y": 1.5}, {"x": 1.0, "y": 2.0}, {"x": 2.0, "y": 0.5}]
+    faulty = se.parse("ln(x)/(x - x)", ["x"])
     gc.collect()
     gc.disable()
     try:
@@ -256,6 +257,10 @@ def test_evaluation_leaves_no_reference_cycles():
             se.evaluate(e, points[0])
             se.worst_residual([(0, e, se.parse(MEMO_TEXT, VARS))], points)
             se.holds_exactly(e, se.parse(MEMO_TEXT, VARS))
+            # a failing evaluation renders its message through to_text
+            with pytest.raises(se.EvaluationError) as failure:
+                se.evaluate(faulty, {"x": 1.0})
+            assert "ln(x)" in str(failure.value)
         assert gc.collect() == 0
     finally:
         gc.enable()
