@@ -248,7 +248,7 @@ def load_case_file(path: str) -> LoadedCase:
     forms = _parse_forms(parser["forms"], chart) if "forms" in parser else {}
     fields = _parse_fields(parser["fields"], chart) if "fields" in parser else {}
 
-    points = gallery._sample_points(chart, f"case-file/{chart.name}", PROBE_POINTS)
+    points = geo.sample_points(chart, f"case-file/{chart.name}", PROBE_POINTS)
     case = gallery.GeometryCase(
         id=chart.name,
         chart=chart,

@@ -16,6 +16,7 @@ import sys
 
 from . import casefile
 from . import gallery
+from . import geometry as geo
 from . import identity_suite as ids
 from . import symexpr as se
 
@@ -209,7 +210,7 @@ def _cmd_describe_case(args) -> int:
     print(f"chart: {chart.name}, coordinates ({', '.join(chart.coords)})")
     # filter numerically: derived connections carry symbolically unsimplified
     # zero entries that would drown the real ones
-    points = gallery._sample_points(chart, f"describe/{case.id}", 5)
+    points = geo.sample_points(chart, f"describe/{case.id}", 5)
     entries = []
     for k in range(chart.dim):
         for i in range(chart.dim):

@@ -11,12 +11,12 @@ Conventions (fixed across the package):
                                    - Gamma^l_{jm} Gamma^m_{ik},
   so that R(d_i, d_j) d_k = R^l_{kij} d_l.
 
-Torsion and curvature are exposed twice: through precomputed coordinate
-components (production path) and through the defining vector-field formulas
-with genuine Lie brackets (oracle path).  Tests pit one against the other on
-non-commuting argument fields.  The component objects are built once per
-connection: :func:`torsion` and :func:`curvature` store them on the
-connection at the first call and return the stored object afterwards.
+Torsion and curvature are evaluated from precomputed coordinate
+components; the tests pit them against the defining vector-field formulas
+with genuine Lie brackets, on non-commuting argument fields.  The component
+objects are built once per connection: :func:`torsion` and
+:func:`curvature` store them on the connection at the first call and
+return the stored object afterwards.
 :func:`bianchi.structure_forms.cartan_coframe_forms` keeps the Cartan forms
 of the last coframe it was given the same way; another coframe replaces them.
 """
@@ -40,7 +40,6 @@ from .geometry import (
     VectorField,
     _symbolic_det,
     apply_vector_field,
-    lie_bracket,
     random_point,
     symbolic_inverse,
 )
@@ -53,10 +52,8 @@ __all__ = [
     "Metric",
     "covariant_derivative",
     "torsion",
-    "torsion_via_definition",
     "Curvature",
     "curvature",
-    "curvature_via_definition",
     "levi_civita",
 ]
 
@@ -114,7 +111,6 @@ class Connection:
 
     def perturbed(self, k: int, i: int, j: int, delta) -> "Connection":
         """Copy with Gamma^k_{ij} shifted by ``delta`` (mutation probes)."""
-        n = self.chart.dim
         gamma = [[list(row) for row in plane] for plane in self.gamma]
         gamma[k][i][j] = se.add(gamma[k][i][j], se.as_expr(delta))
         return Connection(self.chart, gamma)
@@ -147,7 +143,6 @@ def covariant_derivative(conn: Connection, X: VectorField, target):
 def _cov_vector(conn: Connection, X: VectorField, Y: VectorField) -> VectorField:
     _require_chart(conn, Y)
     n = conn.chart.dim
-    coords = conn.chart.coords
     comps = []
     for k in range(n):
         term = apply_vector_field(X, Y.comps[k])
@@ -262,12 +257,6 @@ def torsion(conn: Connection) -> Torsion:
     return conn._torsion
 
 
-def torsion_via_definition(conn: Connection, X: VectorField, Y: VectorField) -> VectorField:
-    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y]; bracket included.  Oracle
-    for :func:`torsion` on non-commuting fields."""
-    return _cov_vector(conn, X, Y) - _cov_vector(conn, Y, X) - lie_bracket(X, Y)
-
-
 # -- curvature ----------------------------------------------------------------
 
 class Curvature(TensorValuedForm):
@@ -330,17 +319,6 @@ def curvature(conn: Connection) -> Curvature:
     if conn._curvature is None:
         conn._curvature = Curvature(conn)
     return conn._curvature
-
-
-def curvature_via_definition(
-    conn: Connection, X: VectorField, Y: VectorField, Z: VectorField
-) -> VectorField:
-    """R(X, Y)Z straight from the definition, bracket term included.  Oracle
-    for the component path on non-commuting fields."""
-    first = _cov_vector(conn, X, _cov_vector(conn, Y, Z))
-    second = _cov_vector(conn, Y, _cov_vector(conn, X, Z))
-    third = _cov_vector(conn, lie_bracket(X, Y), Z)
-    return first - second - third
 
 
 # -- metrics and Levi-Civita ---------------------------------------------------

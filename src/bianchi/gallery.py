@@ -152,86 +152,81 @@ class GeometryCase:
 # -- numeric validation helpers ----------------------------------------------------
 
 
-def _sample_points(chart: Chart, seed, count: int) -> list[dict]:
-    rng = random.Random(str(seed))
-    return [geo.random_point(chart, rng) for _ in range(count)]
-
-
 # tolerance of every structural claim checked while a case is built
 _TOL = 1e-9
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise CaseValidationError(message)
+def _require_vanishing(exprs, points, message: str, tol: float = _TOL) -> None:
+    """Raise :class:`CaseValidationError` unless every expression is within
+    ``tol`` of zero at every point (NaN fails); ``message`` is formatted
+    with the worst absolute value as ``worst``."""
+    worst = se.max_abs(exprs, points)
+    if not worst <= tol:
+        raise CaseValidationError(message.format(worst=worst))
 
 
 def _validate_case(case: GeometryCase):
     """Numerically verify every structural flag the case declares, at 8
     seeded points."""
     chart = case.chart
-    points = _sample_points(chart, f"case-validation/{case.id}/0", 8)
+    points = geo.sample_points(chart, f"case-validation/{case.id}/0", 8)
 
     if case.connection.chart is not chart:
         raise CaseValidationError(f"case {case.id}: connection lives on the wrong chart")
 
-    if case.torsion_free:
-        worst = torsion_residual(case.connection, points)
-        _require(
-            worst <= _TOL,
-            f"case {case.id}: declared torsion-free but torsion residual is {worst:.3e}",
-        )
-
-    if case.flat:
-        worst = curvature_residual(case.connection, points)
-        _require(
-            worst <= _TOL,
-            f"case {case.id}: declared flat but curvature residual is {worst:.3e}",
-        )
-
-    if case.metric is not None:
-        worst = _metric_compatibility_residual(case.connection, case.metric, points)
-        _require(
-            worst <= _TOL,
-            f"case {case.id}: connection is not compatible with the metric "
-            f"(residual {worst:.3e})",
-        )
-
-    if case.coframe is not None:
-        try:
+    try:
+        if case.torsion_free:
+            _require_vanishing(
+                _torsion_values(case.connection), points,
+                "declared torsion-free but torsion residual is {worst:.3e}",
+            )
+        if case.flat:
+            _require_vanishing(
+                _curvature_values(case.connection), points,
+                "declared flat but curvature residual is {worst:.3e}",
+            )
+        if case.metric is not None:
+            _require_vanishing(
+                _metric_compatibility_values(case.connection, case.metric), points,
+                "connection is not compatible with the metric (residual {worst:.3e})",
+            )
+        if case.coframe is not None:
             case.coframe.validate(points)
-        except sf.CoFrameError as exc:
-            raise CaseValidationError(f"case {case.id}: {exc}") from exc
+    except (CaseValidationError, sf.CoFrameError) as exc:
+        raise CaseValidationError(f"case {case.id}: {exc}") from exc
 
     if case.foliation is not None:
         _validate_foliation(case.connection, case.foliation, points)
 
 
-def torsion_residual(conn: Connection, points) -> float:
-    """Worst torsion component on coordinate pairs; zero iff torsion-free."""
+def _torsion_values(conn: Connection):
     basis = conn.chart.coordinate_frame()
     tor = con.torsion(conn)
-    return se.max_abs(
-        (c for x, y in itertools.combinations(basis, 2) for c in tor(x, y).comps), points
+    return (c for x, y in itertools.combinations(basis, 2) for c in tor(x, y).comps)
+
+
+def _curvature_values(conn: Connection):
+    basis = conn.chart.coordinate_frame()
+    curv = con.curvature(conn)
+    return (
+        c
+        for x, y in itertools.combinations(basis, 2)
+        for z in basis
+        for c in curv.apply_to(x, y, z).comps
     )
+
+
+def torsion_residual(conn: Connection, points) -> float:
+    """Worst torsion component on coordinate pairs; zero iff torsion-free."""
+    return se.max_abs(_torsion_values(conn), points)
 
 
 def curvature_residual(conn: Connection, points) -> float:
     """Worst curvature component on coordinate triples; zero iff flat."""
-    basis = conn.chart.coordinate_frame()
-    curv = con.curvature(conn)
-    return se.max_abs(
-        (
-            c
-            for x, y in itertools.combinations(basis, 2)
-            for z in basis
-            for c in curv.apply_to(x, y, z).comps
-        ),
-        points,
-    )
+    return se.max_abs(_curvature_values(conn), points)
 
 
-def _metric_compatibility_residual(conn: Connection, metric: Metric, points) -> float:
+def _metric_compatibility_values(conn: Connection, metric: Metric) -> list:
     """(nabla_X g)(Y, Z) over coordinate fields; zero iff metric-compatible."""
     chart = conn.chart
     basis = [chart.basis_field(i) for i in range(chart.dim)]
@@ -243,7 +238,7 @@ def _metric_compatibility_residual(conn: Connection, metric: Metric, points) -> 
                 value = se.sub(value, metric.value(con.covariant_derivative(conn, x, y), z))
                 value = se.sub(value, metric.value(y, con.covariant_derivative(conn, x, z)))
                 exprs.append(value)
-    return se.max_abs(exprs, points)
+    return exprs
 
 
 def _validate_foliation(conn: Connection, foliation: FoliationStructure, points):
@@ -253,27 +248,24 @@ def _validate_foliation(conn: Connection, foliation: FoliationStructure, points)
     if len(leaf) != chart.dim - 1:
         raise CaseValidationError("leaf fields must span a codimension-one distribution")
 
-    worst = se.max_abs([theta.apply([u]) for u in leaf], points)
-    _require(worst <= _TOL, f"foliation: leaf fields do not annihilate the form ({worst:.3e})")
-
-    normalization = se.sub(theta.apply([foliation.transverse]), se.ONE)
-    worst = se.max_abs([normalization], points)
-    _require(worst <= _TOL, f"foliation: transverse pairing is not 1 ({worst:.3e})")
-
-    d_theta = geo.exterior_derivative(theta)
-    integrability = geo.wedge(d_theta, theta)
-    worst = se.max_abs(integrability.comps.values(), points)
-    _require(worst <= _TOL, f"foliation: the form is not integrable ({worst:.3e})")
+    _require_vanishing(
+        [theta.apply([u]) for u in leaf], points,
+        "foliation: leaf fields do not annihilate the form ({worst:.3e})",
+    )
+    _require_vanishing(
+        [se.sub(theta.apply([foliation.transverse]), se.ONE)], points,
+        "foliation: transverse pairing is not 1 ({worst:.3e})",
+    )
+    _require_vanishing(
+        geo.wedge(geo.exterior_derivative(theta), theta).comps.values(), points,
+        "foliation: the form is not integrable ({worst:.3e})",
+    )
 
     basis = [chart.basis_field(i) for i in range(chart.dim)]
-    exprs = []
-    for x in basis:
-        for u in leaf:
-            exprs.append(theta.apply([con.covariant_derivative(conn, x, u)]))
-    worst = se.max_abs(exprs, points)
-    _require(
-        worst <= _TOL,
-        f"foliation: connection is not adapted to the leaves (residual {worst:.3e})",
+    _require_vanishing(
+        [theta.apply([con.covariant_derivative(conn, x, u)]) for x in basis for u in leaf],
+        points,
+        "foliation: connection is not adapted to the leaves (residual {worst:.3e})",
     )
 
     # blockwise: the transverse line is preserved too
@@ -282,10 +274,8 @@ def _validate_foliation(conn: Connection, foliation: FoliationStructure, points)
         image = con.covariant_derivative(conn, x, foliation.transverse)
         scaled = foliation.transverse.scale(theta.apply([image]))
         exprs.extend((image - scaled).comps)
-    worst = se.max_abs(exprs, points)
-    _require(
-        worst <= _TOL,
-        f"foliation: connection does not preserve the transverse line ({worst:.3e})",
+    _require_vanishing(
+        exprs, points, "foliation: connection does not preserve the transverse line ({worst:.3e})"
     )
 
 
@@ -306,7 +296,7 @@ def derive_contact_structure(alpha: PForm, chart: Chart) -> ContactStructure:
         raise ContactConditionError("the contact form must be a 1-form")
     half = (chart.dim - 1) // 2
 
-    points = _sample_points(chart, "contact/0", 10)
+    points = geo.sample_points(chart, "contact/0", 10)
     volume = alpha
     for _ in range(half):
         volume = geo.wedge(volume, geo.exterior_derivative(alpha))
@@ -348,33 +338,26 @@ def derive_contact_structure(alpha: PForm, chart: Chart) -> ContactStructure:
     fields = [geo.random_vector_field(chart, rng) for _ in range(4)]
     d_alpha = geo.exterior_derivative(alpha)
 
-    hooked = geo.interior_product(reeb, d_alpha)
-    worst = se.max_abs(hooked.comps.values(), points)
-    _require(worst <= _TOL, f"contact invariant 'reeb-interior-product' violated ({worst:.3e})")
+    def require(name, exprs):
+        _require_vanishing(exprs, points, f"contact invariant '{name}' violated ({{worst:.3e}})")
 
-    worst = se.max_abs([se.sub(alpha.apply([reeb]), se.ONE)], points)
-    _require(worst <= _TOL, f"contact invariant 'reeb-normalization' violated ({worst:.3e})")
-
-    exprs = [se.sub(metric.value(reeb, x), alpha.apply([x])) for x in fields]
-    worst = se.max_abs(exprs, points)
-    _require(worst <= _TOL, f"contact invariant 'metric-reproduces-form' violated ({worst:.3e})")
-
+    require("reeb-interior-product", geo.interior_product(reeb, d_alpha).comps.values())
+    require("reeb-normalization", [se.sub(alpha.apply([reeb]), se.ONE)])
+    require(
+        "metric-reproduces-form",
+        [se.sub(metric.value(reeb, x), alpha.apply([x])) for x in fields],
+    )
     exprs = []
     for x, z in itertools.combinations(fields, 2):
         paired = se.mul(se.Const(2.0), metric.value(x, endo(z)))
         exprs.append(se.sub(paired, d_alpha.apply([x, z])))
-    worst = se.max_abs(exprs, points)
-    _require(
-        worst <= _TOL, f"contact invariant 'metric-endomorphism-pairing' violated ({worst:.3e})"
-    )
-
+    require("metric-endomorphism-pairing", exprs)
     exprs = []
     for x in fields:
         twice = endo(endo(x))
         target = x.scale(se.neg(se.ONE)) + reeb.scale(alpha.apply([x]))
         exprs.extend((twice - target).comps)
-    worst = se.max_abs(exprs, points)
-    _require(worst <= _TOL, f"contact invariant 'endomorphism-square' violated ({worst:.3e})")
+    require("endomorphism-square", exprs)
 
     return ContactStructure(form=alpha, reeb=reeb, metric=metric, endomorphism=endo)
 
@@ -467,7 +450,7 @@ def build_sode_structure(chart: Chart, forces) -> SodeStructure:
         force_forms=tuple(force_forms),
     )
 
-    points = _sample_points(chart, "sode-duality", 6)
+    points = geo.sample_points(chart, "sode-duality", 6)
     structure.adapted_coframe().validate(points)
 
     # the vertical endomorphism must send horizontals to verticals and
@@ -477,11 +460,10 @@ def build_sode_structure(chart: Chart, forces) -> SodeStructure:
         exprs.extend((vertical_endomorphism(horizontal[a]) - vertical[a]).comps)
         exprs.extend(vertical_endomorphism(vertical[a]).comps)
     exprs.extend(vertical_endomorphism(semispray).comps)
-    worst = se.max_abs(exprs, points)
-    if not worst <= 1e-10:
-        raise CaseValidationError(
-            f"vertical endomorphism does not reproduce its frame action ({worst:.3e})"
-        )
+    _require_vanishing(
+        exprs, points, "vertical endomorphism does not reproduce its frame action ({worst:.3e})",
+        tol=1e-10,
+    )
 
     # Lie transport of the endomorphism along the semispray has eigenvalues
     # 0 / -1 / +1 on the semispray / horizontal / vertical frame fields
@@ -494,12 +476,12 @@ def build_sode_structure(chart: Chart, forces) -> SodeStructure:
     for a in range(n):
         exprs.extend((lie_of_endomorphism(horizontal[a]) + horizontal[a]).comps)
         exprs.extend((lie_of_endomorphism(vertical[a]) - vertical[a]).comps)
-    worst = se.max_abs(exprs, points)
-    if not worst <= 1e-9:
-        raise CaseValidationError(
-            f"semispray Lie transport of the endomorphism breaks the 0/-1/+1 "
-            f"eigenstructure ({worst:.3e})"
-        )
+    _require_vanishing(
+        exprs, points,
+        "semispray Lie transport of the endomorphism breaks the 0/-1/+1 eigenstructure "
+        "({worst:.3e})",
+        tol=1e-9,
+    )
     return structure
 
 
@@ -539,7 +521,7 @@ def derive_massa_pagani(sode: SodeStructure) -> Connection:
     conn = Connection(chart, gamma)
 
     # oracle: the four defining properties, re-checked numerically
-    points = _sample_points(chart, "massa-pagani-oracle", 20)
+    points = geo.sample_points(chart, "massa-pagani-oracle", 20)
     residuals = massa_pagani_property_residuals(conn, sode, points)
     for name, worst in residuals.items():
         if not worst <= _TOL:
@@ -589,7 +571,7 @@ def build_cartan_form(sode: SodeStructure, lagrangian) -> tuple[PForm, PForm]:
     velocity_names = [chart.coords[n + 1 + a] for a in range(n)]
     position_names = [chart.coords[1 + a] for a in range(n)]
     time_name = chart.coords[0]
-    points = _sample_points(chart, "cartan-form", 10)
+    points = geo.sample_points(chart, "cartan-form", 10)
 
     momenta = [se.differentiate(lagrangian, name) for name in velocity_names]
     hessian = [
@@ -615,12 +597,11 @@ def build_cartan_form(sode: SodeStructure, lagrangian) -> tuple[PForm, PForm]:
             paired = paired + geo.wedge(sode.force_forms[a], sode.contact_forms[b]).scale(
                 hessian[a][b]
             )
-    worst = se.max_abs((omega - paired).comps.values(), points)
-    if not worst <= _TOL:
-        raise CaseValidationError(
-            f"differential of the Lagrangian 1-form does not match the Hessian "
-            f"pairing of force and contact forms ({worst:.3e})"
-        )
+    _require_vanishing(
+        (omega - paired).comps.values(), points,
+        "differential of the Lagrangian 1-form does not match the Hessian pairing of force "
+        "and contact forms ({worst:.3e})",
+    )
 
     # Euler-Lagrange semispray: Hessian * F = dL/dx - d(momenta)/dt - d(momenta)/dx * u
     inverse = geo.symbolic_inverse(hessian)
@@ -646,12 +627,10 @@ def build_cartan_form(sode: SodeStructure, lagrangian) -> tuple[PForm, PForm]:
         el_comps[1 + a] = se.Var(velocity_names[a])
         el_comps[n + 1 + a] = el_forces[a]
     el_field = VectorField(chart, el_comps)
-    hooked = geo.interior_product(el_field, omega)
-    worst = se.max_abs(hooked.comps.values(), points)
-    if not worst <= _TOL:
-        raise CaseValidationError(
-            f"Euler-Lagrange semispray does not annihilate the 2-form ({worst:.3e})"
-        )
+    _require_vanishing(
+        geo.interior_product(el_field, omega).comps.values(), points,
+        "Euler-Lagrange semispray does not annihilate the 2-form ({worst:.3e})",
+    )
 
     return theta, omega
 

@@ -12,18 +12,17 @@ Conventions
   against the determinant of the argument components, which is exactly the
   shuffle convention.
 
-The exterior derivative comes in two independent implementations: the
-coordinate formula on components (production path) and the alternating
-vector-field formula with Lie brackets (oracle path).  Tests hold them
-against each other.
+The exterior derivative is the coordinate formula on components; the
+tests hold it against the alternating vector-field formula with Lie
+brackets, an independent oracle kept in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from . import symexpr as se
 from .symexpr import Expr, ZERO
@@ -43,10 +42,10 @@ __all__ = [
     "wedge",
     "interior_product",
     "exterior_derivative",
-    "exterior_derivative_intrinsic_expr",
     "symbolic_inverse",
     "sort_with_sign",
     "random_point",
+    "sample_points",
     "random_polynomial",
     "random_vector_field",
     "random_pform",
@@ -146,9 +145,6 @@ class VectorField:
     def scale(self, factor) -> "VectorField":
         f = se.as_expr(factor)
         return VectorField(self.chart, tuple(se.mul(f, c) for c in self.comps))
-
-    def evaluate(self, point: Point) -> list[float]:
-        return [se.evaluate(c, point) for c in self.comps]
 
     def __repr__(self):
         return f"VectorField({[str(c) for c in self.comps]})"
@@ -382,36 +378,6 @@ def exterior_derivative(theta: PForm) -> PForm:
     return PForm(chart, theta.degree + 1, out)
 
 
-def exterior_derivative_intrinsic_expr(theta: PForm, fields: Sequence[VectorField]) -> Expr:
-    """Alternating-sum exterior derivative evaluated on p + 1 vector fields.
-
-    d theta(X_1 .. X_{p+1}) =
-        sum_i (-1)^{i+1} X_i(theta(.. X_i-hat ..))
-      + sum_{i<j} (-1)^{i+j} theta([X_i, X_j], .. X_i-hat .. X_j-hat ..)
-
-    This is an independent oracle for :func:`exterior_derivative`; the Lie
-    bracket terms only vanish on commuting argument fields.
-    """
-    p = theta.degree
-    if len(fields) != p + 1:
-        raise DegreeError(f"need {p + 1} argument fields, got {len(fields)}")
-    chart = _same_chart(theta, *fields)
-    total = ZERO
-    for i in range(p + 1):
-        others = [f for a, f in enumerate(fields) if a != i]
-        inner = theta.apply(others) if p > 0 else theta.comps.get((), ZERO)
-        term = apply_vector_field(fields[i], inner)
-        total = se.add(total, term if i % 2 == 0 else se.neg(term))
-    if p > 0:
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                rest = [f for a, f in enumerate(fields) if a not in (i, j)]
-                term = theta.apply([lie_bracket(fields[i], fields[j])] + rest)
-                # (-1)^{i+j} with 1-based positions i+1, j+1 gives (-1)^{i+j+2}
-                total = se.add(total, term if (i + j) % 2 == 0 else se.neg(term))
-    return total
-
-
 class LinearMap:
     """Endomorphism field: matrix of expressions acting on vector fields.
 
@@ -493,6 +459,12 @@ def random_point(chart: Chart, rng: random.Random) -> dict[str, float]:
     return {
         name: rng.uniform(lo, hi) for name, (lo, hi) in zip(chart.coords, chart.intervals)
     }
+
+
+def sample_points(chart: Chart, seed, count: int) -> list[dict[str, float]]:
+    """``count`` random points drawn from a generator seeded by ``str(seed)``."""
+    rng = random.Random(str(seed))
+    return [random_point(chart, rng) for _ in range(count)]
 
 
 def random_polynomial(chart: Chart, rng: random.Random, degree: int = 2) -> Expr:

@@ -177,11 +177,6 @@ def _vector_pairs(lhs: VectorField, rhs: VectorField) -> list:
     return list(zip(lhs.comps, rhs.comps))
 
 
-def _cyclic(triple):
-    a, b, c = triple
-    return ((a, b, c), (b, c, a), (c, a, b))
-
-
 def _s1p_factory(case):
     clhs, crhs = case.connection, case.reference_connection
 
@@ -298,7 +293,7 @@ def _b1v_factory(case):
         chart = case.chart
         lhs = VectorField(chart, [se.ZERO] * chart.dim)
         rhs = VectorField(chart, [se.ZERO] * chart.dim)
-        for a, b, c in _cyclic((x, y, z)):
+        for a, b, c in sf._rotations((x, y, z)):
             lhs = lhs + curv.apply_to(a, b, c)
             nabla_t = con.covariant_derivative(crhs, a, tor)
             rhs = rhs + nabla_t(b, c) + tor(tor(a, b), c)
@@ -314,65 +309,23 @@ def _b2v_factory(case):
     tor = con.torsion(crhs)
 
     def build(vectors, forms):
-        x, y, z, w = vectors[:4]
-        chart = case.chart
-        lhs = VectorField(chart, [se.ZERO] * chart.dim)
-        rhs = VectorField(chart, [se.ZERO] * chart.dim)
-        for a, b, c in _cyclic((x, y, z)):
-            nabla_r = con.covariant_derivative(clhs, a, curv_lhs)
-            lhs = lhs + nabla_r(b, c)(w)
-            rhs = rhs + curv_rhs.apply_to(a, tor(b, c), w)
+        *args, w = vectors[:4]
+        lhs = sf._cyclic_sum(
+            args, lambda a, b, c: con.covariant_derivative(clhs, a, curv_lhs)(b, c)(w)
+        )
+        rhs = sf._cyclic_sum(args, lambda a, b, c: curv_rhs.apply_to(a, tor(b, c), w))
         return _vector_pairs(lhs, rhs)
 
     return build
 
 
-def _cs1_factory(case):
-    coframe = case.coframe
-    lhs_forms = sf.cartan_coframe_forms(case.connection, coframe)
-    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, coframe)
-    n = case.chart.dim
-    rhs_sides = []
-    for a in range(n):
-        total = geo.exterior_derivative(coframe.coframe[a])
-        for b in range(n):
-            total = total + geo.wedge(rhs_forms.connection_one_forms[a][b], coframe.coframe[b])
-        rhs_sides.append(total)
+def _form_pairs(lhs_forms, rhs_forms, arity: int):
+    """Builder of the pairs (lhs(args), rhs(args)) of two equally long lists
+    of forms, on the first ``arity`` sampled vectors."""
 
     def build(vectors, forms):
-        args = list(vectors[:2])
-        return [
-            (lhs_forms.torsion_two_forms[a].apply(args), rhs_sides[a].apply(args))
-            for a in range(n)
-        ]
-
-    return build
-
-
-def _cs2_factory(case):
-    lhs_forms = sf.cartan_coframe_forms(case.connection, case.coframe)
-    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, case.coframe)
-    n = case.chart.dim
-    rhs_sides = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            total = geo.exterior_derivative(rhs_forms.connection_one_forms[a][b])
-            for c in range(n):
-                total = total + geo.wedge(
-                    rhs_forms.connection_one_forms[a][c],
-                    rhs_forms.connection_one_forms[c][b],
-                )
-            row.append(total)
-        rhs_sides.append(row)
-
-    def build(vectors, forms):
-        args = list(vectors[:2])
-        return [
-            (lhs_forms.curvature_two_forms[a][b].apply(args), rhs_sides[a][b].apply(args))
-            for a in range(n)
-            for b in range(n)
-        ]
+        args = list(vectors[:arity])
+        return [(lhs.apply(args), rhs.apply(args)) for lhs, rhs in zip(lhs_forms, rhs_forms)]
 
     return build
 
@@ -389,65 +342,59 @@ def _wedge_capped(a: PForm, b: PForm) -> PForm:
     return geo.wedge(a, b)
 
 
+def _cs1_factory(case):
+    lhs = sf.cartan_coframe_forms(case.connection, case.coframe)
+    rhs = sf.cartan_coframe_forms(case.reference_connection, case.coframe)
+    theta, omega, idx = case.coframe.coframe, rhs.connection_one_forms, range(case.chart.dim)
+    rhs_sides = [
+        sum((geo.wedge(omega[a][b], theta[b]) for b in idx), geo.exterior_derivative(theta[a]))
+        for a in idx
+    ]
+    return _form_pairs(lhs.torsion_two_forms, rhs_sides, 2)
+
+
+def _cs2_factory(case):
+    lhs = sf.cartan_coframe_forms(case.connection, case.coframe)
+    omega = sf.cartan_coframe_forms(case.reference_connection, case.coframe).connection_one_forms
+    idx = range(case.chart.dim)
+    rhs_sides = [
+        sum((geo.wedge(omega[a][c], omega[c][b]) for c in idx), geo.exterior_derivative(form))
+        for a in idx
+        for b, form in enumerate(omega[a])
+    ]
+    return _form_pairs([f for row in lhs.curvature_two_forms for f in row], rhs_sides, 2)
+
+
 def _c1_factory(case):
-    coframe = case.coframe
-    lhs_forms = sf.cartan_coframe_forms(case.connection, coframe)
-    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, coframe)
-    n = case.chart.dim
-    lhs_sides, rhs_sides = [], []
-    for a in range(n):
-        lhs_total = geo.exterior_derivative(lhs_forms.torsion_two_forms[a])
-        rhs_total = PForm.zero(case.chart, 3)
-        for b in range(n):
-            lhs_total = lhs_total + _wedge_capped(
-                lhs_forms.connection_one_forms[a][b], lhs_forms.torsion_two_forms[b]
-            )
-            rhs_total = rhs_total + _wedge_capped(
-                rhs_forms.curvature_two_forms[a][b], coframe.coframe[b]
-            )
-        lhs_sides.append(lhs_total)
-        rhs_sides.append(rhs_total)
-
-    def build(vectors, forms):
-        args = list(vectors[:3])
-        return [(lhs_sides[a].apply(args), rhs_sides[a].apply(args)) for a in range(n)]
-
-    return build
+    lhs = sf.cartan_coframe_forms(case.connection, case.coframe)
+    rhs = sf.cartan_coframe_forms(case.reference_connection, case.coframe)
+    omega, tor, idx = lhs.connection_one_forms, lhs.torsion_two_forms, range(case.chart.dim)
+    theta, curv, zero = case.coframe.coframe, rhs.curvature_two_forms, PForm.zero(case.chart, 3)
+    lhs_sides = [
+        sum((_wedge_capped(omega[a][b], tor[b]) for b in idx), geo.exterior_derivative(tor[a]))
+        for a in idx
+    ]
+    rhs_sides = [sum((_wedge_capped(curv[a][b], theta[b]) for b in idx), zero) for a in idx]
+    return _form_pairs(lhs_sides, rhs_sides, 3)
 
 
 def _c2_factory(case):
-    lhs_forms = sf.cartan_coframe_forms(case.connection, case.coframe)
-    rhs_forms = sf.cartan_coframe_forms(case.reference_connection, case.coframe)
-    n = case.chart.dim
-    lhs_sides, rhs_sides = [], []
-    for a in range(n):
-        lhs_row, rhs_row = [], []
-        for b in range(n):
-            lhs_total = geo.exterior_derivative(lhs_forms.curvature_two_forms[a][b])
-            rhs_total = PForm.zero(case.chart, 3)
-            for c in range(n):
-                lhs_total = lhs_total + _wedge_capped(
-                    lhs_forms.connection_one_forms[a][c],
-                    lhs_forms.curvature_two_forms[c][b],
-                )
-                rhs_total = rhs_total + _wedge_capped(
-                    rhs_forms.curvature_two_forms[a][c],
-                    rhs_forms.connection_one_forms[c][b],
-                )
-            lhs_row.append(lhs_total)
-            rhs_row.append(rhs_total)
-        lhs_sides.append(lhs_row)
-        rhs_sides.append(rhs_row)
-
-    def build(vectors, forms):
-        args = list(vectors[:3])
-        return [
-            (lhs_sides[a][b].apply(args), rhs_sides[a][b].apply(args))
-            for a in range(n)
-            for b in range(n)
-        ]
-
-    return build
+    lhs = sf.cartan_coframe_forms(case.connection, case.coframe)
+    rhs = sf.cartan_coframe_forms(case.reference_connection, case.coframe)
+    omega, curv, idx = lhs.connection_one_forms, lhs.curvature_two_forms, range(case.chart.dim)
+    omega_r, curv_r = rhs.connection_one_forms, rhs.curvature_two_forms
+    zero = PForm.zero(case.chart, 3)
+    lhs_sides = [
+        sum((_wedge_capped(omega[a][c], curv[c][b]) for c in idx), geo.exterior_derivative(form))
+        for a in idx
+        for b, form in enumerate(curv[a])
+    ]
+    rhs_sides = [
+        sum((_wedge_capped(curv_r[a][c], omega_r[c][b]) for c in idx), zero)
+        for a in idx
+        for b in idx
+    ]
+    return _form_pairs(lhs_sides, rhs_sides, 3)
 
 
 def _d1_factory(case):
@@ -702,9 +649,11 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     point_batch = sample_fields(chart, f"{stem}/points", SampleSpec(), points=config.points)
     build = check.factory(case)
     spec = check.sample_spec(chart)
+    # a check that samples no fields would build the same pairs for every tuple
+    tuples = config.tuples if spec != SampleSpec() else 1
 
     def pairs():
-        for t in range(config.tuples):
+        for t in range(tuples):
             batch = sample_fields(chart, f"{stem}/{t}", spec)
             for lhs, rhs in build(batch.vectors, batch.forms):
                 yield t, lhs, rhs

@@ -4,10 +4,10 @@ A linear connection splits the exterior derivative of any form into a
 torsion part and a covariant-derivative part.  This module implements the
 operator families appearing in those splittings:
 
-* insertion forms that feed torsion or curvature values into the slots of
+* insertion sums that feed torsion or curvature values into the slots of
   an ordinary form (``torsion_form``, ``curvature_form``,
-  ``torsion_mixed_form``, ``curvature_three_form``),
-* alternating covariant-derivative sums (``xi_form``, ``psi_form``,
+  ``torsion_mixed_form_apply``, ``curvature_three_form_apply``),
+* alternating covariant-derivative sums (``xi_form``, ``psi_form_apply``,
   ``connection_form``),
 * the tensor-valued wedge pairings the identities use, each evaluated
   directly on its arguments (``wedge_*_apply``),
@@ -16,13 +16,13 @@ operator families appearing in those splittings:
 * the moving-frame apparatus: connection one-forms plus torsion and
   curvature two-forms of a coframe (``cartan_coframe_forms``).
 
-Every scalar-valued operator comes in two flavours: a builder returning a
-componentwise :class:`~bianchi.geometry.PForm` (defining sum evaluated on
-the coordinate frame, coefficients kept symbolic) and a direct evaluator,
-suffixed ``_apply``, that runs the same signed sum on arbitrary vector
-fields and returns a scalar expression.  Agreement of the two routes on
-non-coordinate fields is exactly the tensoriality of the operator; the
-tests probe it on random fields.
+Every scalar-valued operator is a direct evaluator, suffixed ``_apply``,
+that runs its signed sum on arbitrary vector fields and returns a scalar
+expression.  The operators whose forms the identities differentiate also
+have a builder returning a componentwise :class:`~bianchi.geometry.PForm`:
+the same sum evaluated on the coordinate frame, coefficients kept symbolic.
+Agreement of the two routes on non-coordinate fields is exactly the
+tensoriality of the operator; the tests probe it on random fields.
 
 Docstring formulas use one-based argument positions, matching the usual
 blackboard presentation; the code is zero-based throughout.
@@ -30,7 +30,6 @@ blackboard presentation; the code is zero-based throughout.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -45,7 +44,7 @@ from .geometry import (
     TensorValuedForm,
     VectorField,
     lie_bracket,
-    random_point,
+    sample_points,
 )
 from .connection import (
     Connection,
@@ -80,25 +79,24 @@ def _pair_sign(a: int, b: int) -> int:
     return 1 if (a + b) % 2 else -1
 
 
-def _require_degree(theta: PForm, minimum: int = 1) -> None:
-    if theta.degree < minimum:
-        raise DegreeError(f"operator needs a form of degree >= {minimum}, got {theta.degree}")
-
-
 def _expect_args(fields, count: int) -> None:
     if len(fields) != count:
         raise DegreeError(f"expected {count} vector-field arguments, got {len(fields)}")
 
 
+def _expect_form_args(theta: PForm, fields, extra: int = 1) -> None:
+    """A p-form with p >= 1 and p + ``extra`` argument fields."""
+    if theta.degree < 1:
+        raise DegreeError(f"operator needs a form of degree >= 1, got {theta.degree}")
+    _expect_args(fields, theta.degree + extra)
+
+
 def _componentwise(chart: Chart, degree: int, value_at) -> PForm:
-    """Assemble a PForm by running a defining sum on coordinate frames."""
-    if degree > chart.dim:
-        return PForm(chart, degree, {})
+    """Assemble a PForm by running a defining sum on coordinate frames; above
+    top degree there are no components."""
     frame = chart.coordinate_frame()
-    comps = {}
-    for key in combinations(range(chart.dim), degree):
-        comps[key] = value_at([frame[i] for i in key])
-    return PForm(chart, degree, comps)
+    keys = combinations(range(chart.dim), degree)
+    return PForm(chart, degree, {key: value_at([frame[i] for i in key]) for key in keys})
 
 
 def _rotations(triple):
@@ -106,7 +104,26 @@ def _rotations(triple):
     return ((a, b, c), (b, c, a), (c, a, b))
 
 
-# -- torsion and covariant-derivative insertion forms -------------------------
+def _pair_sum(fields, term) -> Expr:
+    """sum_{i<j} (-1)^(i+j+1) term(a, b, rest), where a < b are the
+    zero-based positions of one-based i < j and rest is ``fields`` without
+    them."""
+    terms = []
+    for a, b in combinations(range(len(fields)), 2):
+        value = term(a, b, _drop(fields, a, b))
+        terms.append(value if _pair_sign(a, b) > 0 else se.neg(value))
+    return se.add_all(terms)
+
+
+def _cyclic_sum(fields, term):
+    """term(X, Y, Z) + term(Y, Z, X) + term(Z, X, Y) over three fields; the
+    terms are expressions or vector fields."""
+    _expect_args(fields, 3)
+    first, second, third = (term(*args) for args in _rotations(tuple(fields)))
+    return first + second + third
+
+
+# -- insertion and covariant-derivative sums -----------------------------------
 
 
 def torsion_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
@@ -119,20 +136,15 @@ def torsion_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
     The inserted torsion value occupies slot 1; the surviving arguments
     keep their original order.
     """
-    _require_degree(theta)
-    _expect_args(fields, theta.degree + 1)
+    _expect_form_args(theta, fields)
     tor = torsion(conn)
-    terms = []
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            value = theta.apply([tor(fields[a], fields[b])] + _drop(fields, a, b))
-            terms.append(value if _pair_sign(a, b) > 0 else se.neg(value))
-    return se.add_all(terms)
+    return _pair_sum(
+        fields, lambda a, b, rest: theta.apply([tor(fields[a], fields[b])] + rest)
+    )
 
 
 def torsion_form(conn: Connection, theta: PForm) -> PForm:
     """Torsion (p+1)-form of a p-form; degree 1 gives (X, Y) -> theta(T(X, Y))."""
-    _require_degree(theta)
     return _componentwise(
         conn.chart, theta.degree + 1, lambda fs: torsion_form_apply(conn, theta, fs)
     )
@@ -147,8 +159,7 @@ def xi_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
 
     Degree 1 reduces to (X, Y) -> nabla_Y theta(X) - nabla_X theta(Y).
     """
-    _require_degree(theta)
-    _expect_args(fields, theta.degree + 1)
+    _expect_form_args(theta, fields)
     terms = []
     for a in range(len(fields)):
         value = covariant_derivative(conn, fields[a], theta).apply(_drop(fields, a))
@@ -159,7 +170,6 @@ def xi_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
 
 def xi_form(conn: Connection, theta: PForm) -> PForm:
     """Covariant-derivative (p+1)-form completing d to the torsion form."""
-    _require_degree(theta)
     return _componentwise(
         conn.chart, theta.degree + 1, lambda fs: xi_form_apply(conn, theta, fs)
     )
@@ -174,8 +184,7 @@ def connection_form_apply(conn: Connection, theta: PForm, z: VectorField, fields
 
     Degree 1 reduces to X -> theta(nabla_X Z).
     """
-    _require_degree(theta)
-    _expect_args(fields, theta.degree)
+    _expect_form_args(theta, fields, extra=0)
     terms = []
     for a in range(len(fields)):
         inserted = covariant_derivative(conn, fields[a], z)
@@ -186,7 +195,6 @@ def connection_form_apply(conn: Connection, theta: PForm, z: VectorField, fields
 
 def connection_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
     """Connection p-form of a p-form against a reference field Z."""
-    _require_degree(theta)
     return _componentwise(
         conn.chart, theta.degree, lambda fs: connection_form_apply(conn, theta, z, fs)
     )
@@ -201,21 +209,16 @@ def curvature_form_apply(conn: Connection, theta: PForm, z: VectorField, fields)
 
     Degree 1 reduces to (X, Y) -> theta(R(X, Y)Z).
     """
-    _require_degree(theta)
-    _expect_args(fields, theta.degree + 1)
+    _expect_form_args(theta, fields)
     curv = curvature(conn)
-    terms = []
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            inserted = curv.apply_to(fields[a], fields[b], z)
-            value = theta.apply([inserted] + _drop(fields, a, b))
-            terms.append(value if _pair_sign(a, b) > 0 else se.neg(value))
-    return se.add_all(terms)
+    return _pair_sum(
+        fields,
+        lambda a, b, rest: theta.apply([curv.apply_to(fields[a], fields[b], z)] + rest),
+    )
 
 
 def curvature_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
     """Curvature (p+1)-form of a p-form against a reference field Z."""
-    _require_degree(theta)
     return _componentwise(
         conn.chart, theta.degree + 1, lambda fs: curvature_form_apply(conn, theta, z, fs)
     )
@@ -231,28 +234,18 @@ def psi_form_apply(conn: Connection, theta: PForm, z: VectorField, fields) -> Ex
 
     Degree 1 reduces to (X, Y) -> nabla_Y theta(nabla_X Z) - nabla_X theta(nabla_Y Z).
     """
-    _require_degree(theta)
-    _expect_args(fields, theta.degree + 1)
+    _expect_form_args(theta, fields)
     derivative_along = [covariant_derivative(conn, f, theta) for f in fields]
     z_along = [covariant_derivative(conn, f, z) for f in fields]
-    terms = []
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            rest = _drop(fields, a, b)
-            value = se.sub(
+    # one-based (-1)^(i+j): the pair sign, negated
+    return _pair_sum(
+        fields,
+        lambda a, b, rest: se.neg(
+            se.sub(
                 derivative_along[a].apply([z_along[b]] + rest),
                 derivative_along[b].apply([z_along[a]] + rest),
             )
-            # one-based (-1)^(i+j)
-            terms.append(se.neg(value) if _pair_sign(a, b) > 0 else value)
-    return se.add_all(terms)
-
-
-def psi_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
-    """Second-derivative (p+1)-form completing d of the connection form."""
-    _require_degree(theta)
-    return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: psi_form_apply(conn, theta, z, fs)
+        ),
     )
 
 
@@ -269,8 +262,7 @@ def torsion_mixed_form_apply(conn: Connection, theta: PForm, z: VectorField, fie
 
     with the surviving arguments in original order after the two inserts.
     """
-    _require_degree(theta)
-    _expect_args(fields, theta.degree + 1)
+    _expect_form_args(theta, fields)
     if theta.degree == 1:
         return se.ZERO
     tor = torsion(conn)
@@ -288,63 +280,12 @@ def torsion_mixed_form_apply(conn: Connection, theta: PForm, z: VectorField, fie
     return se.add_all(terms)
 
 
-def torsion_mixed_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
-    """Mixed torsion (p+1)-form; identically zero on 1-forms."""
-    _require_degree(theta)
-    return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: torsion_mixed_form_apply(conn, theta, z, fs)
-    )
-
-
-# -- the curvature 3-form of a 1-form -----------------------------------------
-
-
 def curvature_three_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
     """Cyclic sum (X, Y, Z) -> theta(R(X, Y)Z) over three fields."""
     if theta.degree != 1:
         raise DegreeError("the curvature 3-form is defined for 1-forms")
-    _expect_args(fields, 3)
     curv = curvature(conn)
-    terms = []
-    for x, y, z in _rotations(tuple(fields)):
-        terms.append(theta.apply([curv.apply_to(x, y, z)]))
-    return se.add_all(terms)
-
-
-def curvature_three_form(conn: Connection, theta: PForm) -> PForm:
-    """Curvature 3-form of a 1-form; vanishes for torsion-free connections."""
-    if theta.degree != 1:
-        raise DegreeError("the curvature 3-form is defined for 1-forms")
-    return _componentwise(
-        conn.chart, 3, lambda fs: curvature_three_form_apply(conn, theta, fs)
-    )
-
-
-def curvature_three_form_via_iterated_derivatives(
-    conn: Connection, theta: PForm, fields
-) -> Expr:
-    """Dual route to the curvature 3-form through iterated derivatives.
-
-    Evaluates::
-
-        - sum_cyc [ (nabla_X nabla_Y theta)(Z) - (nabla_Y nabla_X theta)(Z)
-                    - (nabla_[X,Y] theta)(Z) ]
-
-    where nabla_X nabla_Y theta means the covariant derivative along X of
-    the 1-form nabla_Y theta (an iterated derivative, not the second
-    covariant differential).  Kept deliberately independent of
-    ``curvature_three_form_apply`` so the two routes can cross-check.
-    """
-    if theta.degree != 1:
-        raise DegreeError("the curvature 3-form is defined for 1-forms")
-    _expect_args(fields, 3)
-    terms = []
-    for x, y, z in _rotations(tuple(fields)):
-        lead = covariant_derivative(conn, x, covariant_derivative(conn, y, theta)).apply([z])
-        swapped = covariant_derivative(conn, y, covariant_derivative(conn, x, theta)).apply([z])
-        bracket = covariant_derivative(conn, lie_bracket(x, y), theta).apply([z])
-        terms.append(se.neg(se.sub(se.sub(lead, swapped), bracket)))
-    return se.add_all(terms)
+    return _cyclic_sum(fields, lambda x, y, z: theta.apply([curv.apply_to(x, y, z)]))
 
 
 # -- tensor-valued wedge pairings ----------------------------------------------
@@ -362,51 +303,37 @@ def wedge_covector_identity_apply(conn: Connection, theta: PForm, fields) -> Exp
 
 def wedge_covector_torsion_apply(conn: Connection, theta: PForm, fields) -> Expr:
     """(nabla theta ^ T)(X, Y, Z) = cyclic sum of nabla_X theta(T(Y, Z))."""
-    _expect_args(fields, 3)
     tor = torsion(conn)
-    terms = []
-    for x, y, z in _rotations(tuple(fields)):
-        terms.append(covariant_derivative(conn, x, theta).apply([tor(y, z)]))
-    return se.add_all(terms)
+    return _cyclic_sum(
+        fields, lambda x, y, z: covariant_derivative(conn, x, theta).apply([tor(y, z)])
+    )
 
 
 def wedge_covector_curvature_apply(
     conn: Connection, theta: PForm, z0: VectorField, fields
 ) -> Expr:
     """(nabla theta ^ R_Z0)(X, Y, Z) = cyclic sum of nabla_X theta(R(Y, Z)Z0)."""
-    _expect_args(fields, 3)
     curv = curvature(conn)
-    terms = []
-    for x, y, z in _rotations(tuple(fields)):
-        terms.append(
-            covariant_derivative(conn, x, theta).apply([curv.apply_to(y, z, z0)])
-        )
-    return se.add_all(terms)
+    return _cyclic_sum(
+        fields,
+        lambda x, y, z: covariant_derivative(conn, x, theta).apply([curv.apply_to(y, z, z0)]),
+    )
 
 
 def wedge_curvature_three_nabla_apply(
     conn: Connection, theta: PForm, z0: VectorField, fields
 ) -> Expr:
     """(R_theta ^ nabla Z0)(X, Y, Z) = cyclic sum of theta(R(Y, Z) nabla_X Z0)."""
-    _expect_args(fields, 3)
     curv = curvature(conn)
-    terms = []
-    for x, y, z in _rotations(tuple(fields)):
-        terms.append(
-            theta.apply([curv.apply_to(y, z, covariant_derivative(conn, x, z0))])
-        )
-    return se.add_all(terms)
+    return _cyclic_sum(
+        fields,
+        lambda x, y, z: theta.apply([curv.apply_to(y, z, covariant_derivative(conn, x, z0))]),
+    )
 
 
 def wedge_curvature_identity_apply(conn: Connection, fields) -> VectorField:
     """(R ^ I)(X, Y, Z) = cyclic sum of R(X, Y)Z, a vector value."""
-    _expect_args(fields, 3)
-    curv = curvature(conn)
-    total = None
-    for x, y, z in _rotations(tuple(fields)):
-        value = curv.apply_to(x, y, z)
-        total = value if total is None else total + value
-    return total
+    return _cyclic_sum(fields, curvature(conn).apply_to)
 
 
 # -- exterior covariant derivative ---------------------------------------------
@@ -563,8 +490,7 @@ def cartan_coframe_forms(conn: Connection, coframe: CoFrame) -> CartanForms:
         raise CoFrameError("coframe lives on a different chart than the connection")
     if conn._cartan is not None and conn._cartan.coframe is coframe:
         return conn._cartan
-    rng = random.Random("coframe-duality/0")
-    coframe.validate([random_point(chart, rng) for _ in range(5)])
+    coframe.validate(sample_points(chart, "coframe-duality/0", 5))
 
     axes = chart.coordinate_frame()
     planes = list(combinations(range(chart.dim), 2))

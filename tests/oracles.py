@@ -1,0 +1,134 @@
+"""Independent reference implementations and shared helpers of the tests.
+
+The oracles evaluate torsion, curvature, the exterior derivative and the
+curvature 3-form straight from their defining vector-field formulas, Lie
+brackets included.  The package computes the same objects another way
+(coordinate components, componentwise builders), so agreement on
+non-commuting fields checks both.
+"""
+
+import random
+
+import pytest
+
+from bianchi import connection as con
+from bianchi import gallery
+from bianchi import geometry as geo
+from bianchi import symexpr as se
+
+R3, R4, SPHERE = gallery.R3, gallery.R4, gallery.SPHERE
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def torsion_via_definition(conn, X, Y):
+    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y]; bracket included.  Oracle
+    for :func:`bianchi.connection.torsion` on non-commuting fields."""
+    nabla = con.covariant_derivative
+    return nabla(conn, X, Y) - nabla(conn, Y, X) - geo.lie_bracket(X, Y)
+
+
+def curvature_via_definition(conn, X, Y, Z):
+    """R(X, Y)Z straight from the definition, bracket term included.  Oracle
+    for the component path on non-commuting fields."""
+    nabla = con.covariant_derivative
+    first = nabla(conn, X, nabla(conn, Y, Z))
+    second = nabla(conn, Y, nabla(conn, X, Z))
+    third = nabla(conn, geo.lie_bracket(X, Y), Z)
+    return first - second - third
+
+
+def exterior_derivative_intrinsic_expr(theta, fields):
+    """Alternating-sum exterior derivative evaluated on p + 1 vector fields.
+
+    d theta(X_1 .. X_{p+1}) =
+        sum_i (-1)^{i+1} X_i(theta(.. X_i-hat ..))
+      + sum_{i<j} (-1)^{i+j} theta([X_i, X_j], .. X_i-hat .. X_j-hat ..)
+
+    This is an independent oracle for
+    :func:`bianchi.geometry.exterior_derivative`; the Lie bracket terms only
+    vanish on commuting argument fields.
+    """
+    p = theta.degree
+    if len(fields) != p + 1:
+        raise geo.DegreeError(f"need {p + 1} argument fields, got {len(fields)}")
+    total = se.ZERO
+    for i in range(p + 1):
+        others = [f for a, f in enumerate(fields) if a != i]
+        inner = theta.apply(others) if p > 0 else theta.comps.get((), se.ZERO)
+        term = geo.apply_vector_field(fields[i], inner)
+        total = se.add(total, term if i % 2 == 0 else se.neg(term))
+    if p > 0:
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                rest = [f for a, f in enumerate(fields) if a not in (i, j)]
+                term = theta.apply([geo.lie_bracket(fields[i], fields[j])] + rest)
+                # (-1)^{i+j} with 1-based positions i+1, j+1 gives (-1)^{i+j+2}
+                total = se.add(total, term if (i + j) % 2 == 0 else se.neg(term))
+    return total
+
+
+def curvature_three_form_via_iterated_derivatives(conn, theta, fields):
+    """Dual route to the curvature 3-form through iterated derivatives.
+
+    Evaluates::
+
+        - sum_cyc [ (nabla_X nabla_Y theta)(Z) - (nabla_Y nabla_X theta)(Z)
+                    - (nabla_[X,Y] theta)(Z) ]
+
+    where nabla_X nabla_Y theta means the covariant derivative along X of
+    the 1-form nabla_Y theta (an iterated derivative, not the second
+    covariant differential).  Kept deliberately independent of
+    ``structure_forms.curvature_three_form_apply`` so the two routes can
+    cross-check.
+    """
+    if theta.degree != 1:
+        raise geo.DegreeError("the curvature 3-form is defined for 1-forms")
+    a, b, c = fields
+    nabla = con.covariant_derivative
+    terms = []
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        lead = nabla(conn, x, nabla(conn, y, theta)).apply([z])
+        swapped = nabla(conn, y, nabla(conn, x, theta)).apply([z])
+        bracket = nabla(conn, geo.lie_bracket(x, y), theta).apply([z])
+        terms.append(se.neg(se.sub(se.sub(lead, swapped), bracket)))
+    return se.add_all(terms)
+
+
+def field_values(field, point):
+    """The components of a vector field at a point, as floats."""
+    return [se.evaluate(c, point) for c in field.comps]
+
+
+# -- shared helpers --------------------------------------------------------------
+
+
+def sphere_metric():
+    """The round metric d phi^2 + sin(phi)^2 d psi^2 on :data:`SPHERE`."""
+    phi = se.Var("phi")
+    return con.Metric.from_nonzero(SPHERE, {(0, 0): se.ONE, (1, 1): se.power(se.sin(phi), 2)})
+
+
+def random_linear_connection(chart, seed):
+    """Christoffels: degree <= 1 polynomials with small integer coefficients."""
+    rng = random.Random(seed)
+    n = chart.dim
+    gamma = [
+        [[geo.random_polynomial(chart, rng, degree=1) for _ in range(n)] for _ in range(n)]
+        for _ in range(n)
+    ]
+    return con.Connection(chart, gamma)
+
+
+def sample_points(chart, rng, n=5):
+    return [geo.random_point(chart, rng) for _ in range(n)]
+
+
+def sample_fields(chart, rng, n):
+    return [geo.random_vector_field(chart, rng) for _ in range(n)]
+
+
+def assert_close(lhs, rhs, points, tol=1e-9):
+    for pt in points:
+        assert se.evaluate(lhs, pt) == pytest.approx(se.evaluate(rhs, pt), abs=tol)

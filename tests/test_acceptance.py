@@ -18,11 +18,7 @@ from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
-
-
-def sample_points(chart, seed, count):
-    rng = random.Random(seed)
-    return [geo.random_point(chart, rng) for _ in range(count)]
+from oracles import curvature_via_definition, exterior_derivative_intrinsic_expr
 
 
 def max_abs(exprs, points):
@@ -81,7 +77,7 @@ def test_criterion_2_graded_identities_and_degree_one_agreement():
     chart = case.chart
     conn = case.connection
     rng = random.Random("degree-one-agreement")
-    points = sample_points(chart, "degree-one-agreement", 20)
+    points = geo.sample_points(chart, "degree-one-agreement", 20)
     tor = con.torsion(conn)
     curv = con.curvature(conn)
     worst = 0.0
@@ -147,7 +143,7 @@ def test_criterion_5_contact_case():
     case = gallery.build_case("contact_r3")
     conn, contact = case.connection, case.contact
     chart, alpha, reeb = case.chart, contact.form, contact.reeb
-    points = sample_points(chart, "contact-acceptance", 20)
+    points = geo.sample_points(chart, "contact-acceptance", 20)
 
     config = ids.CheckConfig(points=20, tuples=5, tolerance=1e-8)
     reports = gallery.case_specific_checks(case, config)
@@ -236,7 +232,7 @@ def test_criterion_7_mechanics_case(omega_rank_profile):
     sode = case.sode
     chart = case.chart
     theta, omega = gallery.build_cartan_form(sode, case.lagrangian)
-    points = sample_points(chart, "mechanics-acceptance", 20)
+    points = geo.sample_points(chart, "mechanics-acceptance", 20)
 
     # energy 1-form of the oscillator: u dx - (u^2 + x^2)/2 dt
     u, x = se.Var("u"), se.Var("x")
@@ -283,7 +279,7 @@ def test_criterion_8_dual_path_oracles():
     # exterior derivative: coordinate formula against the bracket formula
     worst_d = 0.0
     for chart in (r3, r4):
-        points = sample_points(chart, f"dual-path-d/{chart.name}", 10)
+        points = geo.sample_points(chart, f"dual-path-d/{chart.name}", 10)
         for degree in (1, 2):
             for _ in range(5):
                 theta = geo.random_pform(chart, degree, rng)
@@ -291,7 +287,7 @@ def test_criterion_8_dual_path_oracles():
                     geo.random_vector_field(chart, rng) for _ in range(degree + 1)
                 ]
                 coordinate = geo.exterior_derivative(theta).apply(fields)
-                intrinsic = geo.exterior_derivative_intrinsic_expr(theta, fields)
+                intrinsic = exterior_derivative_intrinsic_expr(theta, fields)
                 worst_d = max(
                     worst_d, max_abs([se.sub(coordinate, intrinsic)], points)
                 )
@@ -302,12 +298,12 @@ def test_criterion_8_dual_path_oracles():
     for case_id in ("random_poly:6", "random_poly4:6"):
         case = gallery.build_case(case_id)
         curv = con.curvature(case.connection)
-        points = sample_points(case.chart, f"dual-path-r/{case_id}", 20)
+        points = geo.sample_points(case.chart, f"dual-path-r/{case_id}", 20)
         for _ in range(5):
             fields = [
                 geo.random_vector_field(case.chart, rng) for _ in range(3)
             ]
-            direct = con.curvature_via_definition(case.connection, *fields)
+            direct = curvature_via_definition(case.connection, *fields)
             component = curv.apply_to(*fields)
             worst_r = max(worst_r, max_abs((direct - component).comps, points))
     assert worst_r <= 1e-9, worst_r
@@ -317,7 +313,7 @@ def test_criterion_8_dual_path_oracles():
     case = gallery.build_case("random_poly4")
     conn = case.connection
     chart = case.chart
-    points = sample_points(chart, "dual-path-mixed", 10)
+    points = geo.sample_points(chart, "dual-path-mixed", 10)
     worst_t = 0.0
     for degree in (2, 3):
         for _ in range(3):

@@ -277,6 +277,22 @@ def test_describe_contact_case_prints_structure_and_checks(capsys):
         assert check_id in out
 
 
+@pytest.mark.parametrize("case_id, digest", [
+    ("contact_r3", "2321ce09c769fcc8a6f18b6b6f19756548c154f8647d2e61d565b656f13d35df"),
+    ("sode_oscillator", "3ab6f286f99151d45964569be403d028749c233870c57fb9031fc107378fbb2d"),
+    ("metric_case", "3c0a238ad26f5142b78abcb5b776cefc45d4674c88b40fb5d699adf0cb934fd9"),
+])
+def test_describe_case_output_matches_the_pinned_digest(capsys, request, case_id, digest):
+    """describe-case output is byte-identical across refactors; it samples
+    the points of its Christoffel filter and validates the case first."""
+    argv = ["describe-case", case_id]
+    if case_id == "metric_case":
+        argv += ["--case-file", request.getfixturevalue(case_id)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_describe_unknown_case_exits_2(capsys):
     code, _, err = run_cli(capsys, "describe-case", "nonexistent")
     assert code == 2

@@ -8,36 +8,20 @@ import pytest
 from bianchi import connection as con
 from bianchi import geometry as geo
 from bianchi import symexpr as se
-
-
-R3 = geo.Chart("r3", ("x", "y", "z"), ((-1.0, 1.0),) * 3)
-SPHERE = geo.Chart(
-    "sphere", ("phi", "psi"), ((0.3, 2.8), (0.1, 6.18)), trig_sampling=True
+from oracles import (
+    R3,
+    SPHERE,
+    curvature_via_definition,
+    field_values,
+    random_linear_connection,
+    sample_points,
+    sphere_metric,
+    torsion_via_definition,
 )
 
 
-def random_linear_connection(chart, seed):
-    """Christoffels: degree <= 1 polynomials with small integer coefficients."""
-    rng = random.Random(seed)
-    n = chart.dim
-    gamma = [
-        [[geo.random_polynomial(chart, rng, degree=1) for _ in range(n)] for _ in range(n)]
-        for _ in range(n)
-    ]
-    return con.Connection(chart, gamma)
-
-
-def sphere_metric():
-    phi = se.Var("phi")
-    return con.Metric.from_nonzero(SPHERE, {(0, 0): se.ONE, (1, 1): se.power(se.sin(phi), 2)})
-
-
 def max_abs(field, points):
-    return max(abs(v) for pt in points for v in field.evaluate(pt))
-
-
-def sample_points(chart, rng, n=5):
-    return [geo.random_point(chart, rng) for _ in range(n)]
+    return max(abs(v) for pt in points for v in field_values(field, pt))
 
 
 def test_covariant_derivative_of_scalar_is_directional():
@@ -94,7 +78,7 @@ def test_covariant_derivative_is_tensorial_in_direction():
     rhs = con.covariant_derivative(conn, X, Y).scale(f)
     diff = lhs - rhs
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in diff.evaluate(pt)) <= 1e-9
+        assert max(abs(v) for v in field_values(diff, pt)) <= 1e-9
 
 
 def test_torsion_components_match_definition_with_brackets():
@@ -104,7 +88,7 @@ def test_torsion_components_match_definition_with_brackets():
     for _ in range(5):
         X = geo.random_vector_field(R3, rng)
         Y = geo.random_vector_field(R3, rng)
-        diff = T(X, Y) - con.torsion_via_definition(conn, X, Y)
+        diff = T(X, Y) - torsion_via_definition(conn, X, Y)
         assert max_abs(diff, sample_points(R3, rng)) <= 1e-9
 
 
@@ -114,7 +98,7 @@ def test_curvature_components_match_definition_with_brackets():
     rng = random.Random(12)
     for _ in range(5):
         X, Y, Z = (geo.random_vector_field(R3, rng) for _ in range(3))
-        diff = R(X, Y)(Z) - con.curvature_via_definition(conn, X, Y, Z)
+        diff = R(X, Y)(Z) - curvature_via_definition(conn, X, Y, Z)
         assert max_abs(diff, sample_points(R3, rng)) <= 1e-9
 
 
@@ -209,7 +193,7 @@ def test_sphere_curvature_frozen_value():
 
     for _ in range(5):
         pt = geo.random_point(SPHERE, rng)
-        comps = value.evaluate(pt)
+        comps = field_values(value, pt)
         assert comps[0] == pytest.approx(math.sin(pt["phi"]) ** 2, abs=1e-10)
         assert comps[1] == pytest.approx(0.0, abs=1e-10)
 

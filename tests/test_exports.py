@@ -1,0 +1,26 @@
+"""Every exported name of the core modules resolves, and the test oracles
+live in ``tests/oracles.py``, not in the package."""
+
+import pytest
+
+from bianchi import connection as con
+from bianchi import geometry as geo
+from bianchi import structure_forms as sf
+from bianchi import symexpr as se
+
+
+@pytest.mark.parametrize("module", [se, geo, con], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("owner, name", [
+    (con, "torsion_via_definition"),
+    (con, "curvature_via_definition"),
+    (geo, "exterior_derivative_intrinsic_expr"),
+    (sf, "curvature_three_form_via_iterated_derivatives"),
+    (geo.VectorField, "evaluate"),
+])
+def test_oracles_are_not_part_of_the_package(owner, name):
+    assert name not in getattr(owner, "__all__", ())
+    assert not hasattr(owner, name)

@@ -232,6 +232,29 @@ def test_contact_case_checks_all_pass():
     ]
 
 
+def test_a_check_that_samples_no_fields_is_built_once():
+    """Its tuples would all be the same pairs, so one is drawn; the report
+    still records the configured tuple count."""
+    case = gallery.build_case("contact_r3")
+    entry = gallery.CASE_CHECKS["reeb-parallel"]
+    builds = []
+
+    def counting_factory(case):
+        build = entry.factory(case)
+
+        def counted(vectors, forms):
+            builds.append(vectors)
+            return build(vectors, forms)
+
+        return counted
+
+    config = CheckConfig(tuples=5)
+    report = ids.run_check(dataclasses.replace(entry, factory=counting_factory), case, config)
+    assert len(builds) == 1
+    assert report.tuples == 5
+    assert report.to_json_dict() == ids.run_check(entry, case, config).to_json_dict()
+
+
 # -- foliation -------------------------------------------------------------------------
 
 

@@ -6,10 +6,7 @@ import pytest
 
 from bianchi import geometry as geo
 from bianchi import symexpr as se
-
-
-R3 = geo.Chart("r3", ("x", "y", "z"), ((-1.0, 1.0),) * 3)
-R4 = geo.Chart("r4", ("x", "y", "z", "w"), ((-1.0, 1.0),) * 4)
+from oracles import R3, R4, exterior_derivative_intrinsic_expr, field_values
 
 
 def test_wedge_anchor_no_factorial():
@@ -85,7 +82,7 @@ def test_coordinate_d_matches_intrinsic_d():
                 fields = [geo.random_vector_field(chart, rng) for _ in range(degree + 1)]
                 d_theta = geo.exterior_derivative(theta)
                 coord = d_theta.apply(fields)
-                intrinsic = geo.exterior_derivative_intrinsic_expr(theta, fields)
+                intrinsic = exterior_derivative_intrinsic_expr(theta, fields)
                 for _ in range(3):
                     pt = geo.random_point(chart, rng)
                     assert abs(se.evaluate(coord, pt) - se.evaluate(intrinsic, pt)) <= 1e-9
@@ -151,7 +148,7 @@ def test_lie_bracket_jacobi_identity():
     )
     for _ in range(5):
         pt = geo.random_point(R3, rng)
-        assert max(abs(v) for v in total.evaluate(pt)) <= 1e-9
+        assert max(abs(v) for v in field_values(total, pt)) <= 1e-9
 
 
 def test_forms_are_function_linear_in_arguments():
@@ -188,6 +185,13 @@ def test_sampler_is_deterministic():
     pa = geo.random_point(R3, random.Random(5))
     pb = geo.random_point(R3, random.Random(5))
     assert pa == pb
+
+
+def test_sample_points_draw_from_the_string_seeded_stream():
+    rng = random.Random("7")
+    expected = [geo.random_point(R3, rng) for _ in range(4)]
+    assert geo.sample_points(R3, 7, 4) == expected
+    assert geo.sample_points(R3, "7", 4) == expected
 
 
 def test_sampler_rejects_degree_above_dimension():

@@ -12,23 +12,20 @@ from bianchi import gallery
 from bianchi import geometry as geo
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
-
-
-R3 = geo.Chart("r3", ("x", "y", "z"), ((-1.0, 1.0),) * 3)
-R4 = geo.Chart("r4", ("x", "y", "z", "w"), ((-1.0, 1.0),) * 4)
-SPHERE = geo.Chart(
-    "sphere", ("phi", "psi"), ((0.3, 2.8), (0.1, 6.18)), trig_sampling=True
+from oracles import (
+    R3,
+    R4,
+    SPHERE,
+    assert_close,
+    curvature_three_form_via_iterated_derivatives,
+    curvature_via_definition,
+    exterior_derivative_intrinsic_expr,
+    field_values,
+    random_linear_connection,
+    sample_fields,
+    sample_points,
+    sphere_metric,
 )
-
-
-def random_linear_connection(chart, seed):
-    rng = random.Random(seed)
-    n = chart.dim
-    gamma = [
-        [[geo.random_polynomial(chart, rng, degree=1) for _ in range(n)] for _ in range(n)]
-        for _ in range(n)
-    ]
-    return con.Connection(chart, gamma)
 
 
 def flat_with_torsion():
@@ -37,24 +34,25 @@ def flat_with_torsion():
 
 
 def sphere_connection():
-    phi = se.Var("phi")
-    metric = con.Metric.from_nonzero(
-        SPHERE, {(0, 0): se.ONE, (1, 1): se.power(se.sin(phi), 2)}
+    return con.levi_civita(sphere_metric())
+
+
+def psi_form(conn, theta, z):
+    return sf._componentwise(
+        conn.chart, theta.degree + 1, lambda fs: sf.psi_form_apply(conn, theta, z, fs)
     )
-    return con.levi_civita(metric)
 
 
-def sample_points(chart, rng, n=5):
-    return [geo.random_point(chart, rng) for _ in range(n)]
+def torsion_mixed_form(conn, theta, z):
+    return sf._componentwise(
+        conn.chart, theta.degree + 1, lambda fs: sf.torsion_mixed_form_apply(conn, theta, z, fs)
+    )
 
 
-def sample_fields(chart, rng, n):
-    return [geo.random_vector_field(chart, rng) for _ in range(n)]
-
-
-def assert_close(lhs, rhs, points, tol=1e-9):
-    for pt in points:
-        assert se.evaluate(lhs, pt) == pytest.approx(se.evaluate(rhs, pt), abs=tol)
+def curvature_three_form(conn, theta):
+    return sf._componentwise(
+        conn.chart, 3, lambda fs: sf.curvature_three_form_apply(conn, theta, fs)
+    )
 
 
 # -- torsion form --------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_torsion_form_equals_d_plus_xi_on_random_fields():
         fields = sample_fields(R4, rng, degree + 1)
         lhs = sf.torsion_form_apply(conn, theta, fields)
         rhs = se.add(
-            geo.exterior_derivative_intrinsic_expr(theta, fields),
+            exterior_derivative_intrinsic_expr(theta, fields),
             sf.xi_form_apply(conn, theta, fields),
         )
         assert_close(lhs, rhs, sample_points(R4, rng), tol=1e-9)
@@ -112,9 +110,9 @@ def test_degree_zero_inputs_rejected():
     with pytest.raises(geo.DegreeError):
         sf.curvature_form(conn, zero_form, Z)
     with pytest.raises(geo.DegreeError):
-        sf.psi_form(conn, zero_form, Z)
+        psi_form(conn, zero_form, Z)
     with pytest.raises(geo.DegreeError):
-        sf.torsion_mixed_form(conn, zero_form, Z)
+        torsion_mixed_form(conn, zero_form, Z)
 
 
 # -- xi form -------------------------------------------------------------------
@@ -246,7 +244,7 @@ def test_psi_form_frozen_flat_example():
     conn = con.Connection.zero(R3)
     theta = R3.basis_covector(1).scale(se.Var("x"))  # x dy
     Z = R3.basis_field(0).scale(se.Var("x"))  # x d/dx
-    built = sf.psi_form(conn, theta, Z)
+    built = psi_form(conn, theta, Z)
     pt = {"x": 0.5, "y": 0.5, "z": 0.5}
     assert se.evaluate(built.component((0, 1)), pt) == pytest.approx(0.0)
 
@@ -256,7 +254,7 @@ def test_psi_form_vanishes_for_parallel_field():
     rng = random.Random(120)
     theta = geo.random_pform(R3, 2, rng)
     Z = geo.VectorField(R3, (se.ONE, se.Const(4), se.ZERO))
-    built = sf.psi_form(conn, theta, Z)
+    built = psi_form(conn, theta, Z)
     assert built.comps == {}
 
 
@@ -298,7 +296,7 @@ def test_torsion_mixed_form_zero_for_one_forms():
     rng = random.Random(150)
     theta = geo.random_pform(R3, 1, rng)
     Z = geo.random_vector_field(R3, rng)
-    built = sf.torsion_mixed_form(conn, theta, Z)
+    built = torsion_mixed_form(conn, theta, Z)
     assert built.comps == {}
     fields = sample_fields(R3, rng, 2)
     assert sf.torsion_mixed_form_apply(conn, theta, Z, fields) is se.ZERO
@@ -309,7 +307,7 @@ def test_torsion_mixed_form_zero_without_torsion():
     dphi = SPHERE.basis_covector(0)
     dpsi = SPHERE.basis_covector(1)
     Z = SPHERE.basis_field(0)
-    built = sf.torsion_mixed_form(conn, geo.wedge(dphi, dpsi), Z)
+    built = torsion_mixed_form(conn, geo.wedge(dphi, dpsi), Z)
     rng = random.Random(160)
     for pt in sample_points(SPHERE, rng):
         for value in built.comps.values():
@@ -347,7 +345,7 @@ def test_curvature_three_form_matches_iterated_derivative_route():
     theta = geo.random_pform(R3, 1, rng)
     fields = sample_fields(R3, rng, 3)
     lhs = sf.curvature_three_form_apply(conn, theta, fields)
-    rhs = sf.curvature_three_form_via_iterated_derivatives(conn, theta, fields)
+    rhs = curvature_three_form_via_iterated_derivatives(conn, theta, fields)
     assert_close(lhs, rhs, sample_points(R3, rng, n=20), tol=1e-9)
 
 
@@ -363,7 +361,7 @@ def test_curvature_three_form_vanishes_for_levi_civita():
     )
     conn3 = con.levi_civita(g)
     theta3 = geo.random_pform(R3, 1, rng)
-    built = sf.curvature_three_form(conn3, theta3)
+    built = curvature_three_form(conn3, theta3)
     for pt in sample_points(R3, rng):
         for value in built.comps.values():
             assert se.evaluate(value, pt) == pytest.approx(0.0, abs=1e-10)
@@ -373,7 +371,7 @@ def test_curvature_three_form_vanishes_when_curvature_does():
     conn = flat_with_torsion()
     rng = random.Random(200)
     theta = geo.random_pform(R3, 1, rng)
-    built = sf.curvature_three_form(conn, theta)
+    built = curvature_three_form(conn, theta)
     assert built.comps == {}
 
 
@@ -405,11 +403,11 @@ def test_tensor_wedge_curvature_identity_against_brute_force():
         total = None
         for i in range(3):
             x, y, z = fields[i % 3], fields[(i + 1) % 3], fields[(i + 2) % 3]
-            value = con.curvature_via_definition(conn, x, y, z)
+            value = curvature_via_definition(conn, x, y, z)
             total = value if total is None else total + value
         residual = lhs - total
         for pt in sample_points(chart, rng):
-            assert max(abs(v) for v in residual.evaluate(pt)) < 1e-9
+            assert max(abs(v) for v in field_values(residual, pt)) < 1e-9
 
 
 def test_tensor_wedge_sphere_curvature_identity_brute_force_frozen():
@@ -419,7 +417,7 @@ def test_tensor_wedge_sphere_curvature_identity_brute_force_frozen():
     fields = [SPHERE.basis_field(0), SPHERE.basis_field(1), SPHERE.basis_field(1)]
     value = sf.wedge_curvature_identity_apply(conn, fields)
     pt = {"phi": 1.0, "psi": 1.0}
-    assert max(abs(v) for v in value.evaluate(pt)) == pytest.approx(0.0, abs=1e-12)
+    assert max(abs(v) for v in field_values(value, pt)) == pytest.approx(0.0, abs=1e-12)
 
 
 # -- exterior covariant derivative -----------------------------------------------
@@ -430,7 +428,7 @@ def test_exterior_covariant_derivative_of_soldering_is_torsion():
     derived = sf.exterior_covariant_derivative(conn, sf.soldering_form(R3))
     value = derived(R3.basis_field(0), R3.basis_field(1))
     pt = {"x": 0.1, "y": 0.2, "z": 0.3}
-    assert value.evaluate(pt) == pytest.approx([0.0, 0.0, 2.0])
+    assert field_values(value, pt) == pytest.approx([0.0, 0.0, 2.0])
 
     conn2 = random_linear_connection(R3, 270)
     rng = random.Random(271)
@@ -439,7 +437,7 @@ def test_exterior_covariant_derivative_of_soldering_is_torsion():
     tor = con.torsion(conn2)
     residual = derived2(X, Y) - tor(X, Y)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in residual.evaluate(pt)) < 1e-10
+        assert max(abs(v) for v in field_values(residual, pt)) < 1e-10
 
 
 def test_exterior_covariant_derivative_of_differential_is_curvature():
@@ -450,13 +448,13 @@ def test_exterior_covariant_derivative_of_differential_is_curvature():
     derived = sf.exterior_covariant_derivative(conn, sf.covariant_differential(conn, Z))
     residual = derived(X, Y) - con.curvature(conn)(X, Y)(Z)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in residual.evaluate(pt)) < 1e-9
+        assert max(abs(v) for v in field_values(residual, pt)) < 1e-9
 
     flat = con.Connection.zero(R3)
     derived_flat = sf.exterior_covariant_derivative(flat, sf.covariant_differential(flat, Z))
     value = derived_flat(X, Y)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in value.evaluate(pt)) < 1e-12
+        assert max(abs(v) for v in field_values(value, pt)) < 1e-12
 
 
 def test_exterior_covariant_derivative_of_torsion_is_curvature_wedge():
@@ -470,7 +468,7 @@ def test_exterior_covariant_derivative_of_torsion_is_curvature_wedge():
         rhs = sf.wedge_curvature_identity_apply(conn, fields)
         residual = lhs - rhs
         for pt in sample_points(chart, rng):
-            assert max(abs(v) for v in residual.evaluate(pt)) < 1e-9
+            assert max(abs(v) for v in field_values(residual, pt)) < 1e-9
 
 
 def test_exterior_covariant_derivative_of_curvature_vanishes():
@@ -482,7 +480,7 @@ def test_exterior_covariant_derivative_of_curvature_vanishes():
     endo = derived(*fields)
     value = endo(W)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in value.evaluate(pt)) < 1e-9
+        assert max(abs(v) for v in field_values(value, pt)) < 1e-9
 
 
 def test_exterior_covariant_derivative_rejects_covectors():
@@ -522,11 +520,11 @@ def test_componentwise_builders_agree_with_direct_apply():
                   sf.connection_form_apply(conn, theta2, Z, fields2)))
     pairs.append((sf.curvature_form(conn, theta2, Z).apply(fields3),
                   sf.curvature_form_apply(conn, theta2, Z, fields3)))
-    pairs.append((sf.psi_form(conn, theta2, Z).apply(fields3),
+    pairs.append((psi_form(conn, theta2, Z).apply(fields3),
                   sf.psi_form_apply(conn, theta2, Z, fields3)))
-    pairs.append((sf.torsion_mixed_form(conn, theta2, Z).apply(fields3),
+    pairs.append((torsion_mixed_form(conn, theta2, Z).apply(fields3),
                   sf.torsion_mixed_form_apply(conn, theta2, Z, fields3)))
-    pairs.append((sf.curvature_three_form(conn, theta1).apply(fields3),
+    pairs.append((curvature_three_form(conn, theta1).apply(fields3),
                   sf.curvature_three_form_apply(conn, theta1, fields3)))
     for lhs, rhs in pairs:
         assert_close(lhs, rhs, points, tol=1e-9)
