@@ -31,6 +31,7 @@ blackboard presentation; the code is zero-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import symexpr as se
@@ -93,7 +94,11 @@ def _expect_form_args(theta: PForm, fields, extra: int = 1) -> None:
 
 def _componentwise(chart: Chart, degree: int, value_at) -> PForm:
     """Assemble a PForm by running a defining sum on coordinate frames; above
-    top degree there are no components."""
+    top degree there are no components.
+
+    The builders below pass a sum whose inserted value (nabla_{d/dx^i} Z,
+    T(d/dx^i, d/dx^j), ...) is cached per coordinate axis or axis pair, so
+    each is built once and shared by every component that contains it."""
     frame = chart.coordinate_frame()
     keys = combinations(range(chart.dim), degree)
     return PForm(chart, degree, {key: value_at([frame[i] for i in key]) for key in keys})
@@ -126,6 +131,36 @@ def _cyclic_sum(fields, term):
 # -- insertion and covariant-derivative sums -----------------------------------
 
 
+def _insertion_pair_sum(theta: PForm, fields, insert) -> Expr:
+    """sum_{i<j} (-1)^(i+j+1) Theta(insert(X_i, X_j), rest), the torsion
+    and curvature sums."""
+    _expect_form_args(theta, fields)
+    return _pair_sum(
+        fields, lambda a, b, rest: theta.apply([insert(fields[a], fields[b])] + rest)
+    )
+
+
+def _connection_sum(theta: PForm, fields, nabla_z) -> Expr:
+    """sum_i (-1)^(i+1) Theta(nabla_z(X_i), rest)."""
+    _expect_form_args(theta, fields, extra=0)
+    terms = []
+    for a in range(len(fields)):
+        value = theta.apply([nabla_z(fields[a])] + _drop(fields, a))
+        terms.append(value if a % 2 == 0 else se.neg(value))
+    return se.add_all(terms)
+
+
+def _xi_sum(theta: PForm, fields, nabla_theta) -> Expr:
+    """sum_i (-1)^i nabla_theta(X_i)(rest)."""
+    _expect_form_args(theta, fields)
+    terms = []
+    for a in range(len(fields)):
+        value = nabla_theta(fields[a]).apply(_drop(fields, a))
+        # one-based (-1)^i: the first position enters negatively
+        terms.append(se.neg(value) if a % 2 == 0 else value)
+    return se.add_all(terms)
+
+
 def torsion_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
     """Defining sum of the torsion form on arbitrary fields.
 
@@ -136,17 +171,14 @@ def torsion_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
     The inserted torsion value occupies slot 1; the surviving arguments
     keep their original order.
     """
-    _expect_form_args(theta, fields)
-    tor = torsion(conn)
-    return _pair_sum(
-        fields, lambda a, b, rest: theta.apply([tor(fields[a], fields[b])] + rest)
-    )
+    return _insertion_pair_sum(theta, fields, torsion(conn))
 
 
 def torsion_form(conn: Connection, theta: PForm) -> PForm:
     """Torsion (p+1)-form of a p-form; degree 1 gives (X, Y) -> theta(T(X, Y))."""
+    tor = cache(torsion(conn))
     return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: torsion_form_apply(conn, theta, fs)
+        conn.chart, theta.degree + 1, lambda fs: _insertion_pair_sum(theta, fs, tor)
     )
 
 
@@ -159,19 +191,14 @@ def xi_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
 
     Degree 1 reduces to (X, Y) -> nabla_Y theta(X) - nabla_X theta(Y).
     """
-    _expect_form_args(theta, fields)
-    terms = []
-    for a in range(len(fields)):
-        value = covariant_derivative(conn, fields[a], theta).apply(_drop(fields, a))
-        # one-based (-1)^i: the first position enters negatively
-        terms.append(se.neg(value) if a % 2 == 0 else value)
-    return se.add_all(terms)
+    return _xi_sum(theta, fields, lambda x: covariant_derivative(conn, x, theta))
 
 
 def xi_form(conn: Connection, theta: PForm) -> PForm:
     """Covariant-derivative (p+1)-form completing d to the torsion form."""
+    nabla_theta = cache(lambda x: covariant_derivative(conn, x, theta))
     return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: xi_form_apply(conn, theta, fs)
+        conn.chart, theta.degree + 1, lambda fs: _xi_sum(theta, fs, nabla_theta)
     )
 
 
@@ -184,19 +211,14 @@ def connection_form_apply(conn: Connection, theta: PForm, z: VectorField, fields
 
     Degree 1 reduces to X -> theta(nabla_X Z).
     """
-    _expect_form_args(theta, fields, extra=0)
-    terms = []
-    for a in range(len(fields)):
-        inserted = covariant_derivative(conn, fields[a], z)
-        value = theta.apply([inserted] + _drop(fields, a))
-        terms.append(value if a % 2 == 0 else se.neg(value))
-    return se.add_all(terms)
+    return _connection_sum(theta, fields, lambda x: covariant_derivative(conn, x, z))
 
 
 def connection_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
     """Connection p-form of a p-form against a reference field Z."""
+    nabla_z = cache(lambda x: covariant_derivative(conn, x, z))
     return _componentwise(
-        conn.chart, theta.degree, lambda fs: connection_form_apply(conn, theta, z, fs)
+        conn.chart, theta.degree, lambda fs: _connection_sum(theta, fs, nabla_z)
     )
 
 
@@ -209,18 +231,16 @@ def curvature_form_apply(conn: Connection, theta: PForm, z: VectorField, fields)
 
     Degree 1 reduces to (X, Y) -> theta(R(X, Y)Z).
     """
-    _expect_form_args(theta, fields)
     curv = curvature(conn)
-    return _pair_sum(
-        fields,
-        lambda a, b, rest: theta.apply([curv.apply_to(fields[a], fields[b], z)] + rest),
-    )
+    return _insertion_pair_sum(theta, fields, lambda x, y: curv.apply_to(x, y, z))
 
 
 def curvature_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
     """Curvature (p+1)-form of a p-form against a reference field Z."""
+    curv = curvature(conn)
+    r_z = cache(lambda x, y: curv.apply_to(x, y, z))
     return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: curvature_form_apply(conn, theta, z, fs)
+        conn.chart, theta.degree + 1, lambda fs: _insertion_pair_sum(theta, fs, r_z)
     )
 
 

@@ -9,6 +9,13 @@ modulo a prime.  Each node memoises its own derivatives
 (:func:`differentiate`), so a derivative is computed once per node and
 variable and shared by every caller.
 
+Nodes are cheap to build: a constructor stores only the node's children or
+payload.  A constant's value is an ``int`` when it is integral and a
+``Fraction`` otherwise, so constant folding stays exact.  The structural
+hash is computed by the first ``hash()`` of a node and kept in it, and the
+derivative memo is made by the first :func:`differentiate` that reaches
+the node.
+
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
 not swell, but any such rewrite preserves the value of the expression at
@@ -106,10 +113,15 @@ class EvaluationError(ExpressionError):
 
 
 class Expr:
-    """Immutable expression node.  Subclasses fix the arity and payload."""
+    """Immutable expression node.  Subclasses fix the arity and payload.
 
-    # _derivs: None until the node is first differentiated, then a dict
-    # from variable name to derivative (Const and Var keep no memo)
+    A constructor only stores the node's payload.  The structural hash is
+    computed by the first ``hash()`` of the node or of an ancestor and kept
+    in its ``_hash`` slot.  The ``_derivs`` slot stays unset until the node
+    is first differentiated, then holds a dict from variable name to
+    derivative (Const and Var keep no memo).
+    """
+
     __slots__ = ("_hash", "_derivs")
 
     # Arithmetic sugar; all routes go through the folding constructors.
@@ -149,56 +161,63 @@ class Expr:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({to_text(self)!r})"
 
+    def __setattr__(self, *a):
+        raise AttributeError("expressions are immutable")
+
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            return _structural_hash(self)
 
     def children(self) -> tuple:
         return ()
 
 
 class Const(Expr):
+    """A rational constant.  ``value`` is an ``int`` when it is integral and
+    a ``Fraction`` otherwise; a float is taken as its exact binary
+    fraction."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", Fraction(value))
-        object.__setattr__(self, "_hash", hash(("const", self.value)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+        if type(value) is not int:
+            value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
+        _set_value(self, value)
 
     def __eq__(self, other):
         return isinstance(other, Const) and self.value == other.value
 
     __hash__ = Expr.__hash__
 
+    def _own_hash(self) -> int:
+        return hash(("const", self.value))
+
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("var", name)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+        _set_name(self, name)
 
     def __eq__(self, other):
         return isinstance(other, Var) and self.name == other.name
 
     __hash__ = Expr.__hash__
 
+    def _own_hash(self) -> int:
+        return hash(("var", self.name))
+
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, a._hash, b._hash)))
-        object.__setattr__(self, "_derivs", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.a == other.a and self.b == other.b
@@ -208,17 +227,15 @@ class _Binary(Expr):
     def children(self):
         return (self.a, self.b)
 
+    def _own_hash(self) -> int:
+        return hash((type(self).__name__, self.a._hash, self.b._hash))
+
 
 class _Unary(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, arg._hash)))
-        object.__setattr__(self, "_derivs", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+        _set_arg(self, arg)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.arg == other.arg
@@ -227,6 +244,9 @@ class _Unary(Expr):
 
     def children(self):
         return (self.arg,)
+
+    def _own_hash(self) -> int:
+        return hash((type(self).__name__, self.arg._hash))
 
 
 class Add(_Binary):
@@ -249,14 +269,8 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        n = _integral(exponent)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", n)
-        object.__setattr__(self, "_hash", hash(("pow", base._hash, n)))
-        object.__setattr__(self, "_derivs", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+        _set_base(self, base)
+        _set_exponent(self, _integral(exponent))
 
     def __eq__(self, other):
         return (
@@ -269,6 +283,9 @@ class Pow(Expr):
 
     def children(self):
         return (self.base,)
+
+    def _own_hash(self) -> int:
+        return hash(("pow", self.base._hash, self.exponent))
 
 
 class Neg(_Unary):
@@ -291,6 +308,37 @@ class Ln(_Unary):
     __slots__ = ()
 
 
+# The slot setters, which store past the immutability guard of __setattr__.
+_set_hash = Expr._hash.__set__
+_set_derivs = Expr._derivs.__set__
+_set_value = Const.value.__set__
+_set_name = Var.name.__set__
+_set_a = _Binary.a.__set__
+_set_b = _Binary.b.__set__
+_set_arg = _Unary.arg.__set__
+_set_base = Pow.base.__set__
+_set_exponent = Pow.exponent.__set__
+
+
+def _structural_hash(root: Expr) -> int:
+    """Fill the ``_hash`` slot of ``root`` and of each descendant that has
+    none, children first.  The walk keeps its own stack, so a deep tree
+    (a long ``add_all`` chain) hashes without recursion."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if hasattr(node, "_hash"):
+            stack.pop()
+            continue
+        pending = [child for child in node.children() if not hasattr(child, "_hash")]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            _set_hash(node, node._own_hash())
+    return root._hash
+
+
 ZERO = Const(0)
 ONE = Const(1)
 
@@ -311,13 +359,18 @@ def _is_const(e: Expr, v=None) -> bool:
 
 
 # -- folding constructors ---------------------------------------------------
+#
+# Each tests ``type(x) is Const`` once per operand and then compares the
+# constant's value.  Constants fold exactly: ``div`` and negative powers go
+# through Fraction, never through int / int or int ** -n.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value)
+        if a.value == 0:
+            return b
+    elif type(b) is Const and b.value == 0:
         return a
     return Add(a, b)
 
@@ -327,28 +380,31 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value * b.value)
+        value, other = a.value, b
+    elif type(b) is Const:
+        value, other = b.value, a
+    else:
+        return Mul(a, b)
+    if value == 0:
         return ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if _is_const(a, -1):
-        return neg(b)
-    if _is_const(b, -1):
-        return neg(a)
+    if value == 1:
+        return other
+    if value == -1:
+        return neg(other)
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Const):
-        if b.value == 0:
+    if type(b) is Const:
+        value = b.value
+        if value == 0:
             raise ZeroDivisionError("division by the constant zero")
-        if isinstance(a, Const):
-            return Const(a.value / b.value)
-        if b.value == 1:
+        if type(a) is Const:
+            return Const(Fraction(a.value, value))
+        if value == 1:
             return a
     # 0/e is left alone unless e is a constant: it still has to fail
     # wherever e vanishes.
@@ -358,6 +414,8 @@ def div(a: Expr, b: Expr) -> Expr:
 def _integral(exponent) -> int:
     """``exponent`` as an int: any number equal to an int (``2.0``,
     ``Fraction(4, 2)``) is accepted, anything else is a ValueError."""
+    if type(exponent) is int:
+        return exponent
     try:
         n = int(exponent)
     except (OverflowError, ValueError):  # inf, nan
@@ -374,15 +432,16 @@ def power(base: Expr, exponent: int) -> Expr:
         return base
     if n == 0:
         return ONE
-    if isinstance(base, Const) and (base.value != 0 or n > 0):
-        return Const(base.value**n)
+    if type(base) is Const and (base.value != 0 or n > 0):
+        return Const(Fraction(base.value) ** n)
     return Pow(base, n)
 
 
 def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    kind = type(a)
+    if kind is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if kind is Neg:
         return a.arg
     return Neg(a)
 
@@ -426,39 +485,40 @@ def differentiate(e: Expr, var: str) -> Expr:
     """
 
     def d(node: Expr) -> Expr:
-        if isinstance(node, Const):
+        kind = type(node)
+        if kind is Const:
             return ZERO
-        if isinstance(node, Var):
+        if kind is Var:
             return ONE if node.name == var else ZERO
-        memo = node._derivs
+        memo = getattr(node, "_derivs", None)
         if memo is None:
             memo = {}
-            object.__setattr__(node, "_derivs", memo)
+            _set_derivs(node, memo)
         else:
             got = memo.get(var)
             if got is not None:
                 return got
-        if isinstance(node, Add):
+        if kind is Add:
             out = add(d(node.a), d(node.b))
-        elif isinstance(node, Mul):
+        elif kind is Mul:
             out = add(mul(d(node.a), node.b), mul(node.a, d(node.b)))
-        elif isinstance(node, Div):
+        elif kind is Div:
             out = sub(div(d(node.a), node.b), div(mul(node.a, d(node.b)), Pow(node.b, 2)))
-        elif isinstance(node, Pow):
+        elif kind is Pow:
             out = mul(mul(Const(node.exponent), power(node.base, node.exponent - 1)), d(node.base))
-        elif isinstance(node, Neg):
+        elif kind is Neg:
             out = neg(d(node.arg))
-        elif isinstance(node, Sin):
+        elif kind is Sin:
             out = mul(cos(node.arg), d(node.arg))
-        elif isinstance(node, Cos):
+        elif kind is Cos:
             out = neg(mul(sin(node.arg), d(node.arg)))
-        elif isinstance(node, Exp):
+        elif kind is Exp:
             # a copy of the node, not the node: its memo must not refer to it
             out = mul(Exp(node.arg), d(node.arg))
-        elif isinstance(node, Ln):
+        elif kind is Ln:
             out = div(d(node.arg), node.arg)
         else:  # pragma: no cover - closed node set
-            raise TypeError(f"cannot differentiate {type(node).__name__}")
+            raise TypeError(f"cannot differentiate {kind.__name__}")
         memo[var] = out
         return out
 

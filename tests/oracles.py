@@ -101,6 +101,25 @@ def field_values(field, point):
     return [se.evaluate(c, point) for c in field.comps]
 
 
+def worst_abs(values) -> float:
+    """The largest |v| of some floats, 0.0 for none; NaN as soon as one is
+    NaN, so that a NaN fails every ``<=`` or ``<`` bound.  Python's ``max``
+    is no substitute: it keeps its first element past a later NaN."""
+    worst = 0.0
+    for value in values:
+        value = abs(value)
+        if value != value:
+            return value
+        if value > worst:
+            worst = value
+    return worst
+
+
+def field_max_abs(field, points) -> float:
+    """:func:`worst_abs` over the components of a vector field at points."""
+    return worst_abs(v for point in points for v in field_values(field, point))
+
+
 # -- shared helpers --------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from oracles import (
     curvature_three_form_via_iterated_derivatives,
     curvature_via_definition,
     exterior_derivative_intrinsic_expr,
+    field_max_abs,
     field_values,
     random_linear_connection,
     sample_fields,
@@ -407,7 +408,7 @@ def test_tensor_wedge_curvature_identity_against_brute_force():
             total = value if total is None else total + value
         residual = lhs - total
         for pt in sample_points(chart, rng):
-            assert max(abs(v) for v in field_values(residual, pt)) < 1e-9
+            assert field_max_abs(residual, [pt]) < 1e-9
 
 
 def test_tensor_wedge_sphere_curvature_identity_brute_force_frozen():
@@ -417,7 +418,7 @@ def test_tensor_wedge_sphere_curvature_identity_brute_force_frozen():
     fields = [SPHERE.basis_field(0), SPHERE.basis_field(1), SPHERE.basis_field(1)]
     value = sf.wedge_curvature_identity_apply(conn, fields)
     pt = {"phi": 1.0, "psi": 1.0}
-    assert max(abs(v) for v in field_values(value, pt)) == pytest.approx(0.0, abs=1e-12)
+    assert field_max_abs(value, [pt]) == pytest.approx(0.0, abs=1e-12)
 
 
 # -- exterior covariant derivative -----------------------------------------------
@@ -437,7 +438,7 @@ def test_exterior_covariant_derivative_of_soldering_is_torsion():
     tor = con.torsion(conn2)
     residual = derived2(X, Y) - tor(X, Y)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in field_values(residual, pt)) < 1e-10
+        assert field_max_abs(residual, [pt]) < 1e-10
 
 
 def test_exterior_covariant_derivative_of_differential_is_curvature():
@@ -448,13 +449,13 @@ def test_exterior_covariant_derivative_of_differential_is_curvature():
     derived = sf.exterior_covariant_derivative(conn, sf.covariant_differential(conn, Z))
     residual = derived(X, Y) - con.curvature(conn)(X, Y)(Z)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in field_values(residual, pt)) < 1e-9
+        assert field_max_abs(residual, [pt]) < 1e-9
 
     flat = con.Connection.zero(R3)
     derived_flat = sf.exterior_covariant_derivative(flat, sf.covariant_differential(flat, Z))
     value = derived_flat(X, Y)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in field_values(value, pt)) < 1e-12
+        assert field_max_abs(value, [pt]) < 1e-12
 
 
 def test_exterior_covariant_derivative_of_torsion_is_curvature_wedge():
@@ -468,7 +469,7 @@ def test_exterior_covariant_derivative_of_torsion_is_curvature_wedge():
         rhs = sf.wedge_curvature_identity_apply(conn, fields)
         residual = lhs - rhs
         for pt in sample_points(chart, rng):
-            assert max(abs(v) for v in field_values(residual, pt)) < 1e-9
+            assert field_max_abs(residual, [pt]) < 1e-9
 
 
 def test_exterior_covariant_derivative_of_curvature_vanishes():
@@ -480,7 +481,7 @@ def test_exterior_covariant_derivative_of_curvature_vanishes():
     endo = derived(*fields)
     value = endo(W)
     for pt in sample_points(R3, rng):
-        assert max(abs(v) for v in field_values(value, pt)) < 1e-9
+        assert field_max_abs(value, [pt]) < 1e-9
 
 
 def test_exterior_covariant_derivative_rejects_covectors():
@@ -528,6 +529,43 @@ def test_componentwise_builders_agree_with_direct_apply():
                   sf.curvature_three_form_apply(conn, theta1, fields3)))
     for lhs, rhs in pairs:
         assert_close(lhs, rhs, points, tol=1e-9)
+
+
+class CountingCalls:
+    """Delegates calls and ``apply_to`` to ``inner`` and counts them."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.inner(*args)
+
+    def apply_to(self, *args):
+        self.calls += 1
+        return self.inner.apply_to(*args)
+
+
+def test_componentwise_builders_insert_each_axis_value_once(monkeypatch):
+    """On R4 each builder computes its inserted value once per axis (4) or
+    axis pair (6), not once per component and position (12)."""
+    conn = random_linear_connection(R4, 340)
+    rng = random.Random(341)
+    theta = geo.random_pform(R4, 2, rng)
+    z = geo.random_vector_field(R4, rng)
+    nabla = CountingCalls(con.covariant_derivative)
+    tor, curv = CountingCalls(con.torsion(conn)), CountingCalls(con.curvature(conn))
+    monkeypatch.setattr(sf, "covariant_derivative", nabla)
+    monkeypatch.setattr(sf, "torsion", lambda _: tor)
+    monkeypatch.setattr(sf, "curvature", lambda _: curv)
+    sf.connection_form(conn, theta, z)
+    assert nabla.calls == 4
+    sf.xi_form(conn, theta)
+    assert nabla.calls == 8
+    sf.torsion_form(conn, theta)
+    assert tor.calls == 6
+    sf.curvature_form(conn, theta, z)
+    assert curv.calls == 6
 
 
 def test_direct_evaluators_are_antisymmetric():

@@ -208,6 +208,104 @@ def test_structural_equality_and_hash():
     assert a != se.parse("x*y + cos(z)", VARS)
 
 
+def test_integral_constants_are_exact_ints():
+    twos = [se.Const(2), se.Const(Fraction(4, 2)), se.Const(2.0)]
+    for two in twos:
+        assert type(two.value) is int and two.value == 2
+        assert two == twos[0] and hash(two) == hash(twos[0])
+    assert type(se.Const(Fraction(1, 2)).value) is Fraction
+    third = se.div(se.Const(1), se.Const(3))
+    assert type(third.value) is Fraction and third.value == Fraction(1, 3)
+    quarter = se.power(se.Const(2), -2)
+    assert type(quarter.value) is Fraction and quarter.value == Fraction(1, 4)
+    assert se.add(third, se.Const(Fraction(2, 3))).value == 1
+    assert type(se.add(third, se.Const(Fraction(2, 3))).value) is int
+
+
+def test_a_deep_chain_hashes_without_recursion():
+    def chain():
+        return se.add_all(se.mul(se.Const(k), se.Var("x")) for k in range(1, 5001))
+
+    first, second = chain(), chain()
+    # hash a middle node of the second chain first: the rest still agrees
+    middle = second
+    for _ in range(2500):
+        middle = middle.a
+    assert hash(middle) == hash(middle)
+    assert hash(first) == hash(second)
+    assert hash(first) != hash(chain().a)
+
+
+# Each folding constructor on the operands 0, 1, -1, 2, 1/2 and x: the type
+# and text of every result.  A changed fold changes tree shapes, and with
+# them float residuals, so every row is pinned.
+FOLD_OPERANDS = ("0", "1", "-1", "2", "1/2", "x")
+FOLDS = {
+    ("add", "0"): ("Const 0", "Const 1", "Const -1", "Const 2", "Const 1/2", "Var x"),
+    ("add", "1"): ("Const 1", "Const 2", "Const 0", "Const 3", "Const 3/2", "Add 1 + x"),
+    ("add", "-1"): ("Const -1", "Const 0", "Const -2", "Const 1", "Const -1/2", "Add -1 + x"),
+    ("add", "2"): ("Const 2", "Const 3", "Const 1", "Const 4", "Const 5/2", "Add 2 + x"),
+    ("add", "1/2"): ("Const 1/2", "Const 3/2", "Const -1/2", "Const 5/2", "Const 1", "Add 1/2 + x"),
+    ("add", "x"): ("Var x", "Add x + 1", "Add x - 1", "Add x + 2", "Add x + 1/2", "Add x + x"),
+    ("mul", "0"): ("Const 0",) * 6,
+    ("mul", "1"): ("Const 0", "Const 1", "Const -1", "Const 2", "Const 1/2", "Var x"),
+    ("mul", "-1"): ("Const 0", "Const -1", "Const 1", "Const -2", "Const -1/2", "Neg -x"),
+    ("mul", "2"): ("Const 0", "Const 2", "Const -2", "Const 4", "Const 1", "Mul 2*x"),
+    ("mul", "1/2"): ("Const 0", "Const 1/2", "Const -1/2", "Const 1", "Const 1/4", "Mul 1/2*x"),
+    ("mul", "x"): ("Const 0", "Var x", "Neg -x", "Mul x*2", "Mul x*(1/2)", "Mul x*x"),
+    ("div", "0"): ("ZeroDivisionError", "Const 0", "Const 0", "Const 0", "Const 0", "Div 0/x"),
+    ("div", "1"): ("ZeroDivisionError", "Const 1", "Const -1", "Const 1/2", "Const 2", "Div 1/x"),
+    ("div", "-1"): ("ZeroDivisionError", "Const -1", "Const 1", "Const -1/2", "Const -2", "Div -1/x"),
+    ("div", "2"): ("ZeroDivisionError", "Const 2", "Const -2", "Const 1", "Const 4", "Div 2/x"),
+    ("div", "1/2"): ("ZeroDivisionError", "Const 1/2", "Const -1/2", "Const 1/4", "Const 1", "Div 1/2/x"),
+    ("div", "x"): ("ZeroDivisionError", "Var x", "Div x/(-1)", "Div x/2", "Div x/(1/2)", "Div x/x"),
+}
+# power(operand, n) for n = -2, -1, 0, 1, 2, and neg(operand)
+POWER_EXPONENTS = (-2, -1, 0, 1, 2)
+POWERS = {
+    "0": ("Pow 0^(-2)", "Pow 0^(-1)", "Const 1", "Const 0", "Const 0"),
+    "1": ("Const 1",) * 5,
+    "-1": ("Const 1", "Const -1", "Const 1", "Const -1", "Const 1"),
+    "2": ("Const 1/4", "Const 1/2", "Const 1", "Const 2", "Const 4"),
+    "1/2": ("Const 4", "Const 2", "Const 1", "Const 1/2", "Const 1/4"),
+    "x": ("Pow x^(-2)", "Pow x^(-1)", "Const 1", "Var x", "Pow x^2"),
+}
+NEGATIONS = ("Const 0", "Const -1", "Const 1", "Const -2", "Const -1/2", "Neg -x")
+
+
+def fold_operand(text: str) -> se.Expr:
+    return se.Var("x") if text == "x" else se.Const(Fraction(text))
+
+
+def folded(build) -> str:
+    try:
+        result = build()
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    return f"{type(result).__name__} {se.to_text(result)}"
+
+
+@pytest.mark.parametrize("op, left", sorted(FOLDS))
+def test_binary_folds_are_pinned(op, left):
+    fn = getattr(se, op)
+    got = tuple(
+        folded(lambda: fn(fold_operand(left), fold_operand(right))) for right in FOLD_OPERANDS
+    )
+    assert got == FOLDS[op, left]
+
+
+@pytest.mark.parametrize("base", FOLD_OPERANDS)
+def test_power_folds_are_pinned(base):
+    got = tuple(folded(lambda: se.power(fold_operand(base), n)) for n in POWER_EXPONENTS)
+    assert got == POWERS[base]
+
+
+def test_negation_folds_are_pinned():
+    assert tuple(folded(lambda: se.neg(fold_operand(a))) for a in FOLD_OPERANDS) == NEGATIONS
+    x = se.Var("x")
+    assert se.neg(se.neg(x)) is x
+
+
 def test_negative_powers_differentiate():
     e = se.Pow(se.Var("x"), -2)
     d = se.differentiate(e, "x")
