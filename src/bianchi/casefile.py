@@ -61,6 +61,10 @@ KNOWN_SECTIONS = ("chart", "christoffel", "metric", "forms", "fields")
 PROBE_POINTS = 10
 PROBE_TOL = 1e-10
 
+# deepest expression tree an entry may parse to (a sum or product adds a
+# level per term): the checks walk trees and their derivatives recursively
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class LoadedCase:
@@ -114,11 +118,20 @@ def _parse_chart(section, default_name: str) -> Chart:
         _fail(f"[chart]: {exc}")
 
 
+def _deeper_than(expr: se.Expr, levels: int) -> bool:
+    return levels == 0 or any(_deeper_than(c, levels - 1) for c in expr.children())
+
+
 def _parse_expr(chart: Chart, text: str, context: str) -> se.Expr:
     try:
-        return chart.parse(text)
+        expr = chart.parse(text)
     except se.ParseError as exc:
         _fail(f"{context}: {exc}")
+    except RecursionError:  # parentheses, signs or powers nested past the stack
+        expr = None
+    if expr is None or _deeper_than(expr, MAX_DEPTH):
+        _fail(f"{context}: expression nested deeper than {MAX_DEPTH} levels")
+    return expr
 
 
 def _parse_index(token: str, chart: Chart, context: str) -> int:

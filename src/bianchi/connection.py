@@ -11,14 +11,16 @@ Conventions (fixed across the package):
                                    - Gamma^l_{jm} Gamma^m_{ik},
   so that R(d_i, d_j) d_k = R^l_{kij} d_l.
 
-Torsion and curvature are evaluated from precomputed coordinate
-components; the tests pit them against the defining vector-field formulas
-with genuine Lie brackets, on non-commuting argument fields.  The component
-objects are built once per connection: :func:`torsion` and
-:func:`curvature` store them on the connection at the first call and
-return the stored object afterwards.
+nabla_X acts as X plus the connection matrix omega(X)^k_j = X^i Gamma^k_{ij}
+on vector and endomorphism components; a tensor-valued form builds
+omega(X) once for its whole rule.
+Torsion and curvature are 2-forms: components are computed for i < j only
+([j][i] is their negation, the diagonal zero) and paired with
+(X wedge Y)^{ij} = X^i Y^j - X^j Y^i.  The tests pit them against the
+defining vector-field formulas with Lie brackets.  :func:`torsion` and
+:func:`curvature` build them once per connection and keep them on it;
 :func:`bianchi.structure_forms.cartan_coframe_forms` keeps the Cartan forms
-of the last coframe it was given the same way; another coframe replaces them.
+of the last coframe it was given the same way.
 """
 
 from __future__ import annotations
@@ -121,38 +123,62 @@ def _require_chart(conn: Connection, obj):
         raise ChartMismatchError("connection and object live on different charts")
 
 
+def _connection_matrix(conn: Connection, X: VectorField) -> list[list[Expr]]:
+    """omega(X)^k_j = X^i Gamma^k_{ij} at ``[k][j]``: nabla_X d/dx^j =
+    omega(X)^k_j d/dx^k."""
+    n = conn.chart.dim
+    gamma = conn.gamma
+    return [
+        [
+            se.add_all(
+                se.mul(X.comps[i], gamma[k][i][j])
+                for i in range(n)
+                if not se._is_const(gamma[k][i][j], 0)
+            )
+            for j in range(n)
+        ]
+        for k in range(n)
+    ]
+
+
 def covariant_derivative(conn: Connection, X: VectorField, target):
     """nabla_X applied to a scalar, vector field, p-form, endomorphism field
     or tensor-valued form.  The directional slot is tensorial; values follow
     the Leibniz rule through every argument slot.
     """
     _require_chart(conn, X)
+    return _covariant(conn, X, None, target)
+
+
+def _covariant(conn: Connection, X: VectorField, omega, target):
+    """nabla_X ``target``, with ``omega`` = omega(X) or None to build it."""
     if isinstance(target, Expr):
         return apply_vector_field(X, target)
-    if isinstance(target, VectorField):
-        return _cov_vector(conn, X, target)
     if isinstance(target, PForm):
         return _cov_pform(conn, X, target)
+    if not isinstance(target, (VectorField, LinearMap, TensorValuedForm)):
+        raise TypeError(f"cannot covariantly differentiate {type(target).__name__}")
+    _require_chart(conn, target)
+    if omega is None:
+        omega = _connection_matrix(conn, X)
+    if isinstance(target, VectorField):
+        return _cov_vector(X, omega, target)
     if isinstance(target, LinearMap):
-        return _cov_endo(conn, X, target)
-    if isinstance(target, TensorValuedForm):
-        return _cov_tensor_valued(conn, X, target)
-    raise TypeError(f"cannot covariantly differentiate {type(target).__name__}")
+        return _cov_endo(X, omega, target)
+    return _cov_tensor_valued(conn, X, omega, target)
 
 
-def _cov_vector(conn: Connection, X: VectorField, Y: VectorField) -> VectorField:
-    _require_chart(conn, Y)
-    n = conn.chart.dim
-    comps = []
-    for k in range(n):
-        term = apply_vector_field(X, Y.comps[k])
-        correction = se.add_all(
-            se.mul(X.comps[i], se.mul(conn.gamma[k][i][j], Y.comps[j]))
-            for i in range(n)
-            for j in range(n)
+def _cov_vector(X: VectorField, omega, Y: VectorField) -> VectorField:
+    """(nabla_X Y)^k = X(Y^k) + omega^k_j Y^j."""
+    n = Y.chart.dim
+    comps = [
+        se.add(
+            apply_vector_field(X, Y.comps[k]),
+            se.add_all(se.mul(omega[k][j], Y.comps[j]) for j in range(n)),
         )
-        comps.append(se.add(term, correction))
-    return VectorField(conn.chart, comps)
+        for k in range(n)
+    ]
+    return VectorField(Y.chart, comps)
 
 
 def _cov_pform_along_axis(conn: Connection, i: int, theta: PForm) -> dict[tuple[int, ...], Expr]:
@@ -185,66 +211,97 @@ def _cov_pform(conn: Connection, X: VectorField, theta: PForm) -> PForm:
     return PForm(conn.chart, theta.degree, out)
 
 
-def _cov_endo(conn: Connection, X: VectorField, E: LinearMap) -> LinearMap:
-    """(nabla_X E)(W) = nabla_X(E(W)) - E(nabla_X W), done on components."""
-    _require_chart(conn, E)
-    n = conn.chart.dim
-    entries = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(n):
-            term = apply_vector_field(X, E.entries[k][j])
-            for i in range(n):
-                for m in range(n):
-                    term = se.add(
-                        term, se.mul(X.comps[i], se.mul(conn.gamma[k][i][m], E.entries[m][j]))
-                    )
-                    term = se.sub(
-                        term, se.mul(X.comps[i], se.mul(conn.gamma[m][i][j], E.entries[k][m]))
-                    )
-            entries[k][j] = term
-    return LinearMap(conn.chart, entries)
+def _cov_endo(X: VectorField, omega, E: LinearMap) -> LinearMap:
+    """(nabla_X E)^k_j = X(E^k_j) + omega^k_m E^m_j - E^k_m omega^m_j."""
+    n = E.chart.dim
+    e = E.entries
+    return LinearMap(
+        E.chart,
+        [
+            [
+                se.add(
+                    apply_vector_field(X, e[k][j]),
+                    se.add_all(
+                        se.sub(se.mul(omega[k][m], e[m][j]), se.mul(e[k][m], omega[m][j]))
+                        for m in range(n)
+                    ),
+                )
+                for j in range(n)
+            ]
+            for k in range(n)
+        ],
+    )
 
 
-def _cov_tensor_valued(conn: Connection, X: VectorField, A: TensorValuedForm) -> TensorValuedForm:
+def _cov_tensor_valued(
+    conn: Connection, X: VectorField, omega, A: TensorValuedForm
+) -> TensorValuedForm:
     def rule(*fields: VectorField):
-        value = A(*fields)
-        out = covariant_derivative(conn, X, value)
+        out = _covariant(conn, X, omega, A(*fields))
         for slot in range(A.arity):
             shifted = list(fields)
-            shifted[slot] = _cov_vector(conn, X, fields[slot])
+            shifted[slot] = _cov_vector(X, omega, fields[slot])
             out = out - A(*shifted)
         return out
 
     return TensorValuedForm(conn.chart, A.kind, A.arity, rule)
 
 
-# -- torsion -----------------------------------------------------------------
+# -- torsion and curvature -------------------------------------------------------
+
+
+def _antisymmetric(n: int, upper) -> list[list[Expr]]:
+    """n x n block: ``upper(i, j)`` at i < j, its negation at [j][i], 0 on
+    the diagonal."""
+    block = [[ZERO] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        block[i][j] = upper(i, j)
+        block[j][i] = se.neg(block[i][j])
+    return block
+
+
+def _live_pairs(n: int, blocks) -> list[tuple[int, int]]:
+    """The pairs i < j at which some block is not the constant 0."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if any(not se._is_const(block[i][j], 0) for block in blocks)
+    ]
+
+
+def _wedge(X: VectorField, Y: VectorField, pairs) -> list[tuple[int, int, Expr]]:
+    """(i, j, X^i Y^j - X^j Y^i) for each pair i < j of ``pairs``."""
+    x, y = X.comps, Y.comps
+    return [(i, j, se.sub(se.mul(x[i], y[j]), se.mul(x[j], y[i]))) for i, j in pairs]
+
+
+def _pair(block, wedge) -> Expr:
+    """sum over i < j of block[i][j] (X wedge Y)^{ij}."""
+    return se.add_all(
+        se.mul(block[i][j], w) for i, j, w in wedge if not se._is_const(block[i][j], 0)
+    )
+
 
 class Torsion(TensorValuedForm):
-    """Vector-valued torsion 2-form from components
-    T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}."""
+    """Vector-valued torsion 2-form; ``components[k][i][j]`` is
+    T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, computed for i < j only and
+    paired with (X wedge Y)^{ij}."""
 
     __slots__ = ("components",)
 
     def __init__(self, conn: Connection):
         chart = conn.chart
         n = chart.dim
+        gamma = conn.gamma
         comps = [
-            [[se.sub(conn.gamma[k][i][j], conn.gamma[k][j][i]) for j in range(n)] for i in range(n)]
+            _antisymmetric(n, lambda i, j: se.sub(gamma[k][i][j], gamma[k][j][i]))
             for k in range(n)
         ]
+        pairs = _live_pairs(n, comps)
 
         def rule(X: VectorField, Y: VectorField) -> VectorField:
-            out = [
-                se.add_all(
-                    se.mul(comps[k][i][j], se.mul(X.comps[i], Y.comps[j]))
-                    for i in range(n)
-                    for j in range(n)
-                    if not se._is_const(comps[k][i][j], 0)
-                )
-                for k in range(n)
-            ]
-            return VectorField(chart, out)
+            wedge = _wedge(X, Y, pairs)
+            return VectorField(chart, [_pair(comps[k], wedge) for k in range(n)])
 
         super().__init__(chart, "vector", 2, rule)
         self.components = comps
@@ -257,13 +314,9 @@ def torsion(conn: Connection) -> Torsion:
     return conn._torsion
 
 
-# -- curvature ----------------------------------------------------------------
-
 class Curvature(TensorValuedForm):
-    """Endomorphism-valued curvature 2-form with precomputed components.
-
-    ``components[l][k][i][j]`` is R^l_{kij}.
-    """
+    """Endomorphism-valued curvature 2-form; ``components[l][k][i][j]`` is
+    R^l_{kij}, computed for i < j only and paired with (X wedge Y)^{ij}."""
 
     __slots__ = ("components",)
 
@@ -271,41 +324,33 @@ class Curvature(TensorValuedForm):
         chart = conn.chart
         n = chart.dim
         coords = chart.coords
-        comps = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for l in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        term = se.sub(
-                            se.differentiate(conn.gamma[l][j][k], coords[i]),
-                            se.differentiate(conn.gamma[l][i][k], coords[j]),
-                        )
-                        term = se.add(
-                            term,
-                            se.add_all(
-                                se.sub(
-                                    se.mul(conn.gamma[l][i][m], conn.gamma[m][j][k]),
-                                    se.mul(conn.gamma[l][j][m], conn.gamma[m][i][k]),
-                                )
-                                for m in range(n)
-                            ),
-                        )
-                        comps[l][k][i][j] = term
+        gamma = conn.gamma
+
+        def component(l: int, k: int, i: int, j: int) -> Expr:
+            term = se.sub(
+                se.differentiate(gamma[l][j][k], coords[i]),
+                se.differentiate(gamma[l][i][k], coords[j]),
+            )
+            return se.add(
+                term,
+                se.add_all(
+                    se.sub(
+                        se.mul(gamma[l][i][m], gamma[m][j][k]),
+                        se.mul(gamma[l][j][m], gamma[m][i][k]),
+                    )
+                    for m in range(n)
+                ),
+            )
+
+        comps = [
+            [_antisymmetric(n, lambda i, j: component(l, k, i, j)) for k in range(n)]
+            for l in range(n)
+        ]
+        pairs = _live_pairs(n, [block for row in comps for block in row])
 
         def rule(X: VectorField, Y: VectorField) -> LinearMap:
-            entries = [
-                [
-                    se.add_all(
-                        se.mul(comps[l][k][i][j], se.mul(X.comps[i], Y.comps[j]))
-                        for i in range(n)
-                        for j in range(n)
-                        if not se._is_const(comps[l][k][i][j], 0)
-                    )
-                    for k in range(n)
-                ]
-                for l in range(n)
-            ]
-            return LinearMap(chart, entries)
+            wedge = _wedge(X, Y, pairs)
+            return LinearMap(chart, [[_pair(block, wedge) for block in row] for row in comps])
 
         super().__init__(chart, "endomorphism", 2, rule)
         self.components = comps

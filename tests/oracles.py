@@ -39,6 +39,32 @@ def curvature_via_definition(conn, X, Y, Z):
     return first - second - third
 
 
+def covariant_vector_via_christoffels(conn, X, Y):
+    """(nabla_X Y)^k = X(Y^k) + sum_ij X^i Gamma^k_ij Y^j, the triple sum
+    over the symbols.  Oracle for the connection-matrix path of
+    :func:`bianchi.connection.covariant_derivative`."""
+    n = conn.chart.dim
+    comps = [
+        se.add(
+            geo.apply_vector_field(X, Y.comps[k]),
+            se.add_all(
+                se.mul(X.comps[i], se.mul(conn.christoffel(k, i, j), Y.comps[j]))
+                for i in range(n)
+                for j in range(n)
+            ),
+        )
+        for k in range(n)
+    ]
+    return geo.VectorField(conn.chart, comps)
+
+
+def covariant_endomorphism_via_leibniz(conn, X, E, W):
+    """(nabla_X E)(W) = nabla_X(E(W)) - E(nabla_X W), both derivatives by
+    :func:`covariant_vector_via_christoffels`."""
+    nabla = covariant_vector_via_christoffels
+    return nabla(conn, X, E(W)) - E(nabla(conn, X, W))
+
+
 def exterior_derivative_intrinsic_expr(theta, fields):
     """Alternating-sum exterior derivative evaluated on p + 1 vector fields.
 

@@ -124,36 +124,53 @@ def test_verify_json_runs_are_byte_identical(capsys):
     assert out_a == out_b
 
 
+# Two pinned verify runs.  These cases evaluate only Add, Const, Mul, Neg and
+# Var nodes, so the digits do not depend on the platform's libm
+# (``contact_r3`` evaluates powers and is left out).
+GALLERY_RUN = (
+    "verify", "--case", "flat_with_torsion", "--case", "random_poly",
+    "--case", "foliation_adapted", "--case-checks", "--points", "5",
+    "--tuples", "2", "--format", "json", "--seed", "0",
+)
+APPLICATION_RUN = (
+    "verify", "--case", "foliation_adapted_n4", "--case", "sode_oscillator",
+    "--case-checks", "--points", "5", "--tuples", "2", "--format", "json",
+    "--seed", "0",
+)
+
+
 def test_verify_json_output_matches_the_pinned_digest(capsys):
-    """Default JSON output is byte-identical across refactors.  These cases
-    evaluate only Add, Const, Mul, Neg and Var nodes, so the digits do not
-    depend on the platform's libm."""
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--case", "flat_with_torsion", "--case", "random_poly",
-        "--case", "foliation_adapted", "--case-checks", "--points", "5",
-        "--tuples", "2", "--format", "json", "--seed", "0",
-    )
+    """Default JSON output is byte-identical across refactors that keep
+    the shape of every expression tree."""
+    code, out, _ = run_cli(capsys, *GALLERY_RUN)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b6a8e95ecbf72e93badf7bd12e2f494e84b5028eca3ce38ad783606f5c7f985a"
+        "8efb0d656a2de0c671c27f813a83aa30d9d3023dfd84da3d0fa1771fe14ca901"
     )
 
 
 def test_verify_application_checks_match_the_pinned_digest(capsys):
     """JSON output of the foliation and mechanics checks is byte-identical
-    across refactors; like the pin above it needs no libm (``contact_r3``
-    evaluates powers and is left out)."""
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--case", "foliation_adapted_n4", "--case", "sode_oscillator",
-        "--case-checks", "--points", "5", "--tuples", "2", "--format", "json",
-        "--seed", "0",
-    )
+    across refactors that keep the shape of every expression tree."""
+    code, out, _ = run_cli(capsys, *APPLICATION_RUN)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "6e5d70ec05c656b93b681124dc2cb647f1bbcd7781fb71a8acdd8f448e7db9f0"
+        "d7da2b463f9173940ea9422290ec2e258ee95dcb7daddafbc5d7c843279451b0"
     )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (GALLERY_RUN, "bbb15f9e4fb6cd8446280dd7082a5147a80fb9dee31be65437f4bdf1e0c4e670"),
+    (APPLICATION_RUN, "a3a9fb7e5547f8cfa58e98c117be018cf2d7590409bc72fa46e2a78be350fa76"),
+], ids=["gallery", "applications"])
+def test_verify_verdicts_match_the_pinned_digest_apart_from_rounding(capsys, argv, digest):
+    """The rows of the pinned runs without ``max_residual``: a change of
+    tree shape moves the residuals at rounding level, never a verdict, a
+    key or the row order."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = [{k: v for k, v in row.items() if k != "max_residual"} for row in json.loads(out)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 def test_verify_orders_output_by_case_then_check(capsys):
@@ -465,3 +482,52 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert "S2p" in proc.stdout
+
+
+def _sum_of_products(terms: int) -> str:
+    """``x*y + x*y + ...``: it parses to a tree of height terms + 1."""
+    return " + ".join(["x*y"] * terms)
+
+
+@pytest.mark.parametrize("culprit", [
+    _sum_of_products(1200),
+    _sum_of_products(casefile.MAX_DEPTH),
+    "(" * 400 + "x" + ")" * 400,
+], ids=["1200-terms", "one-past-the-limit", "400-parentheses"])
+def test_case_file_expression_nested_too_deeply_exits_2(tmp_path, capsys, culprit):
+    path = tmp_path / "deep.case"
+    path.write_text(f"[chart]\ncoords = x y z\n\n[christoffel]\n1 1 2 = {culprit}\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--case-file", str(path), "--check", "S1", "--points", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"[christoffel] 1 1 2: expression nested deeper than {casefile.MAX_DEPTH}" in err
+
+
+def test_case_file_expression_at_the_depth_limit_verifies(tmp_path, capsys):
+    path = tmp_path / "deep.case"
+    culprit = _sum_of_products(casefile.MAX_DEPTH - 1)
+    path.write_text(f"[chart]\ncoords = x y z\n\n[christoffel]\n1 1 2 = {culprit}\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "--case-file", str(path), "--check", "S1", "--points", "3"
+    )
+    assert code == 0
+    assert "pass" in out
+
+
+def test_case_checks_build_the_cartan_form_once(capsys, monkeypatch):
+    calls = []
+    build = gallery.build_cartan_form
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(gallery, "build_cartan_form", counted)
+    code, _, _ = run_cli(
+        capsys, "verify", "--case", "sode_oscillator", "--case-checks", "--points", "3",
+        "--tuples", "1",
+    )
+    assert code == 0
+    assert len(calls) == 1

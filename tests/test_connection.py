@@ -10,7 +10,10 @@ from bianchi import geometry as geo
 from bianchi import symexpr as se
 from oracles import (
     R3,
+    R4,
     SPHERE,
+    covariant_endomorphism_via_leibniz,
+    covariant_vector_via_christoffels,
     curvature_via_definition,
     field_max_abs,
     field_values,
@@ -136,6 +139,93 @@ def test_tensor_valued_form_covariant_derivative_leibniz():
     )
     diff = lhs - rhs
     assert field_max_abs(diff, sample_points(R3, rng)) <= 1e-9
+
+
+def _oracle_connections():
+    return [
+        (R3, random_linear_connection(R3, 50)),
+        (R4, random_linear_connection(R4, 51)),
+        (SPHERE, con.levi_civita(sphere_metric())),
+    ]
+
+
+def _random_endomorphism(chart, rng):
+    n = chart.dim
+    return geo.LinearMap(
+        chart, [[geo.random_polynomial(chart, rng) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("index", range(3), ids=["R3", "R4", "sphere_lc"])
+def test_covariant_derivative_matches_the_christoffel_oracle(index):
+    """nabla_X Y and (nabla_X E)(W) through omega(X) agree with the triple
+    sum over the symbols and its Leibniz extension to endomorphisms."""
+    chart, conn = _oracle_connections()[index]
+    rng = random.Random(52 + index)
+    points = sample_points(chart, rng)
+    X, Y, W = (geo.random_vector_field(chart, rng) for _ in range(3))
+    E = _random_endomorphism(chart, rng)
+    diff = con.covariant_derivative(conn, X, Y) - covariant_vector_via_christoffels(conn, X, Y)
+    assert field_max_abs(diff, points) <= 1e-9
+    diff = con.covariant_derivative(conn, X, E)(W) - covariant_endomorphism_via_leibniz(
+        conn, X, E, W
+    )
+    assert field_max_abs(diff, points) <= 1e-9
+
+
+@pytest.mark.parametrize("index", range(3), ids=["R3", "R4", "sphere_lc"])
+def test_covariant_derivative_of_curvature_matches_the_christoffel_oracle(index):
+    """(nabla_X R)(Y, Z)W, whose rule shares one omega(X) between the value
+    and both arguments, against the Leibniz expansion by the oracle."""
+    chart, conn = _oracle_connections()[index]
+    rng = random.Random(55 + index)
+    R = con.curvature(conn)
+    X, Y, Z, W = (geo.random_vector_field(chart, rng) for _ in range(4))
+    nabla = covariant_vector_via_christoffels
+    expected = (
+        covariant_endomorphism_via_leibniz(conn, X, R(Y, Z), W)
+        - R(nabla(conn, X, Y), Z)(W)
+        - R(Y, nabla(conn, X, Z))(W)
+    )
+    diff = con.covariant_derivative(conn, X, R)(Y, Z)(W) - expected
+    assert field_max_abs(diff, sample_points(chart, rng)) <= 1e-9
+
+
+def _assert_antisymmetric(blocks, chart, points):
+    """Each n x n block has Const 0 on its diagonal and [j][i] = -[i][j]."""
+    n = chart.dim
+    for block in blocks:
+        for i in range(n):
+            assert type(block[i][i]) is se.Const and block[i][i].value == 0
+            for j in range(i + 1, n):
+                for pt in points:
+                    assert se.evaluate(block[j][i], pt) == -se.evaluate(block[i][j], pt)
+
+
+@pytest.mark.parametrize("index", range(3), ids=["R3", "R4", "sphere_lc"])
+def test_torsion_and_curvature_components_are_antisymmetric(index):
+    chart, conn = _oracle_connections()[index]
+    points = sample_points(chart, random.Random(58))
+    _assert_antisymmetric(con.torsion(conn).components, chart, points)
+    curvature = con.curvature(conn).components
+    _assert_antisymmetric([block for row in curvature for block in row], chart, points)
+
+
+def _summands(expr):
+    """The terms of the top-level sum of ``expr``."""
+    if type(expr) is se.Add:
+        return _summands(expr.a) + _summands(expr.b)
+    return [expr]
+
+
+def test_curvature_value_pairs_each_component_with_a_wedge_term_once():
+    """On dim 3, R(X, Y)^l_k sums one product per pair i < j: at most 3
+    terms, where the n^2 sum over (i, j) has 9."""
+    conn = random_linear_connection(R3, 59)
+    rng = random.Random(60)
+    X, Y = (geo.random_vector_field(R3, rng) for _ in range(2))
+    entries = con.curvature(conn)(X, Y).entries
+    assert max(len(_summands(e)) for row in entries for e in row) == 3
 
 
 def test_levi_civita_sphere_frozen_christoffels():
