@@ -37,7 +37,6 @@ flatness are probed numerically so that checks restricted to those classes
 become applicable automatically.
 """
 
-import configparser
 import os
 from dataclasses import dataclass, field
 
@@ -226,6 +225,10 @@ def load_case_file(path: str) -> LoadedCase:
     :class:`gallery.CaseValidationError` when the declared data is
     mutually inconsistent (e.g. a metric the connection does not preserve).
     """
+    # imported here: only case files need it, and a run without one saves
+    # its import time and memory
+    import configparser
+
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",), inline_comment_prefixes=(";", "#")
     )

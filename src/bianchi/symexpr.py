@@ -27,14 +27,18 @@ point (:func:`evaluate`), lists of floats with one entry per sample point,
 and residues modulo a prime (:func:`holds_exactly`).
 
 Checks compare two expressions over many sample points with
-:func:`worst_residual`.  Over several points the scan evaluates each side of
-a pair at every point in one walk over lists, with the same IEEE operation
-per point as the walk at one point, so the values are bit-identical;
-``evaluate`` is still called once per side and point and serves each value
-from that walk.  A pair with a residual above the check's tolerance is
-rechecked by :func:`holds_exactly`, an identity test modulo a prime; a pair
-that holds exactly keeps its float residual in the result, but that
-residual is rounding error and does not fail the check.
+:func:`worst_residual`.  One scan, for any number of points, evaluates each
+side of a pair at every point in one walk: the float walk over one point,
+a walk over lists with the same IEEE operation per point over several, so
+the values are bit-identical.  The pairs of a run of equal tags (the pairs
+of one sampled tuple, in a check) share the scan's memo, and the scan keeps
+their sides alive until the tag changes, so a subtree they share is
+computed once per run.  ``evaluate`` is still called once per side and
+point and serves each value from the scan.  A pair with a residual above
+the check's tolerance is rechecked by :func:`holds_exactly`, an identity
+test modulo a prime; a pair that holds exactly keeps its float residual in
+the result, but that residual is rounding error and does not fail the
+check.
 """
 
 from __future__ import annotations
@@ -590,8 +594,9 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     Raises :class:`EvaluationError`, and no other error, on domain
     failures, on results too large for a float and on variables missing
     from ``point``.  Shared subtrees are evaluated once.  A sample point of
-    a :func:`worst_residual` scan over several points is served from the
-    scan's walk over all its points, which gives the same value.
+    a :func:`worst_residual` scan is served from the scan's walk over all
+    its points, whose memo the pairs of a run of equal tags share; it gives
+    the same value.
     """
     if type(point) is _ScanPoint:
         column = point.scan.column(e)
@@ -632,19 +637,29 @@ def _power_lists(column: list, exponent: int) -> list:
 
 
 class _Scan:
-    """The values of the current pair's sides at every point of a scan.
+    """The values of the sides of the current run of pairs at every point.
 
-    A side is computed at all points in one walk of its DAG over lists of
-    floats, with one memo shared by both sides of the pair.  The walk
-    raises wherever :func:`evaluate` raises at some point; such a side has
-    no column and is evaluated point by point, which raises the
+    A side is computed at all points in one walk of its DAG, with one memo
+    shared by every side until :meth:`start_run`, so a subtree that
+    several of those sides share is computed once.  Over one point the walk
+    is the float walk of :func:`evaluate`; over several it walks lists of
+    floats, one per point, with the same IEEE operation per point, so every
+    value is the one :func:`evaluate` gives at that point.  The walk raises
+    wherever :func:`evaluate` raises at some point; such a side has no
+    column and is evaluated point by point, which raises the
     EvaluationError at the same point as before.
     """
 
     def __init__(self, samples: list):
         self.samples = samples
-        self.variables: dict[str, list] = {}
-        self.start_pair()
+        self.single = len(samples) == 1
+        if self.single:
+            self.tables = (_UNARY, _BINARY, pow)
+        else:
+            self.tables = (_UNARY_LISTS, _BINARY_LISTS, _power_lists)
+        # one leaf value per variable name and per constant value
+        self.leaves: dict = {}
+        self.start_run()
 
     def points(self) -> list:
         """The samples as points that know this scan (which keeps no
@@ -656,9 +671,9 @@ class _Scan:
             points.append(point)
         return points
 
-    def start_pair(self) -> None:
+    def start_run(self) -> None:
         # sides holds each side it has seen, so every node id in memo and
-        # sides stays in use until the next pair
+        # sides stays in use until the next run
         self.memo: dict[int, list] = {}
         self.sides: dict[int, tuple] = {}
 
@@ -667,27 +682,25 @@ class _Scan:
         got = self.sides.get(id(e))
         if got is None:
             try:
-                values = _fold(e, self.memo, self._leaf, _UNARY_LISTS, _BINARY_LISTS, _power_lists)
+                values = _fold(e, self.memo, self._leaf, *self.tables)
             except (ArithmeticError, ValueError, KeyError):
                 values = None
+            else:
+                if self.single:
+                    values = [values]
             got = self.sides[id(e)] = (e, values)
         return got[1]
 
-    def _leaf(self, node: Expr) -> list:
-        if type(node) is Const:
-            return [float(node.value)] * len(self.samples)
-        out = self.variables.get(node.name)
+    def _leaf(self, node: Expr):
+        key = node.value if type(node) is Const else node.name
+        out = self.leaves.get(key)
         if out is None:
-            out = self.variables[node.name] = list(
-                map(float, map(operator.itemgetter(node.name), self.samples))
-            )
+            if type(node) is Const:
+                out = [float(key)] * len(self.samples)
+            else:
+                out = list(map(float, map(operator.itemgetter(key), self.samples)))
+            self.leaves[key] = out = out[0] if self.single else out
         return out
-
-
-# Scans over fewer points than this walk each point on its own: over one
-# point the walk over lists costs more than the per-point walk, from two
-# points on it costs less.
-_SCAN_MIN_POINTS = 2
 
 
 def worst_residual(pairs, points, relative: bool = False, tol=None) -> tuple:
@@ -701,6 +714,11 @@ def worst_residual(pairs, points, relative: bool = False, tol=None) -> tuple:
     by 1 + max(|lhs|, |rhs|).  A residual replaces the worst only when it
     is strictly greater, except that the first NaN or infinite residual is
     returned at once: it fails every tolerance.
+
+    ``evaluate`` serves each value from one scan of all the points.  The
+    pairs of a run of equal tags share the scan's memo, so a subtree that
+    they share is computed once per run; the memo and the sides it keeps
+    alive are dropped when the tag changes.
 
     With a tolerance ``tol``, a pair with a residual above it is tested
     once by :func:`holds_exactly`.  The residuals of a pair that holds
@@ -716,12 +734,14 @@ def worst_residual(pairs, points, relative: bool = False, tol=None) -> tuple:
     every residual above ``tol`` belongs to a pair that holds exactly.
     """
     samples = list(points)
-    scan = _Scan(samples) if len(samples) >= _SCAN_MIN_POINTS else None
-    points = samples if scan is None else scan.points()
+    scan = _Scan(samples)
+    points = scan.points()
     worst, failing = (0.0, None, None), None
+    run_tag = object()  # equal to no tag
     for tag, lhs, rhs in pairs:
-        if scan is not None:
-            scan.start_pair()
+        if tag != run_tag:
+            scan.start_run()
+            run_tag = tag
         exact = None
         for index, point in enumerate(points):
             left = evaluate(lhs, point)

@@ -137,6 +137,13 @@ APPLICATION_RUN = (
     "--case-checks", "--points", "5", "--tuples", "2", "--format", "json",
     "--seed", "0",
 )
+# One point per check: every value comes from the float walk at one point.
+# ``sphere_lc`` evaluates sin and cos, so this digest assumes the libm of
+# the platform it was pinned on.
+ONE_POINT_RUN = (
+    "verify", "--case", "random_poly", "--case", "sphere_lc", "--case-checks",
+    "--points", "1", "--tuples", "2", "--format", "json", "--seed", "0",
+)
 
 
 def test_verify_json_output_matches_the_pinned_digest(capsys):
@@ -156,6 +163,16 @@ def test_verify_application_checks_match_the_pinned_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d7da2b463f9173940ea9422290ec2e258ee95dcb7daddafbc5d7c843279451b0"
+    )
+
+
+def test_verify_at_one_point_matches_the_pinned_digest(capsys):
+    """JSON output of a one-point run is byte-identical across changes to
+    how the scan shares its walks."""
+    code, out, _ = run_cli(capsys, *ONE_POINT_RUN)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3223cd82cb4d1bf17aa80e2fc042bdf22a22617ab1800a5ad8b25ef07e8b75bb"
     )
 
 
@@ -482,6 +499,19 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert "S2p" in proc.stdout
+
+
+def test_importing_the_cli_leaves_out_configparser():
+    """Only case files need configparser, so a run without one does not
+    import it."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bianchi.cli; print('configparser' in sys.modules)"],
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def _sum_of_products(terms: int) -> str:

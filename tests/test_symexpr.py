@@ -447,10 +447,9 @@ def random_dag(rng: random.Random, size: int) -> list:
     return pool
 
 
-@pytest.mark.parametrize("count", [1, 2, 20])
-def test_scan_values_equal_the_per_point_walk(monkeypatch, count):
+def check_scan_values(monkeypatch, count, group):
     """Every value a scan serves is bit-identical to evaluating its side
-    alone at a plain copy of the point."""
+    alone at a plain copy of the point; pairs ``group`` at a time share a tag."""
     rng = random.Random(f"scan/{count}")
     evaluate = se.evaluate
     served = []
@@ -468,13 +467,24 @@ def test_scan_values_equal_the_per_point_walk(monkeypatch, count):
         if not all(math.isfinite(evaluate(e, p)) for e in pool for p in points):
             continue
         compared += 1
-        pairs = [(i, rng.choice(pool[20:]), rng.choice(pool[20:])) for i in range(6)]
+        pairs = [(i // group, rng.choice(pool[20:]), rng.choice(pool[20:])) for i in range(6)]
         served.clear()
-        se.worst_residual(pairs + [(6, pool[-1], 0.5)], points)
+        se.worst_residual(pairs + [(6 // group, pool[-1], 0.5)], points)
         assert len(served) == (2 * len(pairs) + 1) * count
         for expr, point, value in served:
             assert repr(value) == repr(evaluate(expr, point))
     assert compared >= 5
+
+
+@pytest.mark.parametrize("count", [1, 2, 20])
+def test_scan_values_equal_the_per_point_walk(monkeypatch, count):
+    check_scan_values(monkeypatch, count, group=1)
+
+
+@pytest.mark.parametrize("count", [1, 2, 20])
+def test_scan_values_equal_the_per_point_walk_with_shared_tags(monkeypatch, count):
+    """Pairs that share a tag share the scan's memo; the values stay exact."""
+    check_scan_values(monkeypatch, count, group=2)
 
 
 def test_scan_returns_an_earlier_nan_before_a_later_domain_error():
@@ -488,6 +498,39 @@ def test_scan_returns_an_earlier_nan_before_a_later_domain_error():
     with pytest.raises(se.EvaluationError) as raised:
         se.worst_residual([("r", ratio, 0)], points)
     assert str(raised.value) == "division by zero in 'y/x'"
+
+
+def test_one_point_scan_returns_a_nan_and_raises_a_domain_error():
+    ratio = se.Div(se.Var("y"), se.Var("x"))
+    points = [{"x": 1.0, "y": math.nan}]
+    worst, point, tag, _ = se.worst_residual([("r", ratio, 0)], points)
+    assert math.isnan(worst)
+    assert point is points[0] and tag == "r"
+    with pytest.raises(se.EvaluationError) as raised:
+        se.worst_residual([("r", ratio, 0)], [{"x": 0.0, "y": 1.0}])
+    assert str(raised.value) == "division by zero in 'y/x'"
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_pairs_of_one_tag_compute_a_shared_subtree_once(monkeypatch, count):
+    """A node that two pairs share is computed once while their tag is the
+    same, and once per tag when it changes."""
+    table = se._UNARY if count == 1 else se._UNARY_LISTS
+    calls = []
+
+    def counting(value, op=table[se.Sin]):
+        calls.append(value)
+        return op(value)
+
+    monkeypatch.setitem(table, se.Sin, counting)
+    x, y = se.Var("x"), se.Var("y")
+    shared = se.Sin(x)
+    points = [{"x": 0.5 + i, "y": 2.0} for i in range(count)]
+    for tags, computed in (((0, 0), 1), ((0, 1), 2)):
+        calls.clear()
+        pairs = [(tags[0], se.Add(shared, y), 0), (tags[1], se.Mul(shared, y), 1)]
+        se.worst_residual(pairs, points)
+        assert len(calls) == computed
 
 
 def test_replaced_evaluator_receives_the_sampled_values(monkeypatch):
