@@ -212,7 +212,7 @@ def _parse_fields(section, chart: Chart) -> dict[str, VectorField]:
         if len(indices) != 1:
             _fail(f"{context}: a vector field takes exactly one index per entry")
         comps = collected.setdefault(name, [se.ZERO] * chart.dim)
-        if not se._is_const(comps[indices[0]], 0):
+        if not se._is_zero(comps[indices[0]]):
             _fail(f"{context}: duplicate component")
         comps[indices[0]] = _parse_expr(chart, value, context)
     return {name: VectorField(chart, tuple(comps)) for name, comps in collected.items()}

@@ -185,7 +185,7 @@ def _render_field(field) -> str:
     parts = [
         f"({se.to_text(c)}) d/d{coords[i]}"
         for i, c in enumerate(field.comps)
-        if not se._is_const(c, 0)
+        if not se._is_zero(c)
     ]
     return " + ".join(parts) if parts else "0"
 
@@ -232,7 +232,7 @@ def _cmd_describe_case(args) -> int:
         print("metric:")
         for i in range(chart.dim):
             for j in range(i, chart.dim):
-                if not se._is_const(case.metric.g[i][j], 0):
+                if not se._is_zero(case.metric.g[i][j]):
                     print(
                         f"  g[{chart.coords[i]},{chart.coords[j]}] = "
                         f"{se.to_text(case.metric.g[i][j])}"

@@ -34,12 +34,12 @@ from . import symexpr as se
 from .symexpr import Expr, ZERO
 from .geometry import (
     Chart,
-    ChartMismatchError,
     GeometryError,
     LinearMap,
     PForm,
     TensorValuedForm,
     VectorField,
+    _same_chart,
     _symbolic_det,
     apply_vector_field,
     random_point,
@@ -118,11 +118,6 @@ class Connection:
         return Connection(self.chart, gamma)
 
 
-def _require_chart(conn: Connection, obj):
-    if obj.chart != conn.chart:
-        raise ChartMismatchError("connection and object live on different charts")
-
-
 def _connection_matrix(conn: Connection, X: VectorField) -> list[list[Expr]]:
     """omega(X)^k_j = X^i Gamma^k_{ij} at ``[k][j]``: nabla_X d/dx^j =
     omega(X)^k_j d/dx^k."""
@@ -133,7 +128,7 @@ def _connection_matrix(conn: Connection, X: VectorField) -> list[list[Expr]]:
             se.add_all(
                 se.mul(X.comps[i], gamma[k][i][j])
                 for i in range(n)
-                if not se._is_const(gamma[k][i][j], 0)
+                if not se._is_zero(gamma[k][i][j])
             )
             for j in range(n)
         ]
@@ -146,7 +141,7 @@ def covariant_derivative(conn: Connection, X: VectorField, target):
     or tensor-valued form.  The directional slot is tensorial; values follow
     the Leibniz rule through every argument slot.
     """
-    _require_chart(conn, X)
+    _same_chart(conn, X)
     return _covariant(conn, X, None, target)
 
 
@@ -158,7 +153,7 @@ def _covariant(conn: Connection, X: VectorField, omega, target):
         return _cov_pform(conn, X, target)
     if not isinstance(target, (VectorField, LinearMap, TensorValuedForm)):
         raise TypeError(f"cannot covariantly differentiate {type(target).__name__}")
-    _require_chart(conn, target)
+    _same_chart(conn, target)
     if omega is None:
         omega = _connection_matrix(conn, X)
     if isinstance(target, VectorField):
@@ -191,7 +186,7 @@ def _cov_pform_along_axis(conn: Connection, i: int, theta: PForm) -> dict[tuple[
         for slot in range(theta.degree):
             for m in range(n):
                 gamma = conn.gamma[m][i][key[slot]]
-                if se._is_const(gamma, 0):
+                if se._is_zero(gamma):
                     continue
                 replaced = key[:slot] + (m,) + key[slot + 1 :]
                 total = se.sub(total, se.mul(gamma, theta.component(replaced)))
@@ -200,14 +195,17 @@ def _cov_pform_along_axis(conn: Connection, i: int, theta: PForm) -> dict[tuple[
 
 
 def _cov_pform(conn: Connection, X: VectorField, theta: PForm) -> PForm:
-    _require_chart(conn, theta)
+    _same_chart(conn, theta)
     if theta.degree > conn.chart.dim:
         return PForm(conn.chart, theta.degree, {})
     n = conn.chart.dim
-    partials = [_cov_pform_along_axis(conn, i, theta) for i in range(n)]
+    # an axis along which X^i is the constant 0 adds nothing
+    partials = {
+        i: _cov_pform_along_axis(conn, i, theta) for i in range(n) if not se._is_zero(X.comps[i])
+    }
     out: dict[tuple[int, ...], Expr] = {}
     for key in itertools.combinations(range(n), theta.degree):
-        out[key] = se.add_all(se.mul(X.comps[i], partials[i][key]) for i in range(n))
+        out[key] = se.add_all(se.mul(X.comps[i], partial[key]) for i, partial in partials.items())
     return PForm(conn.chart, theta.degree, out)
 
 
@@ -265,7 +263,7 @@ def _live_pairs(n: int, blocks) -> list[tuple[int, int]]:
     return [
         (i, j)
         for i, j in itertools.combinations(range(n), 2)
-        if any(not se._is_const(block[i][j], 0) for block in blocks)
+        if any(not se._is_zero(block[i][j]) for block in blocks)
     ]
 
 
@@ -278,7 +276,7 @@ def _wedge(X: VectorField, Y: VectorField, pairs) -> list[tuple[int, int, Expr]]
 def _pair(block, wedge) -> Expr:
     """sum over i < j of block[i][j] (X wedge Y)^{ij}."""
     return se.add_all(
-        se.mul(block[i][j], w) for i, j, w in wedge if not se._is_const(block[i][j], 0)
+        se.mul(block[i][j], w) for i, j, w in wedge if not se._is_zero(block[i][j])
     )
 
 
@@ -396,7 +394,7 @@ class Metric:
             se.mul(self.g[i][j], se.mul(X.comps[i], Y.comps[j]))
             for i in range(n)
             for j in range(n)
-            if not se._is_const(self.g[i][j], 0)
+            if not se._is_zero(self.g[i][j])
         )
 
     def determinant(self) -> Expr:

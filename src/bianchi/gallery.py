@@ -514,7 +514,7 @@ def derive_massa_pagani(sode: SodeStructure) -> Connection:
         for j in range(m):
             for lam in range(m):
                 inner = se.neg(geo.apply_vector_field(frame[i], p_matrix[lam][j]))
-                if se._is_const(inner, 0):
+                if se._is_zero(inner):
                     continue
                 for nu in range(m):
                     for mu in range(m):

@@ -215,7 +215,7 @@ class PForm:
             if degree > chart.dim:
                 raise DegreeError("forms above top degree are identically zero")
             value = se.as_expr(value)
-            if not se._is_const(value, 0):
+            if not se._is_zero(value):
                 cleaned[key] = value
         self.comps = cleaned
 
@@ -274,7 +274,7 @@ def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
         return matrix[0][0]
     total = ZERO
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
+        sign = sort_with_sign(perm)[1]
         term = se.ONE
         for row, col in enumerate(perm):
             term = se.mul(term, matrix[row][col])
@@ -299,23 +299,6 @@ def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
                 cof = se.neg(cof)
             out[j][i] = se.div(cof, det)
     return out
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def wedge(A: PForm, B: PForm) -> PForm:

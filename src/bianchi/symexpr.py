@@ -11,10 +11,9 @@ variable and shared by every caller.
 
 Nodes are cheap to build: a constructor stores only the node's children or
 payload.  A constant's value is an ``int`` when it is integral and a
-``Fraction`` otherwise, so constant folding stays exact.  The structural
-hash is computed by the first ``hash()`` of a node and kept in it, and the
-derivative memo is made by the first :func:`differentiate` that reaches
-the node.
+``Fraction`` otherwise, so constant folding stays exact.  The derivative
+memo is made by the first :func:`differentiate` that reaches the node.
+Nodes compare and hash by identity: every memo keys a node by its ``id``.
 
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
@@ -119,14 +118,13 @@ class EvaluationError(ExpressionError):
 class Expr:
     """Immutable expression node.  Subclasses fix the arity and payload.
 
-    A constructor only stores the node's payload.  The structural hash is
-    computed by the first ``hash()`` of the node or of an ancestor and kept
-    in its ``_hash`` slot.  The ``_derivs`` slot stays unset until the node
-    is first differentiated, then holds a dict from variable name to
-    derivative (Const and Var keep no memo).
+    A constructor only stores the node's payload.  The ``_derivs`` slot
+    stays unset until the node is first differentiated, then holds a dict
+    from variable name to derivative (Const and Var keep no memo).  Nodes
+    compare and hash by identity.
     """
 
-    __slots__ = ("_hash", "_derivs")
+    __slots__ = ("_derivs",)
 
     # Arithmetic sugar; all routes go through the folding constructors.
     def __add__(self, other):
@@ -168,12 +166,6 @@ class Expr:
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _structural_hash(self)
-
     def children(self) -> tuple:
         return ()
 
@@ -192,28 +184,12 @@ class Const(Expr):
                 value = value.numerator
         _set_value(self, value)
 
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    __hash__ = Expr.__hash__
-
-    def _own_hash(self) -> int:
-        return hash(("const", self.value))
-
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         _set_name(self, name)
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
-
-    __hash__ = Expr.__hash__
-
-    def _own_hash(self) -> int:
-        return hash(("var", self.name))
 
 
 class _Binary(Expr):
@@ -223,16 +199,8 @@ class _Binary(Expr):
         _set_a(self, a)
         _set_b(self, b)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.a == other.a and self.b == other.b
-
-    __hash__ = Expr.__hash__
-
     def children(self):
         return (self.a, self.b)
-
-    def _own_hash(self) -> int:
-        return hash((type(self).__name__, self.a._hash, self.b._hash))
 
 
 class _Unary(Expr):
@@ -241,16 +209,8 @@ class _Unary(Expr):
     def __init__(self, arg: Expr):
         _set_arg(self, arg)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.arg == other.arg
-
-    __hash__ = Expr.__hash__
-
     def children(self):
         return (self.arg,)
-
-    def _own_hash(self) -> int:
-        return hash((type(self).__name__, self.arg._hash))
 
 
 class Add(_Binary):
@@ -276,20 +236,8 @@ class Pow(Expr):
         _set_base(self, base)
         _set_exponent(self, _integral(exponent))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and self.exponent == other.exponent
-            and self.base == other.base
-        )
-
-    __hash__ = Expr.__hash__
-
     def children(self):
         return (self.base,)
-
-    def _own_hash(self) -> int:
-        return hash(("pow", self.base._hash, self.exponent))
 
 
 class Neg(_Unary):
@@ -313,7 +261,6 @@ class Ln(_Unary):
 
 
 # The slot setters, which store past the immutability guard of __setattr__.
-_set_hash = Expr._hash.__set__
 _set_derivs = Expr._derivs.__set__
 _set_value = Const.value.__set__
 _set_name = Var.name.__set__
@@ -322,25 +269,6 @@ _set_b = _Binary.b.__set__
 _set_arg = _Unary.arg.__set__
 _set_base = Pow.base.__set__
 _set_exponent = Pow.exponent.__set__
-
-
-def _structural_hash(root: Expr) -> int:
-    """Fill the ``_hash`` slot of ``root`` and of each descendant that has
-    none, children first.  The walk keeps its own stack, so a deep tree
-    (a long ``add_all`` chain) hashes without recursion."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if hasattr(node, "_hash"):
-            stack.pop()
-            continue
-        pending = [child for child in node.children() if not hasattr(child, "_hash")]
-        if pending:
-            stack.extend(pending)
-        else:
-            stack.pop()
-            _set_hash(node, node._own_hash())
-    return root._hash
 
 
 ZERO = Const(0)
@@ -358,8 +286,8 @@ def as_expr(x) -> Expr:
     raise TypeError(f"cannot interpret {x!r} as an expression")
 
 
-def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
+def _is_zero(e: Expr) -> bool:
+    return type(e) is Const and e.value == 0
 
 
 # -- folding constructors ---------------------------------------------------

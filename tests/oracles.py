@@ -149,6 +149,31 @@ def field_max_abs(field, points) -> float:
 # -- shared helpers --------------------------------------------------------------
 
 
+def same_tree(a, b) -> bool:
+    """Whether two expressions are the same tree: the same node kinds with
+    the same constants, variable names and exponents in the same places.
+    Nodes compare by identity, so this is the structural test.  The walk
+    keeps its own stack, so a deep chain is compared without recursion."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is se.Const:
+            if a.value != b.value:
+                return False
+        elif kind is se.Var:
+            if a.name != b.name:
+                return False
+        elif kind is se.Pow and a.exponent != b.exponent:
+            return False
+        stack.extend(zip(a.children(), b.children()))
+    return True
+
+
 def sphere_metric():
     """The round metric d phi^2 + sin(phi)^2 d psi^2 on :data:`SPHERE`."""
     phi = se.Var("phi")

@@ -1,5 +1,6 @@
-"""Every exported name of the core modules resolves, and the test oracles
-live in ``tests/oracles.py``, not in the package."""
+"""Every exported name of the core modules resolves, the test oracles
+live in ``tests/oracles.py``, not in the package, and expression nodes
+compare by identity."""
 
 import pytest
 
@@ -24,3 +25,10 @@ def test_every_exported_name_resolves(module):
 def test_oracles_are_not_part_of_the_package(owner, name):
     assert name not in getattr(owner, "__all__", ())
     assert not hasattr(owner, name)
+
+
+def test_expression_nodes_compare_and_hash_by_identity():
+    nodes = [cls for cls in vars(se).values() if isinstance(cls, type) and issubclass(cls, se.Expr)]
+    assert se.Var in nodes and se.Sin in nodes
+    assert [cls for cls in nodes if "__eq__" in vars(cls) or "__hash__" in vars(cls)] == []
+    assert se.Expr.__slots__ == ("_derivs",)
