@@ -44,11 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "applicable catalog check",
     )
     verify.add_argument(
-        "--all-checks",
-        action="store_true",
-        help="run every applicable check (the default; for explicit scripts)",
-    )
-    verify.add_argument(
         "--case-file", metavar="PATH", help="also verify the case described in PATH"
     )
     verify.add_argument(
@@ -60,12 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tuples", type=int, default=5, help="random argument tuples per check")
     verify.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
     verify.add_argument("--seed", type=int, default=0, help="sampling seed")
-    verify.add_argument(
-        "--relative",
-        action="store_true",
-        help="scale residuals by the magnitude of the identity's members "
-        "(for geometries whose curvature terms are numerically large)",
-    )
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     lister = sub.add_parser("list", help="list known ids with descriptions")
@@ -99,15 +88,12 @@ def _resolve_cases(args) -> list:
 
 
 def _cmd_verify(args) -> int:
-    if args.check and args.all_checks:
-        return _usage_error("--check and --all-checks are mutually exclusive")
     try:
         config = ids.CheckConfig(
             points=args.points,
             tuples=args.tuples,
             tolerance=args.tol,
             seed=args.seed,
-            relative=args.relative,
         )
         cases = _resolve_cases(args)
     except (

@@ -196,8 +196,6 @@ def _cov_pform_along_axis(conn: Connection, i: int, theta: PForm) -> dict[tuple[
 
 def _cov_pform(conn: Connection, X: VectorField, theta: PForm) -> PForm:
     _same_chart(conn, theta)
-    if theta.degree > conn.chart.dim:
-        return PForm(conn.chart, theta.degree, {})
     n = conn.chart.dim
     # an axis along which X^i is the constant 0 adds nothing
     partials = {

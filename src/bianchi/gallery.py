@@ -33,7 +33,7 @@ from . import connection as con
 from . import structure_forms as sf
 from .geometry import Chart, GeometryError, LinearMap, PForm, VectorField
 from .connection import Connection, Metric
-from .identity_suite import CheckConfig, IdentityCheck, Report, SampleSpec, run_check
+from .identity_suite import CheckConfig, IdentityCheck, Report, _spec_fixed, run_check
 from .symexpr import Expr
 
 
@@ -294,28 +294,22 @@ def derive_contact_structure(alpha: PForm, chart: Chart) -> ContactStructure:
     verified numerically before the structure is returned, so an input
     outside that family fails loudly with the violated property named.
     """
-    if chart.dim % 2 == 0:
-        raise ContactConditionError("contact forms need an odd-dimensional chart")
-    if alpha.degree != 1:
-        raise ContactConditionError("the contact form must be a 1-form")
-    half = (chart.dim - 1) // 2
-
-    points = geo.sample_points(chart, "contact/0", 10)
-    volume = alpha
-    for _ in range(half):
-        volume = geo.wedge(volume, geo.exterior_derivative(alpha))
-    top_key = tuple(range(chart.dim))
-    for pt in points:
-        value = se.evaluate(volume.component(top_key), pt)
-        if not abs(value) >= 1e-6:
-            raise ContactConditionError(
-                f"form fails the contact condition at a sampled point ({value:.3e})"
-            )
-
     if chart.dim != 3:
         raise ContactConditionError(
             "only the 3-dimensional standard associated structure is constructed"
         )
+    if alpha.degree != 1:
+        raise ContactConditionError("the contact form must be a 1-form")
+
+    points = geo.sample_points(chart, "contact/0", 10)
+    d_alpha = geo.exterior_derivative(alpha)
+    volume = geo.wedge(alpha, d_alpha)
+    for pt in points:
+        value = se.evaluate(volume.component((0, 1, 2)), pt)
+        if not abs(value) >= 1e-6:
+            raise ContactConditionError(
+                f"form fails the contact condition at a sampled point ({value:.3e})"
+            )
 
     y = se.Var(chart.coords[1])
     reeb = chart.basis_field(2)
@@ -340,7 +334,6 @@ def derive_contact_structure(alpha: PForm, chart: Chart) -> ContactStructure:
 
     rng = random.Random("contact-fields/0")
     fields = [geo.random_vector_field(chart, rng) for _ in range(4)]
-    d_alpha = geo.exterior_derivative(alpha)
 
     def require(name, exprs):
         _require_vanishing(exprs, points, f"contact invariant '{name}' violated ({{worst:.3e}})")
@@ -1041,15 +1034,11 @@ def _helmholtz(form_apply: str, *slots: str):
     return _cartan_claims(claims)
 
 
-def _vectors(count: int):
-    return lambda chart: SampleSpec(vectors=count)
-
-
 def _table(*groups) -> dict[str, IdentityCheck]:
     """Entries from (anchor, predicate, rows) groups; a row is (id, name,
     number of sampled vectors, factory)."""
     return {
-        identifier: IdentityCheck(identifier, name, anchor, _vectors(count), factory, applies)
+        identifier: IdentityCheck(identifier, name, anchor, _spec_fixed(count), factory, applies)
         for anchor, applies, rows in groups
         for identifier, name, count, factory in rows
     }

@@ -400,10 +400,6 @@ class LinearMap:
     def __neg__(self) -> "LinearMap":
         return LinearMap(self.chart, [[se.neg(e) for e in row] for row in self.entries])
 
-    def scale(self, factor) -> "LinearMap":
-        f = se.as_expr(factor)
-        return LinearMap(self.chart, [[se.mul(f, e) for e in row] for row in self.entries])
-
 
 class TensorValuedForm:
     """Antisymmetric multilinear map with tensor values.

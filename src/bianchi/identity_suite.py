@@ -60,13 +60,12 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    points: tuple[dict, ...]
     vectors: tuple[VectorField, ...]
     forms: tuple[PForm, ...]
 
 
-def sample_fields(chart: Chart, seed, spec: SampleSpec, points: int = 0) -> SampleBatch:
-    """Deterministically sample points, vector fields and p-forms.
+def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:
+    """Deterministically sample vector fields and p-forms.
 
     The RNG is keyed by ``seed`` alone, so equal seeds give identical output.
     Vector fields use random polynomial components (non-commuting, so bracket
@@ -78,10 +77,9 @@ def sample_fields(chart: Chart, seed, spec: SampleSpec, points: int = 0) -> Samp
                 f"cannot sample a degree-{degree} form on a {chart.dim}-dimensional chart"
             )
     rng = random.Random(str(seed))
-    pts = tuple(geo.random_point(chart, rng) for _ in range(points))
     vectors = tuple(geo.random_vector_field(chart, rng) for _ in range(spec.vectors))
     forms = tuple(geo.random_pform(chart, d, rng) for d in spec.form_degrees)
-    return SampleBatch(pts, vectors, forms)
+    return SampleBatch(vectors, forms)
 
 
 # -- reports ---------------------------------------------------------------------
@@ -128,7 +126,6 @@ class CheckConfig:
     tuples: int = 5
     tolerance: float = 1e-8
     seed: object = 0
-    relative: bool = False
 
     def __post_init__(self):
         if self.points < 1:
@@ -646,7 +643,7 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     """Evaluate both sides of one check on a case and report the worst residual."""
     chart = case.chart
     stem = f"{config.seed}/{case.id}/{check.identifier}"
-    point_batch = sample_fields(chart, f"{stem}/points", SampleSpec(), points=config.points)
+    points = geo.sample_points(chart, f"{stem}/points", config.points)
     build = check.factory(case)
     spec = check.sample_spec(chart)
     # a check that samples no fields would build the same pairs for every tuple
@@ -659,7 +656,7 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
                 yield t, lhs, rhs
 
     worst, worst_point, worst_tuple, cleared = se.worst_residual(
-        pairs(), point_batch.points, config.relative, config.tolerance
+        pairs(), points, config.tolerance
     )
     return Report(
         case_id=case.id,

@@ -16,13 +16,13 @@ operator families appearing in those splittings:
 * the moving-frame apparatus: connection one-forms plus torsion and
   curvature two-forms of a coframe (``cartan_coframe_forms``).
 
-Every scalar-valued operator is a direct evaluator, suffixed ``_apply``,
-that runs its signed sum on arbitrary vector fields and returns a scalar
-expression.  The operators whose forms the identities differentiate also
-have a builder returning a componentwise :class:`~bianchi.geometry.PForm`:
-the same sum evaluated on the coordinate frame, coefficients kept symbolic.
-Agreement of the two routes on non-coordinate fields is exactly the
-tensoriality of the operator; the tests probe it on random fields.
+A direct evaluator, suffixed ``_apply``, runs its signed sum on arbitrary
+vector fields and returns a scalar expression.  A builder returns a
+componentwise :class:`~bianchi.geometry.PForm`: the same sum evaluated on
+the coordinate frame, coefficients kept symbolic; the connection form has
+only a builder.  Agreement of the two routes on non-coordinate fields is
+exactly the tensoriality of the operator; the tests probe it on random
+fields.
 
 Docstring formulas use one-based argument positions, matching the usual
 blackboard presentation; the code is zero-based throughout.
@@ -40,7 +40,6 @@ from .geometry import (
     Chart,
     DegreeError,
     GeometryError,
-    LinearMap,
     PForm,
     TensorValuedForm,
     VectorField,
@@ -200,18 +199,6 @@ def xi_form(conn: Connection, theta: PForm) -> PForm:
     return _componentwise(
         conn.chart, theta.degree + 1, lambda fs: _xi_sum(theta, fs, nabla_theta)
     )
-
-
-def connection_form_apply(conn: Connection, theta: PForm, z: VectorField, fields) -> Expr:
-    """Defining sum of the connection form on arbitrary fields.
-
-    For a p-form Theta, a field Z and p fields::
-
-        sum_i (-1)^(i+1) Theta(nabla_{X_i} Z, ..., no X_i, ...)
-
-    Degree 1 reduces to X -> theta(nabla_X Z).
-    """
-    return _connection_sum(theta, fields, lambda x: covariant_derivative(conn, x, z))
 
 
 def connection_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
@@ -374,8 +361,7 @@ def soldering_form(chart: Chart) -> TensorValuedForm:
 def exterior_covariant_derivative(conn: Connection, target) -> TensorValuedForm:
     """Exterior covariant derivative of a tensor-valued form.
 
-    On a vector field (arity 0) this is the covariant differential.  On a
-    vector- or endomorphism-valued k-form, with zero-based positions::
+    On a vector- or endomorphism-valued k-form, with zero-based positions::
 
         sum_i (-1)^i nabla_{X_i}(A(..., no X_i, ...))
         + sum_{i<j} (-1)^(i+j) A([X_i, X_j], ..., no X_i, no X_j, ...)
@@ -384,12 +370,6 @@ def exterior_covariant_derivative(conn: Connection, target) -> TensorValuedForm:
     identities this package verifies, and accepting them silently would
     invite convention drift.
     """
-    if isinstance(target, VectorField):
-        return covariant_differential(conn, target)
-    if isinstance(target, LinearMap):
-        return TensorValuedForm(
-            conn.chart, "endomorphism", 1, lambda x: covariant_derivative(conn, x, target)
-        )
     if not isinstance(target, TensorValuedForm):
         raise UnsupportedValueKindError(
             f"cannot take the exterior covariant derivative of {type(target).__name__}"

@@ -631,15 +631,14 @@ class _Scan:
         return out
 
 
-def worst_residual(pairs, points, relative: bool = False, tol=None) -> tuple:
+def worst_residual(pairs, points, tol=None) -> tuple:
     """Worst residual |lhs - rhs| over ``(tag, lhs, rhs)`` triples and points.
 
     ``pairs`` is consumed lazily, one triple at a time.  ``rhs`` is an
     expression or a plain number.  Each side is evaluated once per point
     through this module's ``evaluate`` attribute, so a replacement
     evaluator decides every value; the residual arithmetic also works on
-    ``decimal.Decimal`` values.  With ``relative`` each residual is divided
-    by 1 + max(|lhs|, |rhs|).  A residual replaces the worst only when it
+    ``decimal.Decimal`` values.  A residual replaces the worst only when it
     is strictly greater, except that the first NaN or infinite residual is
     returned at once: it fails every tolerance.
 
@@ -675,8 +674,6 @@ def worst_residual(pairs, points, relative: bool = False, tol=None) -> tuple:
             left = evaluate(lhs, point)
             right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
             residual = abs(left - right)
-            if relative:
-                residual /= 1 + max(abs(left), abs(right))
             if residual != residual or residual == math.inf:
                 return residual, samples[index], tag, False
             if residual > worst[0]:

@@ -65,6 +65,19 @@ def covariant_endomorphism_via_leibniz(conn, X, E, W):
     return nabla(conn, X, E(W)) - E(nabla(conn, X, W))
 
 
+def connection_form_via_definition(conn, theta, Z, fields):
+    """sum_i (-1)^(i+1) Theta(nabla_{X_i} Z, ..., no X_i, ...) on p fields;
+    degree 1 reduces to X -> theta(nabla_X Z).  Oracle for the componentwise
+    :func:`bianchi.structure_forms.connection_form` on non-coordinate
+    fields."""
+    total = se.ZERO
+    for i, x in enumerate(fields):
+        rest = [f for a, f in enumerate(fields) if a != i]
+        term = theta.apply([con.covariant_derivative(conn, x, Z)] + rest)
+        total = se.add(total, term if i % 2 == 0 else se.neg(term))
+    return total
+
+
 def exterior_derivative_intrinsic_expr(theta, fields):
     """Alternating-sum exterior derivative evaluated on p + 1 vector fields.
 

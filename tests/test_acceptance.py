@@ -18,20 +18,16 @@ from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
-from oracles import curvature_via_definition, exterior_derivative_intrinsic_expr, worst_abs
+from oracles import (
+    connection_form_via_definition,
+    curvature_via_definition,
+    exterior_derivative_intrinsic_expr,
+    worst_abs,
+)
 
 
 def max_abs(exprs, points):
     return worst_abs(se.evaluate(e, pt) for e in exprs for pt in points)
-
-
-def suite_config(case_id):
-    """Absolute residuals everywhere except the sphere, whose cotangent
-    Christoffels push identity members to ~1e5 so only the scale-free
-    relative residual is meaningful at 1e-8."""
-    return ids.CheckConfig(
-        points=20, tuples=5, tolerance=1e-8, relative=(case_id == "sphere_lc")
-    )
 
 
 def test_criterion_1_generic_identity_suite_on_the_gallery():
@@ -45,11 +41,13 @@ def test_criterion_1_generic_identity_suite_on_the_gallery():
         "random_poly:4",
         "random_poly:5",
     ]
+    # absolute residuals on every case, the sphere's ~1e5 members included
+    config = ids.CheckConfig(points=20, tuples=5, tolerance=1e-8)
     started = time.monotonic()
     total = 0
     for case_id in case_ids:
         case = gallery.build_case(case_id)
-        reports = ids.run_suite(case, suite_config(case_id))
+        reports = ids.run_suite(case, config)
         # LC1 only applies to torsion-free connections; everything else runs
         expected = 18 if case.torsion_free else 17
         assert len(reports) == expected, (case_id, len(reports))
@@ -98,7 +96,7 @@ def test_criterion_2_graded_identities_and_degree_one_agreement():
         general = {
             "torsion": sf.torsion_form_apply(conn, theta, [x, y]),
             "alternating derivative": sf.xi_form_apply(conn, theta, [x, y]),
-            "connection": sf.connection_form_apply(conn, theta, z, [x]),
+            "connection": connection_form_via_definition(conn, theta, z, [x]),
             "curvature": sf.curvature_form_apply(conn, theta, z, [x, y]),
             "paired derivative": sf.psi_form_apply(conn, theta, z, [x, y]),
         }
@@ -112,11 +110,9 @@ def test_criterion_2_graded_identities_and_degree_one_agreement():
 def test_criterion_3_formulation_verdicts_agree_on_every_case():
     first_group = ("B1", "B1v", "C1", "DB1")
     second_group = ("B2", "B2v", "C2", "DB2")
+    config = ids.CheckConfig(points=12, tuples=3, tolerance=1e-8)
     for case_id in gallery.case_ids():
         case = gallery.build_case(case_id)
-        config = ids.CheckConfig(
-            points=12, tuples=3, tolerance=1e-8, relative=(case_id == "sphere_lc")
-        )
         for group in (first_group, second_group):
             verdicts = {}
             for check_id in group:

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, output formats, determinism, and case-file parsing."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bianchi import casefile, cli, gallery
+from bianchi import identity_suite as ids
 
 ALL_CHECKS = [
     "B1", "B1v", "B2", "B2v", "C1", "C2", "CS1", "CS2", "D1", "D2",
@@ -85,7 +87,7 @@ def torsion_case(tmp_path):
 
 def test_verify_single_case_json(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--case", "flat_euclidean", "--all-checks",
+        capsys, "verify", "--case", "flat_euclidean",
         "--format", "json", "--points", "4", "--tuples", "2",
     )
     assert code == 0
@@ -206,10 +208,14 @@ def test_verify_orders_output_by_case_then_check(capsys):
     ]
 
 
-def test_verify_check_and_all_checks_conflict(capsys):
-    code, _, err = run_cli(capsys, "verify", "--check", "S1", "--all-checks")
-    assert code == 2
-    assert "mutually exclusive" in err
+@pytest.mark.parametrize("flag", ["--relative", "--all-checks"])
+def test_verify_has_no_relative_or_all_checks_option(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--case", "flat_euclidean", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    fields = [f.name for f in dataclasses.fields(ids.CheckConfig)]
+    assert fields == ["points", "tuples", "tolerance", "seed"]
 
 
 def test_verify_unknown_check_exits_2(capsys):
@@ -256,9 +262,6 @@ def test_verify_rounding_failure_is_cleared_by_the_exact_recheck(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "pass  max_residual=1.229e-07  tol=1e-08  (holds exactly: rounding error)" in out
-    code, out, _ = run_cli(capsys, *argv, "--relative")
-    assert code == 0
-    assert "FAIL" not in out
 
 
 def test_verify_check_accepts_case_check_ids(capsys):

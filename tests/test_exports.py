@@ -20,6 +20,7 @@ def test_every_exported_name_resolves(module):
     (con, "curvature_via_definition"),
     (geo, "exterior_derivative_intrinsic_expr"),
     (sf, "curvature_three_form_via_iterated_derivatives"),
+    (sf, "connection_form_apply"),
     (geo.VectorField, "evaluate"),
 ])
 def test_oracles_are_not_part_of_the_package(owner, name):

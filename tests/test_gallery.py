@@ -323,18 +323,6 @@ def test_integrable_form_passes_restricted_wedge_identity_for_any_connection():
     assert report.max_residual <= 1e-9
 
 
-def test_relative_residuals_reach_the_case_checks():
-    probe = contact_kernel_case()
-    residual = {}
-    for relative in (False, True):
-        reports = gallery.case_specific_checks(probe, CheckConfig(points=10, relative=relative))
-        (residual[relative],) = (
-            r.max_residual for r in reports if r.check_id == RESTRICTED_WEDGE.identifier
-        )
-    assert residual[False] > 0.5
-    assert residual[True] < 1
-
-
 def test_case_checks_stay_out_of_the_catalog():
     assert set(gallery.CASE_CHECKS).isdisjoint(ids.CATALOG)
 

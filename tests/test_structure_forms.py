@@ -17,6 +17,7 @@ from oracles import (
     R4,
     SPHERE,
     assert_close,
+    connection_form_via_definition,
     curvature_three_form_via_iterated_derivatives,
     curvature_via_definition,
     exterior_derivative_intrinsic_expr,
@@ -191,7 +192,7 @@ def test_connection_one_form_reduction():
     rng = random.Random(81)
     theta = geo.random_pform(R3, 1, rng)
     Z, X = sample_fields(R3, rng, 2)
-    lhs = sf.connection_form_apply(conn, theta, Z, [X])
+    lhs = connection_form_via_definition(conn, theta, Z, [X])
     rhs = theta.apply([con.covariant_derivative(conn, X, Z)])
     assert_close(lhs, rhs, sample_points(R3, rng), tol=1e-12)
 
@@ -494,6 +495,11 @@ def test_exterior_covariant_derivative_rejects_covectors():
         sf.exterior_covariant_derivative(conn, covector_valued)
     with pytest.raises(sf.UnsupportedValueKindError):
         sf.exterior_covariant_derivative(conn, "not a form")
+    # bare fields are not forms: covariant_differential builds the 1-form of a field
+    with pytest.raises(sf.UnsupportedValueKindError):
+        sf.exterior_covariant_derivative(conn, R3.basis_field(0))
+    with pytest.raises(sf.UnsupportedValueKindError):
+        sf.exterior_covariant_derivative(conn, geo.LinearMap(R3, [[se.ONE] * 3] * 3))
 
 
 # -- componentwise builders against direct evaluators ----------------------------
@@ -519,7 +525,7 @@ def test_componentwise_builders_agree_with_direct_apply():
     pairs.append((sf.xi_form(conn, theta2).apply(fields3),
                   sf.xi_form_apply(conn, theta2, fields3)))
     pairs.append((sf.connection_form(conn, theta2, Z).apply(fields2),
-                  sf.connection_form_apply(conn, theta2, Z, fields2)))
+                  connection_form_via_definition(conn, theta2, Z, fields2)))
     pairs.append((sf.curvature_form(conn, theta2, Z).apply(fields3),
                   sf.curvature_form_apply(conn, theta2, Z, fields3)))
     pairs.append((psi_form(conn, theta2, Z).apply(fields3),

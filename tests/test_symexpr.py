@@ -403,9 +403,6 @@ def test_worst_residual_keeps_the_first_strictly_greater():
     points = [{"x": 1.0}, {"x": -1.0}, {"x": 0.5}]
     worst, point, tag, _ = se.worst_residual([(0, x, 0), (1, se.neg(x), se.ZERO)], points)
     assert (worst, point, tag) == (1.0, points[0], 0)
-    # relative residuals divide by 1 + the larger member: |-1 - 1| / (1 + 1)
-    worst, point, _, _ = se.worst_residual([(0, x, se.ONE)], points, relative=True)
-    assert (worst, point) == (1.0, points[1])
 
 
 # -- scans over several points ------------------------------------------------------
