@@ -55,8 +55,8 @@ class CaseFileError(Exception):
 DEFAULT_RANGE = (-1.0, 1.0)
 KNOWN_SECTIONS = ("chart", "christoffel", "metric", "forms", "fields")
 
-# flag probing: looser than validation tolerance so a detected flag
-# always survives the 1e-9 re-check in gallery._validate_case
+# flag probing: stricter than the 1e-9 of gallery._TOL, with which
+# gallery._validate_case re-checks every detected flag at its own points
 PROBE_POINTS = 10
 PROBE_TOL = 1e-10
 
@@ -86,8 +86,6 @@ def _parse_range(text: str, context: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         _fail(f"{context}: expected two numbers, got {text!r}")
-    if not lo < hi:
-        _fail(f"{context}: empty interval {text!r}")
     return lo, hi
 
 

@@ -51,10 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append each case's structure-specific checks",
     )
-    verify.add_argument("--points", type=int, default=20, help="sample points per check")
-    verify.add_argument("--tuples", type=int, default=5, help="random argument tuples per check")
-    verify.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
-    verify.add_argument("--seed", type=int, default=0, help="sampling seed")
+    defaults = ids.CheckConfig()
+    verify.add_argument("--points", type=int, default=defaults.points, help="sample points per check")
+    verify.add_argument(
+        "--tuples", type=int, default=defaults.tuples, help="random argument tuples per check"
+    )
+    verify.add_argument("--tol", type=float, default=defaults.tolerance, help="residual tolerance")
+    verify.add_argument("--seed", type=int, default=defaults.seed, help="sampling seed")
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     lister = sub.add_parser("list", help="list known ids with descriptions")

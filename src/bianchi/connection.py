@@ -26,7 +26,6 @@ of the last coframe it was given the same way.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,7 +41,7 @@ from .geometry import (
     _same_chart,
     _symbolic_det,
     apply_vector_field,
-    random_point,
+    sample_points,
     symbolic_inverse,
 )
 
@@ -240,7 +239,7 @@ def _cov_tensor_valued(
             out = out - A(*shifted)
         return out
 
-    return TensorValuedForm(conn.chart, A.kind, A.arity, rule)
+    return TensorValuedForm(conn.chart, A.arity, rule)
 
 
 # -- torsion and curvature -------------------------------------------------------
@@ -299,7 +298,7 @@ class Torsion(TensorValuedForm):
             wedge = _wedge(X, Y, pairs)
             return VectorField(chart, [_pair(comps[k], wedge) for k in range(n)])
 
-        super().__init__(chart, "vector", 2, rule)
+        super().__init__(chart, 2, rule)
         self.components = comps
 
 
@@ -348,7 +347,7 @@ class Curvature(TensorValuedForm):
             wedge = _wedge(X, Y, pairs)
             return LinearMap(chart, [[_pair(block, wedge) for block in row] for row in comps])
 
-        super().__init__(chart, "endomorphism", 2, rule)
+        super().__init__(chart, 2, rule)
         self.components = comps
 
     def apply_to(self, X: VectorField, Y: VectorField, Z: VectorField) -> VectorField:
@@ -395,13 +394,6 @@ class Metric:
             if not se._is_zero(self.g[i][j])
         )
 
-    def determinant(self) -> Expr:
-        return _symbolic_det([list(row) for row in self.g])
-
-    def inverse(self) -> tuple[tuple[Expr, ...], ...]:
-        """Symbolic inverse by adjugate over determinant."""
-        return tuple(tuple(row) for row in symbolic_inverse(self.g))
-
 
 def levi_civita(metric: Metric) -> Connection:
     """Torsion-free metric-compatible connection:
@@ -413,14 +405,12 @@ def levi_civita(metric: Metric) -> Connection:
     """
     chart = metric.chart
     n = chart.dim
-    det = metric.determinant()
-    rng = random.Random(0)
-    for _ in range(5):
-        pt = random_point(chart, rng)
+    det = _symbolic_det([list(row) for row in metric.g])
+    for pt in sample_points(chart, "levi-civita/0", 5):
         value = se.evaluate(det, pt)
         if not abs(value) >= 1e-12:
             raise SingularMetricError(f"metric determinant is {value:.3e} near {pt}")
-    inv = metric.inverse()
+    inv = symbolic_inverse(metric.g)
     coords = chart.coords
     half = se.Const(Fraction(1, 2))
     gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]

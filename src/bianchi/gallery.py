@@ -111,10 +111,6 @@ class SodeStructure:
     contact_forms: tuple[PForm, ...]
     force_forms: tuple[PForm, ...]
 
-    @property
-    def degrees_of_freedom(self) -> int:
-        return len(self.forces)
-
     def adapted_coframe(self) -> sf.CoFrame:
         frame = (self.semispray, *self.horizontal_fields, *self.vertical_fields)
         coframe = (self.time_form, *self.contact_forms, *self.force_forms)
@@ -170,7 +166,7 @@ def _require_vanishing(exprs, points, message: str, tol: float = _TOL) -> None:
 
 def _validate_case(case: GeometryCase):
     """Numerically verify every structural flag the case declares, at 8
-    seeded points."""
+    seeded points; a coframe checked its duality when it was built."""
     chart = case.chart
     points = geo.sample_points(chart, f"case-validation/{case.id}/0", 8)
 
@@ -193,9 +189,7 @@ def _validate_case(case: GeometryCase):
                 _metric_compatibility_values(case.connection, case.metric), points,
                 "connection is not compatible with the metric (residual {worst:.3e})",
             )
-        if case.coframe is not None:
-            case.coframe.validate(points)
-    except (CaseValidationError, sf.CoFrameError) as exc:
+    except CaseValidationError as exc:
         raise CaseValidationError(f"case {case.id}: {exc}") from exc
 
     if case.foliation is not None:
@@ -286,7 +280,7 @@ def _validate_foliation(conn: Connection, foliation: FoliationStructure, points)
 # -- contact structure ----------------------------------------------------------------
 
 
-def derive_contact_structure(alpha: PForm, chart: Chart) -> ContactStructure:
+def derive_contact_structure(alpha: PForm) -> ContactStructure:
     """Build the associated (Reeb, metric, endomorphism) for a contact form.
 
     The construction implements the standard associated structure of the
@@ -294,6 +288,7 @@ def derive_contact_structure(alpha: PForm, chart: Chart) -> ContactStructure:
     verified numerically before the structure is returned, so an input
     outside that family fails loudly with the violated property named.
     """
+    chart = alpha.chart
     if chart.dim != 3:
         raise ContactConditionError(
             "only the 3-dimensional standard associated structure is constructed"
@@ -366,8 +361,9 @@ def build_sode_structure(chart: Chart, forces) -> SodeStructure:
     """Assemble the semispray, adapted frame and eigenforms for given forces.
 
     The chart must carry coordinates (time, positions..., velocities...) with
-    one velocity per position.  Frame/eigenform duality is validated
-    numerically.
+    one velocity per position.  The frame/eigenform duality is checked by
+    the :class:`~bianchi.structure_forms.CoFrame` that
+    :meth:`SodeStructure.adapted_coframe` builds.
     """
     forces = tuple(se.as_expr(f) for f in forces)
     n = len(forces)
@@ -448,7 +444,6 @@ def build_sode_structure(chart: Chart, forces) -> SodeStructure:
     )
 
     points = geo.sample_points(chart, "sode-duality", 6)
-    structure.adapted_coframe().validate(points)
 
     # the vertical endomorphism must send horizontals to verticals and
     # kill the semispray and the verticals
@@ -564,7 +559,7 @@ def build_cartan_form(sode: SodeStructure, lagrangian) -> tuple[PForm, PForm]:
     """
     lagrangian = se.as_expr(lagrangian)
     chart = sode.chart
-    n = sode.degrees_of_freedom
+    n = len(sode.forces)
     velocity_names = [chart.coords[n + 1 + a] for a in range(n)]
     position_names = [chart.coords[1 + a] for a in range(n)]
     time_name = chart.coords[0]
@@ -726,7 +721,7 @@ def standard_contact_form(chart: Chart) -> PForm:
 
 def _case_contact_r3() -> GeometryCase:
     alpha = standard_contact_form(R3)
-    structure = derive_contact_structure(alpha, R3)
+    structure = derive_contact_structure(alpha)
     return GeometryCase(
         id="contact_r3",
         chart=R3,

@@ -20,6 +20,7 @@ brackets, an independent oracle kept in the test suite.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -87,8 +88,9 @@ class Chart:
         if len(self.intervals) != len(self.coords):
             raise GeometryError("one sampling interval is required per coordinate")
         for name, (lo, hi) in zip(self.coords, self.intervals):
-            if not lo < hi:
-                raise GeometryError(f"empty sampling interval for coordinate '{name}'")
+            # an infinite width would sample inf and NaN coordinates
+            if not 0 < hi - lo < math.inf:
+                raise GeometryError(f"empty or infinite sampling interval for coordinate '{name}'")
 
     @property
     def dim(self) -> int:
@@ -192,8 +194,9 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 class PForm:
     """Differential p-form with components on strictly increasing tuples.
 
-    Degree may reach dim + 1 to give `d` of a top-degree form a canonical
-    zero target; such forms have no components.
+    Degree may reach dim + 1, the canonical zero that `d` of a top-degree
+    form and a wedge one degree past the top return; such forms have no
+    components.
     """
 
     __slots__ = ("chart", "degree", "comps")
@@ -212,8 +215,6 @@ class PForm:
                 raise GeometryError(f"index out of range in component key {key}")
             if list(key) != sorted(key) or len(set(key)) != len(key):
                 raise GeometryError(f"component keys must be strictly increasing, got {key}")
-            if degree > chart.dim:
-                raise DegreeError("forms above top degree are identically zero")
             value = se.as_expr(value)
             if not se._is_zero(value):
                 cleaned[key] = value
@@ -305,12 +306,11 @@ def wedge(A: PForm, B: PForm) -> PForm:
     """Shuffle-sum wedge without factorials.
 
     Componentwise: (A ^ B)_K = sum over splittings K = I u J of
-    sign(I, J) * A_I * B_J with I, J increasing.
+    sign(I, J) * A_I * B_J with I, J increasing.  Above top degree every
+    I and J overlap, so degree dim + 1 gives the empty form, like `d` of a
+    top-degree form; :class:`PForm` rejects any higher degree.
     """
     chart = _same_chart(A, B)
-    p, q = A.degree, B.degree
-    if p + q > chart.dim:
-        raise DegreeError(f"wedge degree {p + q} exceeds chart dimension {chart.dim}")
     out: dict[tuple[int, ...], Expr] = {}
     for I, a in A.comps.items():
         for J, b in B.comps.items():
@@ -321,7 +321,7 @@ def wedge(A: PForm, B: PForm) -> PForm:
             if sign == -1:
                 term = se.neg(term)
             out[key] = se.add(out.get(key, ZERO), term)
-    return PForm(chart, p + q, out)
+    return PForm(chart, A.degree + B.degree, out)
 
 
 def interior_product(X: VectorField, theta: PForm) -> PForm:
@@ -348,8 +348,6 @@ def exterior_derivative(theta: PForm) -> PForm:
     degree dim + 1.
     """
     chart = theta.chart
-    if theta.degree >= chart.dim:
-        return PForm(chart, theta.degree + 1, {})
     out: dict[tuple[int, ...], Expr] = {}
     for key in itertools.combinations(range(chart.dim), theta.degree + 1):
         total = ZERO
@@ -404,23 +402,18 @@ class LinearMap:
 class TensorValuedForm:
     """Antisymmetric multilinear map with tensor values.
 
-    ``kind`` is 'vector', 'covector' or 'endomorphism'; ``arity`` is the
-    number of vector-field arguments; ``rule`` maps that many fields to a
-    VectorField, a degree-1 PForm or a LinearMap respectively.  The rule is
+    ``arity`` is the number of vector-field arguments; ``rule`` maps that
+    many fields to a VectorField, a degree-1 PForm (a covector) or a
+    LinearMap, and the type of that value is the form's kind.  The rule is
     expected to be multilinear and alternating; tests probe both.
     """
 
-    __slots__ = ("chart", "kind", "arity", "rule")
+    __slots__ = ("chart", "arity", "rule")
 
-    KINDS = ("vector", "covector", "endomorphism")
-
-    def __init__(self, chart: Chart, kind: str, arity: int, rule: Callable):
-        if kind not in self.KINDS:
-            raise GeometryError(f"unsupported value kind '{kind}'")
+    def __init__(self, chart: Chart, arity: int, rule: Callable):
         if arity < 0:
             raise GeometryError("arity must be non-negative")
         self.chart = chart
-        self.kind = kind
         self.arity = arity
         self.rule = rule
 

@@ -148,7 +148,7 @@ def test_criterion_5_contact_case():
         assert report.passed, (report.check_id, report.max_residual)
 
     # rebuilding the structure re-runs every invariant at 1e-9
-    rebuilt = gallery.derive_contact_structure(alpha, chart)
+    rebuilt = gallery.derive_contact_structure(alpha)
     assert max_abs((rebuilt.reeb - reeb).comps, points) <= 1e-12
 
     # the curvature 2-form against the Reeb pair vanishes identically, so

@@ -230,6 +230,13 @@ def test_verify_bad_points_exits_2(capsys):
     assert "points" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_non_finite_tolerance_exits_2(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "--case", "flat_euclidean", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert "tolerance" in err
+
+
 def test_verify_inapplicable_explicit_check_is_skipped_with_note(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--case", "flat_with_torsion", "--check", "LC1",
@@ -436,6 +443,23 @@ def test_case_file_range_overrides(tmp_path):
     )
     chart = casefile.load_case_file(str(path)).case.chart
     assert chart.intervals == ((-2.0, 2.0), (0.5, 1.5))
+
+
+@pytest.mark.parametrize("command", ["verify", "describe-case"])
+@pytest.mark.parametrize("bounds", ["-inf inf", "-1e308 1e308"])
+def test_case_file_infinite_range_exits_2(tmp_path, capsys, command, bounds):
+    """An interval of infinite width would sample inf and NaN coordinates."""
+    path = tmp_path / "wide.case"
+    path.write_text(f"[chart]\ncoords = x y\nrange = {bounds}\n")
+    with pytest.raises(casefile.CaseFileError, match="infinite"):
+        casefile.load_case_file(str(path))
+    if command == "verify":
+        argv = ["verify", "--case-file", str(path), "--check", "S1", "--points", "3"]
+    else:
+        argv = ["describe-case", "user", "--case-file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "infinite" in err
 
 
 def test_case_file_duplicate_metric_pair_rejected(tmp_path):

@@ -1,11 +1,12 @@
 """Every exported name of the core modules resolves, the test oracles
-live in ``tests/oracles.py``, not in the package, and expression nodes
-compare by identity."""
+live in ``tests/oracles.py``, not in the package, deleted re-checks stay
+deleted, and expression nodes compare by identity."""
 
 import pytest
 
 from bianchi import connection as con
 from bianchi import geometry as geo
+from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
 
@@ -25,6 +26,22 @@ def test_every_exported_name_resolves(module):
 ])
 def test_oracles_are_not_part_of_the_package(owner, name):
     assert name not in getattr(owner, "__all__", ())
+    assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (sf.CoFrame, "validate"),
+    (sf.CoFrame, "duality_residual"),
+    (geo.TensorValuedForm, "KINDS"),
+    (con.Metric, "inverse"),
+    (con.Metric, "determinant"),
+    (ids, "SamplingError"),
+    (ids, "_wedge_capped"),
+])
+def test_re_checks_and_wrappers_stay_deleted(owner, name):
+    """Each invariant is checked in the object that owns it: coframe
+    duality in CoFrame.__init__, the value kind by the value's type, the
+    sampled degree in random_pform and the degree past the top in PForm."""
     assert not hasattr(owner, name)
 
 

@@ -45,11 +45,15 @@ def test_wedge_graded_commutativity():
 
 
 def test_wedge_degree_overflow_raises():
+    """One degree past the top the wedge is the empty form, like d of a
+    top-degree form; beyond that PForm rejects the degree."""
     rng = random.Random(5)
     a = geo.random_pform(R3, 2, rng)
     b = geo.random_pform(R3, 2, rng)
+    past_top = geo.wedge(a, b)
+    assert past_top.degree == 4 and past_top.comps == {}
     with pytest.raises(geo.DegreeError):
-        geo.wedge(a, b)
+        geo.wedge(a, geo.random_pform(R3, 3, rng))
 
 
 def test_exterior_derivative_squares_to_zero():
@@ -199,11 +203,11 @@ def test_sampler_rejects_degree_above_dimension():
         geo.random_pform(R3, 4, random.Random(1))
 
 
-def test_tensor_valued_form_arity_and_kind_checks():
-    identity = geo.TensorValuedForm(R3, "vector", 1, lambda X: X)
+def test_tensor_valued_form_arity_checks():
+    identity = geo.TensorValuedForm(R3, 1, lambda X: X)
     X = geo.random_vector_field(R3, random.Random(2))
     assert identity(X) is X
     with pytest.raises(geo.GeometryError):
         identity(X, X)
     with pytest.raises(geo.GeometryError):
-        geo.TensorValuedForm(R3, "spinor", 1, lambda X: X)
+        geo.TensorValuedForm(R3, -1, lambda: X)

@@ -44,7 +44,7 @@ def test_sample_fields_different_seeds_differ():
 
 def test_sample_fields_rejects_degree_beyond_dimension():
     line = geo.Chart("line", ("x",), ((-1.0, 1.0),))
-    with pytest.raises(ids.SamplingError):
+    with pytest.raises(geo.DegreeError):
         ids.sample_fields(line, 0, ids.SampleSpec(form_degrees=(2,)))
 
 
@@ -57,18 +57,16 @@ def test_sample_fields_points_stay_in_chart_intervals():
 # -- report and config contracts -------------------------------------------------
 
 
-def test_report_rejects_inconsistent_pass_flag():
-    with pytest.raises(ids.SuiteError):
-        ids.Report(
-            case_id="c",
-            check_id="S1",
-            points=1,
-            tuples=1,
-            max_residual=1.0,
-            tolerance=1e-8,
-            passed=True,
-            seed=0,
-        )
+@pytest.mark.parametrize(
+    "residual, cleared, passed",
+    [(1e-8, False, True), (1.0, False, False), (1.0, True, True), (math.nan, False, False)],
+)
+def test_report_pass_flag_follows_residual_tolerance_and_clearing(residual, cleared, passed):
+    report = ids.Report(
+        case_id="c", check_id="S1", points=1, tuples=1, max_residual=residual,
+        tolerance=1e-8, seed=0, cleared=cleared,
+    )
+    assert report.passed is passed
 
 
 def test_report_json_dict_key_order():
@@ -79,7 +77,6 @@ def test_report_json_dict_key_order():
         tuples=3,
         max_residual=0.0,
         tolerance=1e-8,
-        passed=True,
         seed=5,
     )
     payload = report.to_json_dict()
@@ -101,8 +98,9 @@ def test_check_config_validation():
         ids.CheckConfig(points=0)
     with pytest.raises(ids.SuiteError):
         ids.CheckConfig(tuples=0)
-    with pytest.raises(ids.SuiteError):
-        ids.CheckConfig(tolerance=0.0)
+    for tolerance in (0.0, math.nan, math.inf):
+        with pytest.raises(ids.SuiteError):
+            ids.CheckConfig(tolerance=tolerance)
 
 
 def test_unknown_check_raises():
