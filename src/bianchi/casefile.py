@@ -33,10 +33,11 @@ Expressions use the symexpr grammar (+ - * / ^, sin, cos, exp, ln).  A
 metric without a [christoffel] section gets its torsion-free compatible
 connection; [christoffel] alone is taken as given; both together must be
 mutually compatible or validation rejects the file.  Torsion-freeness and
-flatness are probed numerically so that checks restricted to those classes
-become applicable automatically.
+flatness are probed numerically after validation, so that checks
+restricted to those classes become applicable automatically.
 """
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
 
@@ -55,8 +56,10 @@ class CaseFileError(Exception):
 DEFAULT_RANGE = (-1.0, 1.0)
 KNOWN_SECTIONS = ("chart", "christoffel", "metric", "forms", "fields")
 
-# flag probing: stricter than the 1e-9 of gallery._TOL, with which
-# gallery._validate_case re-checks every detected flag at its own points
+# flag probing, after validation: a probed flag is a measurement, not a
+# declaration, so gallery._validate_case (1e-9 at its own 8 points) never
+# re-checks it; 1e-10 keeps the flag to connections whose torsion or
+# curvature vanishes to rounding error
 PROBE_POINTS = 10
 PROBE_TOL = 1e-10
 
@@ -262,7 +265,6 @@ def load_case_file(path: str) -> LoadedCase:
     forms = _parse_forms(parser["forms"], chart) if "forms" in parser else {}
     fields = _parse_fields(parser["fields"], chart) if "fields" in parser else {}
 
-    points = geo.sample_points(chart, f"case-file/{chart.name}", PROBE_POINTS)
     case = gallery.GeometryCase(
         id=chart.name,
         chart=chart,
@@ -270,8 +272,12 @@ def load_case_file(path: str) -> LoadedCase:
         description=f"user case from {os.path.basename(path)}",
         metric=metric,
         coframe=sf.CoFrame.coordinate(chart),
+    )
+    gallery._validate_case(case)
+    points = geo.sample_points(chart, f"case-file/{chart.name}", PROBE_POINTS)
+    case = dataclasses.replace(
+        case,
         torsion_free=gallery.torsion_residual(conn, points) <= PROBE_TOL,
         flat=gallery.curvature_residual(conn, points) <= PROBE_TOL,
     )
-    gallery._validate_case(case)
     return LoadedCase(case=case, forms=forms, fields=fields)

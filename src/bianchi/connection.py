@@ -21,6 +21,13 @@ defining vector-field formulas with Lie brackets.  :func:`torsion` and
 :func:`curvature` build them once per connection and keep them on it;
 :func:`bianchi.structure_forms.cartan_coframe_forms` keeps the Cartan forms
 of the last coframe it was given the same way.
+
+Inside a :func:`bianchi.geometry.sharing` scope (one sampled tuple of a
+check) each omega(X), nabla_X Y of a vector field, nabla_{d/dx^i} theta
+of a form and wedge entry (X wedge Y)^{ij} is built once per connection
+and arguments, and so, through the tensor-valued form call, is each
+T(X, Y) and R(X, Y); the wedge entries are the ones that 2-forms pair
+with in :meth:`bianchi.geometry.PForm.apply`.
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ from .geometry import (
     PForm,
     TensorValuedForm,
     VectorField,
+    _Minors,
     _same_chart,
     _symbolic_det,
     apply_vector_field,
     sample_points,
+    shared,
     symbolic_inverse,
 )
 
@@ -154,9 +163,11 @@ def _covariant(conn: Connection, X: VectorField, omega, target):
         raise TypeError(f"cannot covariantly differentiate {type(target).__name__}")
     _same_chart(conn, target)
     if omega is None:
-        omega = _connection_matrix(conn, X)
+        omega = shared(_connection_matrix, conn, X)
     if isinstance(target, VectorField):
-        return _cov_vector(X, omega, target)
+        # omega is the one omega(X) of conn in a sharing scope, so it
+        # stands for the connection in the key
+        return shared(_cov_vector, X, omega, target)
     if isinstance(target, LinearMap):
         return _cov_endo(X, omega, target)
     return _cov_tensor_valued(conn, X, omega, target)
@@ -198,7 +209,9 @@ def _cov_pform(conn: Connection, X: VectorField, theta: PForm) -> PForm:
     n = conn.chart.dim
     # an axis along which X^i is the constant 0 adds nothing
     partials = {
-        i: _cov_pform_along_axis(conn, i, theta) for i in range(n) if not se._is_zero(X.comps[i])
+        i: shared(_cov_pform_along_axis, conn, i, theta)
+        for i in range(n)
+        if not se._is_zero(X.comps[i])
     }
     out: dict[tuple[int, ...], Expr] = {}
     for key in itertools.combinations(range(n), theta.degree):
@@ -235,7 +248,7 @@ def _cov_tensor_valued(
         out = _covariant(conn, X, omega, A(*fields))
         for slot in range(A.arity):
             shifted = list(fields)
-            shifted[slot] = _cov_vector(X, omega, fields[slot])
+            shifted[slot] = shared(_cov_vector, X, omega, fields[slot])
             out = out - A(*shifted)
         return out
 
@@ -264,16 +277,11 @@ def _live_pairs(n: int, blocks) -> list[tuple[int, int]]:
     ]
 
 
-def _wedge(X: VectorField, Y: VectorField, pairs) -> list[tuple[int, int, Expr]]:
-    """(i, j, X^i Y^j - X^j Y^i) for each pair i < j of ``pairs``."""
-    x, y = X.comps, Y.comps
-    return [(i, j, se.sub(se.mul(x[i], y[j]), se.mul(x[j], y[i]))) for i, j in pairs]
-
-
-def _pair(block, wedge) -> Expr:
-    """sum over i < j of block[i][j] (X wedge Y)^{ij}."""
+def _pair(block, wedge, pairs) -> Expr:
+    """sum over the pairs i < j of block[i][j] (X wedge Y)^{ij}, where
+    ``wedge`` is the shared :class:`~bianchi.geometry._Minors` of X, Y."""
     return se.add_all(
-        se.mul(block[i][j], w) for i, j, w in wedge if not se._is_zero(block[i][j])
+        se.mul(block[i][j], wedge[i, j]) for i, j in pairs if not se._is_zero(block[i][j])
     )
 
 
@@ -295,8 +303,8 @@ class Torsion(TensorValuedForm):
         pairs = _live_pairs(n, comps)
 
         def rule(X: VectorField, Y: VectorField) -> VectorField:
-            wedge = _wedge(X, Y, pairs)
-            return VectorField(chart, [_pair(comps[k], wedge) for k in range(n)])
+            wedge = shared(_Minors, X, Y)
+            return VectorField(chart, [_pair(comps[k], wedge, pairs) for k in range(n)])
 
         super().__init__(chart, 2, rule)
         self.components = comps
@@ -344,8 +352,8 @@ class Curvature(TensorValuedForm):
         pairs = _live_pairs(n, [block for row in comps for block in row])
 
         def rule(X: VectorField, Y: VectorField) -> LinearMap:
-            wedge = _wedge(X, Y, pairs)
-            return LinearMap(chart, [[_pair(block, wedge) for block in row] for row in comps])
+            wedge = shared(_Minors, X, Y)
+            return LinearMap(chart, [[_pair(block, wedge, pairs) for block in row] for row in comps])
 
         super().__init__(chart, 2, rule)
         self.components = comps

@@ -15,6 +15,18 @@ Conventions
 The exterior derivative is the coordinate formula on components; the
 tests hold it against the alternating vector-field formula with Lie
 brackets, an independent oracle kept in the test suite.
+
+Sharing
+-------
+One sampled tuple of a check asks for the same pieces many times: the
+identities are signed sums over the fields they are given, so omega(X),
+nabla_X Z, nabla_{d/dx^i} theta, X wedge Y and R(X, Y) recur from term to
+term.  Inside a :func:`sharing` scope, which the identity suite opens around
+each tuple's build, :func:`shared` returns the object that the first
+request built, so its nodes are built and evaluated once.  Outside a scope
+nothing is kept and every request builds afresh.  The minors of
+:meth:`PForm.apply` go through it, and so does every tensor-valued form
+call.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -50,6 +63,8 @@ __all__ = [
     "random_polynomial",
     "random_vector_field",
     "random_pform",
+    "sharing",
+    "shared",
 ]
 
 
@@ -66,6 +81,47 @@ class DegreeError(GeometryError):
 
 
 Point = Mapping[str, float]
+
+
+# -- sharing -------------------------------------------------------------------
+
+# the entries of the open sharing scope, or None outside one
+_scope: dict | None = None
+
+
+@contextmanager
+def sharing():
+    """A scope inside which :func:`shared` builds each result once.
+
+    Its entries are dropped when the scope closes, also when its body
+    raises.
+    """
+    global _scope
+    _scope = scope = {}
+    try:
+        yield
+    finally:
+        _scope = None
+        scope.clear()
+
+
+def shared(build: Callable, *args):
+    """``build(*args)``, built once per sharing scope for the same ``build``
+    and argument objects; outside a scope, built at every call.
+
+    Entries are keyed by the ids of the arguments and hold the arguments,
+    so no id can be reused while its entry lives.  ``build`` must be a pure
+    function of its arguments' identities, which is what makes the first
+    result good for every later request.
+    """
+    scope = _scope
+    if scope is None:
+        return build(*args)
+    key = (build, *map(id, args))
+    got = scope.get(key)
+    if got is None:
+        got = scope[key] = (args, build(*args))
+    return got[1]
 
 
 @dataclass(frozen=True)
@@ -257,16 +313,43 @@ class PForm:
             raise DegreeError(f"a {self.degree}-form takes {self.degree} arguments, got {len(fields)}")
         if self.degree == 0:
             raise DegreeError("0-forms are scalars; evaluate their expression directly")
-        chart = _same_chart(self, *fields)
+        _same_chart(self, *fields)
+        minors = shared(_Minors, *fields)
         total = ZERO
         for key, value in self.comps.items():
-            det = _symbolic_det([[fields[b].comps[key[a]] for b in range(len(key))] for a in range(len(key))])
-            total = se.add(total, se.mul(value, det))
+            total = se.add(total, se.mul(value, minors[key]))
         return total
 
     def __repr__(self):
         body = ", ".join(f"{k}: {v}" for k, v in sorted(self.comps.items()))
         return f"PForm(p={self.degree}, {{{body}}})"
+
+
+class _Minors(dict):
+    """The minors det[fields[b]^{key[a]}] of some vector fields by
+    increasing key, each built at its first lookup.
+
+    Two fields X, Y give (X wedge Y)^{ij} = X^i Y^j - X^j Y^i, which the
+    torsion and curvature rules pair with their components; it differs
+    from the 2 x 2 :func:`_symbolic_det` only in the operand order of the
+    product X^j Y^i, and IEEE multiplication commutes, so its value is the
+    same bit for bit.
+    """
+
+    __slots__ = ("fields",)
+
+    def __init__(self, *fields: VectorField):
+        self.fields = fields
+
+    def __missing__(self, key: tuple[int, ...]) -> Expr:
+        if len(key) == 2:
+            i, j = key
+            x, y = self.fields[0].comps, self.fields[1].comps
+            det = se.sub(se.mul(x[i], y[j]), se.mul(x[j], y[i]))
+        else:
+            det = _symbolic_det([[f.comps[k] for f in self.fields] for k in key])
+        self[key] = det
+        return det
 
 
 def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
@@ -422,7 +505,7 @@ class TensorValuedForm:
             raise GeometryError(f"form of arity {self.arity} called with {len(fields)} arguments")
         if fields:
             _same_chart(self, *fields)
-        return self.rule(*fields)
+        return shared(self.rule, *fields)
 
 
 # -- seeded randomness -------------------------------------------------------

@@ -15,6 +15,11 @@ built from ``case.connection`` while the right-hand side uses
 ``case.reference_connection``; for ordinary cases these coincide, and
 deliberately splitting them lets a corrupted connection on one side prove
 that the harness can actually fail (mutation probing).
+
+:func:`run_check` builds each sampled tuple's pairs inside a
+:func:`bianchi.geometry.sharing` scope, so the pieces that the pairs repeat
+(omega(X), nabla_X Z, X wedge Y, R(X, Y), ...) are built once per tuple;
+factories run outside it.
 """
 
 from __future__ import annotations
@@ -633,7 +638,10 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     def pairs():
         for t in range(tuples):
             batch = sample_fields(chart, f"{stem}/{t}", spec)
-            for lhs, rhs in build(batch.vectors, batch.forms):
+            # the pieces that the pairs of one tuple repeat are built once
+            with geo.sharing():
+                built = build(batch.vectors, batch.forms)
+            for lhs, rhs in built:
                 yield t, lhs, rhs
 
     worst, worst_point, worst_tuple, cleared = se.worst_residual(

@@ -20,24 +20,27 @@ and drop additive/multiplicative identities so that derivative cascades do
 not swell, but any such rewrite preserves the value of the expression at
 every point where it is defined.
 
-Every evaluation is one postorder walk of the DAG, ``_fold``, in one of
-three arithmetics, each a table of operations by node kind: floats at one
-point (:func:`evaluate`), lists of floats with one entry per sample point,
-and residues modulo a prime (:func:`holds_exactly`).
+Every evaluation is one postorder walk of the DAG.  ``_fold`` walks it
+over a table of operations by node kind, in two arithmetics: floats at one
+point (:func:`evaluate`) and residues modulo a prime
+(:func:`holds_exactly`).  The scan below has two walks of its own, which
+test node kinds inline and do the float arithmetic in place, with no
+table lookup or Python-level call per Mul, Add or Neg node: one over a
+single float, one over lists of floats with one entry per sample point.
 
 Checks compare two expressions over many sample points with
 :func:`worst_residual`.  One scan, for any number of points, evaluates each
 side of a pair at every point in one walk: the float walk over one point,
-a walk over lists with the same IEEE operation per point over several, so
-the values are bit-identical.  The pairs of a run of equal tags (the pairs
-of one sampled tuple, in a check) share the scan's memo, and the scan keeps
-their sides alive until the tag changes, so a subtree they share is
-computed once per run.  ``evaluate`` is still called once per side and
-point and serves each value from the scan.  A pair with a residual above
-the check's tolerance is rechecked by :func:`holds_exactly`, an identity
-test modulo a prime; a pair that holds exactly keeps its float residual in
-the result, but that residual is rounding error and does not fail the
-check.
+the walk over lists with the same IEEE operation per point over several,
+so the values are bit-identical to those of :func:`evaluate`.  The pairs
+of a run of equal tags (the pairs of one sampled tuple, in a check) share
+the scan's memo, and the scan keeps their sides alive until the tag
+changes, so a subtree they share is computed once per run.  ``evaluate``
+is still called once per side and point and serves each value from the
+scan.  A pair with a residual above the check's tolerance is rechecked by
+:func:`holds_exactly`, an identity test modulo a prime; a pair that holds
+exactly keeps its float residual in the result, but that residual is
+rounding error and does not fail the check.
 """
 
 from __future__ import annotations
@@ -555,13 +558,74 @@ class _ScanPoint(dict):
     __slots__ = ("scan", "index")
 
 
-# The float arithmetic over lists of values, one per point of a scan.
-_UNARY_LISTS = {kind: lambda a, op=op: list(map(op, a)) for kind, op in _UNARY.items()}
-_BINARY_LISTS = {kind: lambda a, b, op=op: list(map(op, a, b)) for kind, op in _BINARY.items()}
+def _walk_floats(e: Expr, memo: dict, leaf) -> float:
+    """The float value of ``e`` at one point: the walk of :func:`_fold` over
+    the float table of :func:`evaluate`, with the node kinds tested inline
+    (the most frequent first) and their arithmetic done in place, so no
+    table lookup or Python-level call is made per Mul, Add or Neg node.
+    Raises what the operation raises."""
+
+    def ev(node: Expr) -> float:
+        key = id(node)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        kind = type(node)
+        if kind is Mul:
+            out = ev(node.a) * ev(node.b)
+        elif kind is Add:
+            out = ev(node.a) + ev(node.b)
+        elif kind is Neg:
+            out = -ev(node.arg)
+        elif kind is Const or kind is Var:
+            out = leaf(node)
+        elif kind is Pow:
+            out = ev(node.base) ** node.exponent
+        elif kind is Div:
+            out = ev(node.a) / ev(node.b)
+        else:
+            out = _UNARY[kind](ev(node.arg))
+        memo[key] = out
+        return out
+
+    try:
+        return ev(e)
+    finally:
+        del ev  # ev refers to itself; free it without the cycle collector
 
 
-def _power_lists(column: list, exponent: int) -> list:
-    return list(map(pow, column, repeat(exponent)))
+def _walk_lists(e: Expr, memo: dict, leaf) -> list:
+    """The values of ``e`` at several points, one list entry per point: the
+    walk of :func:`_walk_floats` over lists of floats, with the same IEEE
+    operation per point through ``list(map(op, a, b))``."""
+
+    def ev(node: Expr) -> list:
+        key = id(node)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        kind = type(node)
+        if kind is Mul:
+            out = list(map(operator.mul, ev(node.a), ev(node.b)))
+        elif kind is Add:
+            out = list(map(operator.add, ev(node.a), ev(node.b)))
+        elif kind is Neg:
+            out = list(map(operator.neg, ev(node.arg)))
+        elif kind is Const or kind is Var:
+            out = leaf(node)
+        elif kind is Pow:
+            out = list(map(pow, ev(node.base), repeat(node.exponent)))
+        elif kind is Div:
+            out = list(map(operator.truediv, ev(node.a), ev(node.b)))
+        else:
+            out = list(map(_UNARY[kind], ev(node.arg)))
+        memo[key] = out
+        return out
+
+    try:
+        return ev(e)
+    finally:
+        del ev  # ev refers to itself; free it without the cycle collector
 
 
 class _Scan:
@@ -570,9 +634,9 @@ class _Scan:
     A side is computed at all points in one walk of its DAG, with one memo
     shared by every side until :meth:`start_run`, so a subtree that
     several of those sides share is computed once.  Over one point the walk
-    is the float walk of :func:`evaluate`; over several it walks lists of
-    floats, one per point, with the same IEEE operation per point, so every
-    value is the one :func:`evaluate` gives at that point.  The walk raises
+    is :func:`_walk_floats`; over several it is :func:`_walk_lists`, with
+    the same IEEE operation per point, so every value is the one
+    :func:`evaluate` gives at that point.  The walk raises
     wherever :func:`evaluate` raises at some point; such a side has no
     column and is evaluated point by point, which raises the
     EvaluationError at the same point as before.
@@ -581,10 +645,7 @@ class _Scan:
     def __init__(self, samples: list):
         self.samples = samples
         self.single = len(samples) == 1
-        if self.single:
-            self.tables = (_UNARY, _BINARY, pow)
-        else:
-            self.tables = (_UNARY_LISTS, _BINARY_LISTS, _power_lists)
+        self.walk = _walk_floats if self.single else _walk_lists
         # one leaf value per variable name and per constant value
         self.leaves: dict = {}
         self.start_run()
@@ -610,7 +671,7 @@ class _Scan:
         got = self.sides.get(id(e))
         if got is None:
             try:
-                values = _fold(e, self.memo, self._leaf, *self.tables)
+                values = self.walk(e, self.memo, self._leaf)
             except (ArithmeticError, ValueError, KeyError):
                 values = None
             else:

@@ -386,6 +386,25 @@ def test_torsion_case_file_skips_the_torsion_free_check(capsys, torsion_case):
     assert len(ids) == 17
 
 
+@pytest.mark.parametrize("name", "abcdefghijkl")
+def test_probed_flags_are_not_re_checked_by_validation(tmp_path, capsys, name):
+    """A file that declares no flags loads under any name.  Torsion x^200
+    is below the 1e-10 probe at the loader's points for some names (e, h,
+    l), so those get LC1; validation checks only declared structure and
+    must not reject the file for the loader's own measurement (under the
+    name l, validation's 8 points saw 1.070e-09 > 1e-9)."""
+    path = tmp_path / f"{name}.case"
+    path.write_text(f"[chart]\nname = {name}\ncoords = x y\n\n[christoffel]\n1 1 2 = x^200\n")
+    loaded = casefile.load_case_file(str(path))
+    assert loaded.case.torsion_free == (name in "ehl")
+    code, out, err = run_cli(
+        capsys, "verify", "--case-file", str(path), "--points", "4", "--tuples", "1",
+        "--format", "json",
+    )
+    assert code == 0, err
+    assert ("LC1" in [r["check"] for r in json.loads(out)]) == loaded.case.torsion_free
+
+
 def test_describe_case_file_prints_named_objects(capsys, metric_case):
     code, out, _ = run_cli(capsys, "describe-case", "ignored", "--case-file", metric_case)
     assert code == 0
