@@ -25,6 +25,7 @@ factories run outside it.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
 from collections.abc import Callable, Sequence
@@ -626,27 +627,43 @@ CATALOG: dict[str, IdentityCheck] = {
 
 
 def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
-    """Evaluate both sides of one check on a case and report the worst residual."""
-    chart = case.chart
-    stem = f"{config.seed}/{case.id}/{check.identifier}"
-    points = geo.sample_points(chart, f"{stem}/points", config.points)
-    build = check.factory(case)
-    spec = check.sample_spec(chart)
-    # a check that samples no fields would build the same pairs for every tuple
-    tuples = config.tuples if spec != SampleSpec() else 1
+    """Evaluate both sides of one check on a case and report the worst residual.
 
-    def pairs():
-        for t in range(tuples):
-            batch = sample_fields(chart, f"{stem}/{t}", spec)
-            # the pieces that the pairs of one tuple repeat are built once
-            with geo.sharing():
-                built = build(batch.vectors, batch.forms)
-            for lhs, rhs in built:
-                yield t, lhs, rhs
+    Python's cycle collector is paused while the check runs and left as the
+    caller had it afterwards, also when the check raises.
+    """
+    # A check makes no reference cycles: its expression DAGs, their
+    # derivative memos and every evaluation memo are freed by reference
+    # counting alone, so the collector would only rescan the growing DAGs and
+    # find nothing.  Pinned by tests/test_symexpr.py's
+    # test_*_leaves_no_reference_cycles and tests/test_identity_suite.py's
+    # test_checks_leave_no_reference_cycles.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        chart = case.chart
+        stem = f"{config.seed}/{case.id}/{check.identifier}"
+        points = geo.sample_points(chart, f"{stem}/points", config.points)
+        build = check.factory(case)
+        spec = check.sample_spec(chart)
+        # a check that samples no fields would build the same pairs for every tuple
+        tuples = config.tuples if spec != SampleSpec() else 1
 
-    worst, worst_point, worst_tuple, cleared = se.worst_residual(
-        pairs(), points, config.tolerance
-    )
+        def pairs():
+            for t in range(tuples):
+                batch = sample_fields(chart, f"{stem}/{t}", spec)
+                # the pieces that the pairs of one tuple repeat are built once
+                with geo.sharing():
+                    built = build(batch.vectors, batch.forms)
+                for lhs, rhs in built:
+                    yield t, lhs, rhs
+
+        worst, worst_point, worst_tuple, cleared = se.worst_residual(
+            pairs(), points, config.tolerance
+        )
+    finally:
+        if collecting:
+            gc.enable()
     return Report(
         case_id=case.id,
         check_id=check.identifier,

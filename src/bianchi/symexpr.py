@@ -13,7 +13,8 @@ Nodes are cheap to build: a constructor stores only the node's children or
 payload.  A constant's value is an ``int`` when it is integral and a
 ``Fraction`` otherwise, so constant folding stays exact.  The derivative
 memo is made by the first :func:`differentiate` that reaches the node.
-Nodes compare and hash by identity: every memo keys a node by its ``id``.
+Nodes compare and hash by identity, so every memo keys a node by the
+node itself and keeps it alive while the memo lives.
 
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
@@ -472,17 +473,16 @@ def _fold(e: Expr, memo: dict, leaf, unary: Mapping, binary: Mapping, power, fai
     is the value of a Const or Var, ``unary[kind]`` and ``binary[kind]``
     map the values of a node's children to its value, and
     ``power(value, exponent)`` raises a Pow's base to its int exponent.
-    ``memo`` maps node ids to values, so a shared subtree is computed
-    once; the caller keeps every node in it alive.  Children are computed
-    left to right, so of two failing subtrees the left one raises.  An
-    operation's ArithmeticError, ValueError or KeyError propagates, or,
-    with ``fail``, is replaced by the exception ``fail(node, exc)``, which
-    must be none of those, so that it passes the node's ancestors as is.
+    ``memo`` maps nodes to values, so a shared subtree is computed once.
+    Children are computed left to right, so of two failing subtrees the
+    left one raises.  An operation's ArithmeticError, ValueError or
+    KeyError propagates, or, with ``fail``, is replaced by the exception
+    ``fail(node, exc)``, which must be none of those, so that it passes the
+    node's ancestors as is.
     """
 
     def ev(node: Expr):
-        key = id(node)
-        got = memo.get(key)
+        got = memo.get(node)
         if got is not None:
             return got
         kind = type(node)
@@ -502,7 +502,7 @@ def _fold(e: Expr, memo: dict, leaf, unary: Mapping, binary: Mapping, power, fai
             if fail is None:
                 raise
             raise fail(node, exc) from None
-        memo[key] = out
+        memo[node] = out
         return out
 
     try:
@@ -533,7 +533,7 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
         column = point.scan.column(e)
         if column is not None:
             return column[point.index]
-    memo: dict[int, float] = {}
+    memo: dict[Expr, float] = {}
 
     def leaf(node: Expr) -> float:
         return float(node.value) if type(node) is Const else float(point[node.name])
@@ -545,7 +545,7 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
             what = "division by zero" if type(node) is Div else "zero raised to a negative power"
             return EvaluationError(f"{what} in '{_clip(node)}'")
         if type(node) is Ln and isinstance(exc, ValueError):
-            value = memo[id(node.arg)]
+            value = memo[node.arg]
             return EvaluationError(f"ln of non-positive value {value!r} in '{_clip(node)}'")
         return EvaluationError(f"cannot evaluate '{_clip(node)}': {exc}")
 
@@ -566,8 +566,7 @@ def _walk_floats(e: Expr, memo: dict, leaf) -> float:
     Raises what the operation raises."""
 
     def ev(node: Expr) -> float:
-        key = id(node)
-        got = memo.get(key)
+        got = memo.get(node)
         if got is not None:
             return got
         kind = type(node)
@@ -585,7 +584,7 @@ def _walk_floats(e: Expr, memo: dict, leaf) -> float:
             out = ev(node.a) / ev(node.b)
         else:
             out = _UNARY[kind](ev(node.arg))
-        memo[key] = out
+        memo[node] = out
         return out
 
     try:
@@ -600,8 +599,7 @@ def _walk_lists(e: Expr, memo: dict, leaf) -> list:
     operation per point through ``list(map(op, a, b))``."""
 
     def ev(node: Expr) -> list:
-        key = id(node)
-        got = memo.get(key)
+        got = memo.get(node)
         if got is not None:
             return got
         kind = type(node)
@@ -619,7 +617,7 @@ def _walk_lists(e: Expr, memo: dict, leaf) -> list:
             out = list(map(operator.truediv, ev(node.a), ev(node.b)))
         else:
             out = list(map(_UNARY[kind], ev(node.arg)))
-        memo[key] = out
+        memo[node] = out
         return out
 
     try:
@@ -661,24 +659,25 @@ class _Scan:
         return points
 
     def start_run(self) -> None:
-        # sides holds each side it has seen, so every node id in memo and
-        # sides stays in use until the next run
-        self.memo: dict[int, list] = {}
-        self.sides: dict[int, tuple] = {}
+        self.memo: dict[Expr, list] = {}
+        # each side seen in this run: its column, or None when its walk raised
+        self.sides: dict[Expr, list | None] = {}
 
     def column(self, e: Expr):
         """The values of ``e`` at every point, or None when the walk raised."""
-        got = self.sides.get(id(e))
-        if got is None:
-            try:
-                values = self.walk(e, self.memo, self._leaf)
-            except (ArithmeticError, ValueError, KeyError):
-                values = None
-            else:
-                if self.single:
-                    values = [values]
-            got = self.sides[id(e)] = (e, values)
-        return got[1]
+        try:
+            return self.sides[e]
+        except KeyError:
+            pass
+        try:
+            values = self.walk(e, self.memo, self._leaf)
+        except (ArithmeticError, ValueError, KeyError):
+            values = None
+        else:
+            if self.single:
+                values = [values]
+        self.sides[e] = values
+        return values
 
     def _leaf(self, node: Expr):
         key = node.value if type(node) is Const else node.name
@@ -818,7 +817,7 @@ def holds_exactly(lhs: Expr, rhs) -> bool:
                 got = variables[node.name] = _residue("var", draw, node.name)
             return got
 
-        memo: dict[int, int] = {}
+        memo: dict[Expr, int] = {}
         try:
             difference = (_fold(lhs, memo, leaf, _MOD_UNARY, _MOD_BINARY, _mod_power)
                           - _fold(rhs, memo, leaf, _MOD_UNARY, _MOD_BINARY, _mod_power))

@@ -7,7 +7,9 @@ brackets included.  The package computes the same objects another way
 non-commuting fields checks both.
 """
 
+import gc
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -185,6 +187,18 @@ def same_tree(a, b) -> bool:
             return False
         stack.extend(zip(a.children(), b.children()))
     return True
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run a block with Python's cycle collector on or off, then leave it
+    as it was found."""
+    found = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if found else gc.disable()
 
 
 def sphere_metric():

@@ -2,6 +2,7 @@
 the gallery, applicability rules, and mutation sensitivity."""
 
 import dataclasses
+import gc
 import json
 import math
 
@@ -13,7 +14,7 @@ from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
-from oracles import same_tree
+from oracles import collector, same_tree
 
 
 R3 = gallery.R3
@@ -354,6 +355,72 @@ def test_check_identity_evaluates_through_the_module_hook(monkeypatch):
     assert len(calls) == 2 * pairs * config.points
     assert report.max_residual == 0.75
     assert report.passed and report.cleared
+
+
+# -- the cycle collector ------------------------------------------------------------
+
+
+def _check(spec, factory):
+    return ids.IdentityCheck("T", "test check", "test", lambda chart: spec, factory)
+
+
+def _failing_factory(case):
+    raise geo.GeometryError("factory failed")
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_run_check_pauses_the_collector_and_restores_it(collecting):
+    case = gallery.build_case("random_poly")
+    seen = []
+
+    def factory(case):
+        seen.append(gc.isenabled())
+
+        def build(vectors, forms):
+            seen.append(gc.isenabled())
+            return [(c, c) for c in vectors[0].comps]
+
+        return build
+
+    with collector(collecting):
+        report = ids.run_check(
+            _check(ids.SampleSpec(vectors=1), factory), case, ids.CheckConfig(points=2, tuples=2)
+        )
+        assert gc.isenabled() is collecting
+    assert report.passed
+    assert seen == [False, False, False]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize(
+    "spec, factory, error",
+    [
+        (ids.SampleSpec(vectors=1), _failing_factory, "factory failed"),
+        # random_poly lives on a 3-chart
+        (ids.SampleSpec(form_degrees=(4,)), lambda case: lambda vectors, forms: [], "degree-4"),
+    ],
+)
+def test_run_check_restores_the_collector_when_the_check_raises(collecting, spec, factory, error):
+    case = gallery.build_case("random_poly")
+    with collector(collecting):
+        with pytest.raises(geo.GeometryError, match=error):
+            ids.run_check(_check(spec, factory), case, ids.CheckConfig(points=2, tuples=2))
+        assert gc.isenabled() is collecting
+
+
+def test_checks_leave_no_reference_cycles():
+    """What lets run_check pause the collector: building every gallery case
+    and running its catalog checks, its case-specific checks and a mutation
+    probe leave nothing for the collector to free."""
+    config = ids.CheckConfig(points=3, tuples=1)
+    gc.collect()
+    with collector(False):
+        for case_id in gallery.case_ids():
+            case = gallery.build_case(case_id)
+            ids.run_suite(case, config)
+            gallery.case_specific_checks(case, config)
+            ids.mutation_probe(case, index=(0, 1, 0), config=config)
+        assert gc.collect() == 0
 
 
 # -- the exact recheck ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi import symexpr as se
-from oracles import same_tree
+from oracles import collector, same_tree
 
 
 VARS = ("x", "y", "z")
@@ -330,13 +330,10 @@ def test_derivatives_are_memoised_per_node_and_variable():
 
 def test_differentiate_leaves_no_reference_cycles():
     gc.collect()
-    gc.disable()
-    try:
+    with collector(False):
         for var in ("x", "y") * 50:
             se.differentiate(se.parse(MEMO_TEXT, VARS), var)
         assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_evaluation_leaves_no_reference_cycles():
@@ -344,8 +341,7 @@ def test_evaluation_leaves_no_reference_cycles():
     points = [{"x": 0.5, "y": 1.5}, {"x": 1.0, "y": 2.0}, {"x": 2.0, "y": 0.5}]
     faulty = se.parse("ln(x)/(x - x)", ["x"])
     gc.collect()
-    gc.disable()
-    try:
+    with collector(False):
         for _ in range(100):
             se.evaluate(e, points[0])
             se.worst_residual([(0, e, se.parse(MEMO_TEXT, VARS))], points)
@@ -355,8 +351,6 @@ def test_evaluation_leaves_no_reference_cycles():
                 se.evaluate(faulty, {"x": 1.0})
             assert "ln(x)" in str(failure.value)
         assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_zero_over_an_expression_still_fails_where_it_vanishes():
