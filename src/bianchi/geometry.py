@@ -367,9 +367,16 @@ def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
 
 
 def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
-    """Adjugate-over-determinant inverse of a square symbolic matrix."""
+    """Inverse of a square symbolic matrix: the adjugate times one shared
+    reciprocal of the determinant.
+
+    Every entry refers to the same ``1/det`` node, so a derivative of the
+    inverse differentiates that quotient once per variable, not once per
+    entry.  A constant determinant folds; a constant zero one raises
+    ZeroDivisionError.
+    """
     n = len(matrix)
-    det = _symbolic_det([list(row) for row in matrix])
+    recip = se.div(se.ONE, _symbolic_det([list(row) for row in matrix]))
     out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -381,7 +388,7 @@ def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
             cof = _symbolic_det(minor) if minor else se.ONE
             if (i + j) % 2 == 1:
                 cof = se.neg(cof)
-            out[j][i] = se.div(cof, det)
+            out[j][i] = se.mul(cof, recip)
     return out
 
 

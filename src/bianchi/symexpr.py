@@ -3,18 +3,20 @@
 This module is the computational bedrock of the package: every geometric
 object (vector field component, form component, Christoffel symbol) is an
 expression tree built from rational constants, variables, arithmetic, integer
-powers and the elementary functions sin, cos, exp, ln.  Trees are immutable,
-support exact differentiation, and evaluate to IEEE doubles or to residues
-modulo a prime.  Each node memoises its own derivatives
+powers and the elementary functions sin, cos, exp, ln.  Trees are immutable
+by contract, which is not enforced at run time; they support exact
+differentiation, and evaluate to IEEE doubles or to residues modulo a
+prime.  Each node memoises its own derivatives
 (:func:`differentiate`), so a derivative is computed once per node and
 variable and shared by every caller.
 
 Nodes are cheap to build: a constructor stores only the node's children or
-payload.  A constant's value is an ``int`` when it is integral and a
-``Fraction`` otherwise, so constant folding stays exact.  The derivative
-memo is made by the first :func:`differentiate` that reaches the node.
-Nodes compare and hash by identity, so every memo keys a node by the
-node itself and keeps it alive while the memo lives.
+payload, straight into its slots.  A constant's value is an ``int`` when
+it is integral and a ``Fraction`` otherwise, so constant folding stays
+exact.  The derivative memo is made by the first :func:`differentiate`
+that reaches the node.  Nodes compare and hash by identity, so every
+memo keys a node by the node itself and keeps it alive while the memo
+lives.
 
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -120,9 +123,12 @@ class EvaluationError(ExpressionError):
 
 
 class Expr:
-    """Immutable expression node.  Subclasses fix the arity and payload.
+    """Expression node.  Subclasses fix the arity and payload.
 
-    A constructor only stores the node's payload.  The ``_derivs`` slot
+    A constructor only stores the node's payload, directly in its slots.
+    A node is immutable by contract, which is not enforced at run time:
+    no code reassigns the payload of a built node, since every memo and
+    every tree that shares the node relies on it.  The ``_derivs`` slot
     stays unset until the node is first differentiated, then holds a dict
     from variable name to derivative (Const and Var keep no memo).  Nodes
     compare and hash by identity.
@@ -167,9 +173,6 @@ class Expr:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({to_text(self)!r})"
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def children(self) -> tuple:
         return ()
 
@@ -186,22 +189,22 @@ class Const(Expr):
             value = Fraction(value)
             if value.denominator == 1:
                 value = value.numerator
-        _set_value(self, value)
+        self.value = value
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        _set_name(self, name)
+        self.name = name
 
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
-        _set_a(self, a)
-        _set_b(self, b)
+        self.a = a
+        self.b = b
 
     def children(self):
         return (self.a, self.b)
@@ -211,7 +214,7 @@ class _Unary(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        _set_arg(self, arg)
+        self.arg = arg
 
     def children(self):
         return (self.arg,)
@@ -237,8 +240,8 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        _set_base(self, base)
-        _set_exponent(self, _integral(exponent))
+        self.base = base
+        self.exponent = _integral(exponent)
 
     def children(self):
         return (self.base,)
@@ -262,17 +265,6 @@ class Exp(_Unary):
 
 class Ln(_Unary):
     __slots__ = ()
-
-
-# The slot setters, which store past the immutability guard of __setattr__.
-_set_derivs = Expr._derivs.__set__
-_set_value = Const.value.__set__
-_set_name = Var.name.__set__
-_set_a = _Binary.a.__set__
-_set_b = _Binary.b.__set__
-_set_arg = _Unary.arg.__set__
-_set_base = Pow.base.__set__
-_set_exponent = Pow.exponent.__set__
 
 
 ZERO = Const(0)
@@ -429,7 +421,7 @@ def differentiate(e: Expr, var: str) -> Expr:
         memo = getattr(node, "_derivs", None)
         if memo is None:
             memo = {}
-            _set_derivs(node, memo)
+            node._derivs = memo
         else:
             got = memo.get(var)
             if got is not None:
@@ -947,6 +939,17 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _in_float_range(node: Expr, pos: int) -> Expr:
+    """``node``, or a ParseError at ``pos`` when it is a constant whose
+    numerator or denominator is larger than every float: no float
+    evaluation can use it, and printing it can pass the int-to-str limit."""
+    if type(node) is Const:
+        value = node.value
+        if abs(value.numerator) > sys.float_info.max or value.denominator > sys.float_info.max:
+            raise ParseError("constant outside the float range", pos)
+    return node
+
+
 class _Parser:
     """Recursive descent over the grammar
 
@@ -957,7 +960,9 @@ class _Parser:
         atom   := number | name | name '(' expr ')' | '(' expr ')'
 
     '^' binds tightest, then unary minus, then '*' '/', then '+' '-'.
-    Exponents must fold to integer constants.
+    Exponents must fold to integer constants.  Every constant that a
+    number or an operator folds must lie in the float range, and no
+    constant may be divided by zero.
     """
 
     def __init__(self, tokens: list[_Token], variables: frozenset):
@@ -984,7 +989,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.take()
             rhs = self.parse_term()
-            node = add(node, rhs) if op.kind == "+" else sub(node, rhs)
+            node = _in_float_range(add(node, rhs) if op.kind == "+" else sub(node, rhs), op.pos)
         return node
 
     def parse_term(self) -> Expr:
@@ -992,7 +997,11 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             op = self.take()
             rhs = self.parse_unary()
-            node = mul(node, rhs) if op.kind == "*" else div(node, rhs)
+            try:
+                node = mul(node, rhs) if op.kind == "*" else div(node, rhs)
+            except ZeroDivisionError:
+                raise ParseError("division by the constant zero", op.pos) from None
+            node = _in_float_range(node, op.pos)
         return node
 
     def parse_unary(self) -> Expr:
@@ -1008,14 +1017,26 @@ class _Parser:
             exponent = self.parse_unary()
             if not (isinstance(exponent, Const) and exponent.value.denominator == 1):
                 raise ParseError("exponent must be an integer constant", caret.pos)
-            return power(base, int(exponent.value))
+            n = int(exponent.value)
+            if type(base) is Const:
+                # a numerator or denominator of b bits, to the power n, is at
+                # least 2^(|n| * (b - 1)): refuse one past the float range
+                # before computing it
+                bits = max(abs(base.value.numerator), base.value.denominator).bit_length()
+                if abs(n) * (bits - 1) >= sys.float_info.max_exp:
+                    raise ParseError("constant outside the float range", caret.pos)
+            return _in_float_range(power(base, n), caret.pos)
         return base
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return Const(Fraction(tok.text))
+            try:
+                value = Fraction(tok.text)
+            except ValueError:  # past the int-to-str digit limit
+                raise ParseError("constant outside the float range", tok.pos) from None
+            return _in_float_range(Const(value), tok.pos)
         if tok.kind == "name":
             self.take()
             if self.peek().kind == "(":

@@ -189,6 +189,18 @@ def same_tree(a, b) -> bool:
     return True
 
 
+def reachable(*roots) -> set:
+    """The distinct nodes reachable from ``roots``; nodes hash by
+    identity, so a shared subtree is counted once."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.children())
+    return seen
+
+
 @contextmanager
 def collector(enabled: bool):
     """Run a block with Python's cycle collector on or off, then leave it

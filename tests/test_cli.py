@@ -174,7 +174,7 @@ def test_verify_at_one_point_matches_the_pinned_digest(capsys):
     code, out, _ = run_cli(capsys, *ONE_POINT_RUN)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3223cd82cb4d1bf17aa80e2fc042bdf22a22617ab1800a5ad8b25ef07e8b75bb"
+        "a90ddeb24dd40de9199fb1f22be4e627cdde106dce03f5377b0369d9f3e1b5b1"
     )
 
 
@@ -322,9 +322,9 @@ def test_describe_contact_case_prints_structure_and_checks(capsys):
 
 
 @pytest.mark.parametrize("case_id, digest", [
-    ("contact_r3", "2321ce09c769fcc8a6f18b6b6f19756548c154f8647d2e61d565b656f13d35df"),
+    ("contact_r3", "86f448c796c7a1711b47f396bf2358617de1df22eb792eda3305fa55c1184afd"),
     ("sode_oscillator", "3ab6f286f99151d45964569be403d028749c233870c57fb9031fc107378fbb2d"),
-    ("metric_case", "3c0a238ad26f5142b78abcb5b776cefc45d4674c88b40fb5d699adf0cb934fd9"),
+    ("metric_case", "ecf621926be59123aee20aab7eca2e2e58626b2003b8d8c509a8104d971049e4"),
 ])
 def test_describe_case_output_matches_the_pinned_digest(capsys, request, case_id, digest):
     """describe-case output is byte-identical across refactors; it samples
@@ -511,6 +511,30 @@ def test_case_file_domain_error_exits_2(tmp_path, capsys, command, chart_range, 
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert culprit in err
+
+
+@pytest.mark.parametrize("command", ["verify", "describe-case"])
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("[metric]\n1 1 = 1/0\n2 2 = 1\n", "division by the constant zero"),
+        ("[metric]\n1 1 = 2^100000\n2 2 = 1\n", "constant outside the float range"),
+        ("[metric]\n1 1 = 1\n2 2 = 1\n\n[fields]\nV[1] = 2^100000\n", "constant outside the float range"),
+    ],
+    ids=["metric-1/0", "metric-2^100000", "field-2^100000"],
+)
+def test_case_file_constant_error_exits_2(tmp_path, capsys, command, section, message):
+    """A constant that divides by zero or leaves the float range is an
+    input error, not a traceback."""
+    path = tmp_path / "constant.case"
+    path.write_text(f"[chart]\ncoords = x y\n\n{section}")
+    if command == "verify":
+        argv = ["verify", "--case-file", str(path), "--check", "S1", "--points", "3"]
+    else:
+        argv = ["describe-case", "user", "--case-file", str(path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err
 
 
 def test_case_file_torsion_probe_rejects_non_finite_values(tmp_path):

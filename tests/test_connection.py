@@ -19,6 +19,7 @@ from oracles import (
     field_max_abs,
     field_values,
     random_linear_connection,
+    reachable,
     same_tree,
     sample_points,
     sphere_metric,
@@ -339,18 +340,67 @@ def test_mutant_component_reuses_the_original_derivative():
     assert type(shifted) is se.Add and shifted.a is original and shifted.b is se.ONE
 
 
+def heisenberg_metric():
+    """The contact metric of the README's Heisenberg case file on R3."""
+    entries = {(0, 0): "1/2 + y^2", (0, 2): "-y", (1, 1): "1/2", (2, 2): "1"}
+    return con.Metric.from_nonzero(R3, {ij: R3.parse(text) for ij, text in entries.items()})
+
+
+def _matrix(chart, rows):
+    return [[chart.parse(text) for text in row] for row in rows]
+
+
 def test_metric_inverse_is_symbolic_inverse():
-    metric = sphere_metric()
-    inv = geo.symbolic_inverse(metric.g)
+    """M times symbolic_inverse(M) is the identity at seeded points, for
+    metrics and for a 1 x 1 matrix and one whose determinant folds to the
+    constant 2."""
+    matrices = [
+        ("sphere", SPHERE, sphere_metric().g),
+        ("heisenberg", R3, heisenberg_metric().g),
+        ("1x1", R3, _matrix(R3, [["1 + x^2"]])),
+        ("constant det", R3, _matrix(R3, [["2", "x^2"], ["0", "1"]])),
+    ]
     rng = random.Random(22)
-    for pt in sample_points(SPHERE, rng):
-        for i in range(2):
-            for j in range(2):
-                total = sum(
-                    se.evaluate(metric.g[i][k], pt) * se.evaluate(inv[k][j], pt)
-                    for k in range(2)
-                )
-                assert total == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+    for name, chart, matrix in matrices:
+        inv = geo.symbolic_inverse(matrix)
+        n = len(matrix)
+        for pt in sample_points(chart, rng):
+            for i in range(n):
+                for j in range(n):
+                    total = sum(
+                        se.evaluate(matrix[i][k], pt) * se.evaluate(inv[k][j], pt)
+                        for k in range(n)
+                    )
+                    assert total == pytest.approx(1.0 if i == j else 0.0, abs=1e-12), name
+
+
+def test_symbolic_inverse_shares_one_reciprocal_of_the_determinant():
+    for matrix in (sphere_metric().g, heisenberg_metric().g, _matrix(R3, [["1 + x^2"]])):
+        inv = [e for row in geo.symbolic_inverse(matrix) for e in row]
+        divs = {node for node in reachable(*inv) if type(node) is se.Div}
+        assert len(divs) == 1
+        (recip,) = divs
+        assert recip.a is se.ONE
+        for e in inv:
+            assert type(e) is se.Const or recip in reachable(e)
+    # a constant determinant folds into the entries
+    inv = geo.symbolic_inverse(_matrix(R3, [["2", "x^2"], ["0", "1"]]))
+    assert not any(type(node) is se.Div for node in reachable(*inv[0], *inv[1]))
+    with pytest.raises(ZeroDivisionError):
+        geo.symbolic_inverse(_matrix(R3, [["1", "2"], ["2", "4"]]))
+
+
+def test_levi_civita_partials_share_the_reciprocal_determinant():
+    """Heisenberg's Christoffel symbols reach one Div node, and with all
+    their first and second partials at most half of the 2084 distinct nodes
+    they reached with one quotient per inverse entry."""
+    conn = con.levi_civita(heisenberg_metric())
+    coords = R3.coords
+    gammas = [conn.christoffel(k, i, j) for k, i, j in itertools.product(range(3), repeat=3)]
+    firsts = [se.differentiate(g, x) for g in gammas for x in coords]
+    seconds = [se.differentiate(d, x) for d in firsts for x in coords]
+    assert sum(type(node) is se.Div for node in reachable(*gammas)) == 1
+    assert len(reachable(*gammas, *firsts, *seconds)) <= 2084 // 2
 
 
 def test_zero_connection_has_flat_curvature():

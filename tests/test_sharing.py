@@ -14,7 +14,7 @@ from bianchi import gallery
 from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import symexpr as se
-from oracles import R3, random_linear_connection, sample_fields, sample_points
+from oracles import R3, random_linear_connection, reachable, sample_fields, sample_points
 
 
 def _setting(seed=71):
@@ -116,16 +116,6 @@ def test_a_builder_that_raises_leaves_the_scope_closed_and_empty():
     assert geo._scope is None
 
 
-def _reachable(*roots) -> int:
-    seen, stack = set(), list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node.children())
-    return len(seen)
-
-
 def test_sharing_builds_node_identical_values_from_fewer_nodes():
     """The degree-3 pair of one S2p tuple on foliation_adapted_n4, built
     with and without the scope: equal bit for bit at the sampled points,
@@ -142,7 +132,7 @@ def test_sharing_builds_node_identical_values_from_fewer_nodes():
     points = geo.sample_points(case.chart, "sharing/points", 5)
     for old, new in zip(plain, scoped):
         assert [se.evaluate(old, p) for p in points] == [se.evaluate(new, p) for p in points]
-    assert _reachable(*scoped) < _reachable(*plain)
+    assert len(reachable(*scoped)) < len(reachable(*plain))
 
 
 def test_two_form_apply_equals_the_determinant_route_bit_for_bit():

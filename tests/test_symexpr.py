@@ -168,6 +168,32 @@ def test_power_rejects_non_integral_exponents():
             x**exponent
 
 
+@pytest.mark.parametrize("text", ["1/0", "x/0", "x/(2-2)", "y + x/(2-2)"])
+def test_parse_rejects_division_by_the_constant_zero(text):
+    with pytest.raises(se.ParseError, match="division by the constant zero") as err:
+        se.parse(text, VARS)
+    assert err.value.position == text.index("/")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("2^100000", 1), ("2^-100000", 1), ("9^9^9", 1), ("2^1024", 1), ("(1/2)^1074", 5),
+     ("10^300*10^300", 6), ("x + 10^308*10", 10), pytest.param("1" * 5000, 0, id="5000-digits")],
+)
+def test_parse_rejects_constants_outside_the_float_range(text, position):
+    """A folded constant whose numerator or denominator no float holds is
+    refused at its operator, and a power is refused before it is computed."""
+    with pytest.raises(se.ParseError, match="outside the float range") as err:
+        se.parse(text, VARS)
+    assert err.value.position == position
+
+
+def test_parse_keeps_constants_inside_the_float_range():
+    assert se.parse("2^1023", VARS).value == 2**1023
+    assert se.parse("1^(10^300)", VARS).value == 1
+    assert se.parse("(1/2)^1023", VARS).value == Fraction(1, 2**1023)
+
+
 def test_parse_rejects_trailing_input():
     with pytest.raises(se.ParseError):
         se.parse("x + 1) * 2", VARS)
