@@ -114,23 +114,25 @@ def _cmd_verify(args) -> int:
 
     reports = []
     for case in cases:
-        if args.check:
-            for check_id in sorted(args.check):
-                case_check = gallery.CASE_CHECKS.get(check_id)
-                if not (case_check or ids.CATALOG[check_id]).applicable(case):
-                    print(
-                        f"note: check {check_id} is not applicable to case "
-                        f"{case.id}, skipped",
-                        file=sys.stderr,
-                    )
-                elif case_check is None:
-                    reports.append(ids.check_identity(check_id, case, config))
-                elif not args.case_checks:  # else --case-checks runs it below
-                    reports.append(ids.run_check(case_check, case, config))
-        else:
-            reports.extend(ids.run_suite(case, config))
-        if args.case_checks:
-            reports.extend(gallery.case_specific_checks(case, config))
+        # one case's fields alive at a time
+        with ids.sampling():
+            if args.check:
+                for check_id in sorted(args.check):
+                    case_check = gallery.CASE_CHECKS.get(check_id)
+                    if not (case_check or ids.CATALOG[check_id]).applicable(case):
+                        print(
+                            f"note: check {check_id} is not applicable to case "
+                            f"{case.id}, skipped",
+                            file=sys.stderr,
+                        )
+                    elif case_check is None:
+                        reports.append(ids.check_identity(check_id, case, config))
+                    elif not args.case_checks:  # else --case-checks runs it below
+                        reports.append(ids.run_check(case_check, case, config))
+            else:
+                reports.extend(ids.run_suite(case, config))
+            if args.case_checks:
+                reports.extend(gallery.case_specific_checks(case, config))
 
     reports.sort(key=lambda r: (r.case_id, r.check_id))
     if args.format == "json":
@@ -154,9 +156,8 @@ def _cmd_list(args) -> int:
             case = gallery.build_case(case_id)
             print(f"{case_id:<22} {case.description}")
     else:
-        for check_id in sorted(ids.CATALOG):
-            check = ids.CATALOG[check_id]
-            print(f"{check_id:<5} [{check.anchor}] {check.name}")
+        for check in [*map(ids.CATALOG.get, sorted(ids.CATALOG)), *gallery.CASE_CHECKS.values()]:
+            print(f"{check.identifier:<5} [{check.anchor}] {check.name}")
     return 0
 
 

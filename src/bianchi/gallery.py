@@ -33,7 +33,7 @@ from . import connection as con
 from . import structure_forms as sf
 from .geometry import Chart, GeometryError, LinearMap, PForm, VectorField
 from .connection import Connection, Metric
-from .identity_suite import CheckConfig, IdentityCheck, Report, _spec_fixed, run_check
+from .identity_suite import CheckConfig, IdentityCheck, Report, _spec_fixed, run_check, sampling
 from .symexpr import Expr
 
 
@@ -1093,4 +1093,5 @@ def case_specific_checks(case: GeometryCase, config: CheckConfig | None = None) 
     not raised.
     """
     config = config or CheckConfig()
-    return [run_check(c, case, config) for c in CASE_CHECKS.values() if c.applicable(case)]
+    with sampling():
+        return [run_check(c, case, config) for c in CASE_CHECKS.values() if c.applicable(case)]

@@ -19,7 +19,9 @@ that the harness can actually fail (mutation probing).
 :func:`run_check` builds each sampled tuple's pairs inside a
 :func:`bianchi.geometry.sharing` scope, so the pieces that the pairs repeat
 (omega(X), nabla_X Z, X wedge Y, R(X, Y), ...) are built once per tuple;
-factories run outside it.
+factories run outside it.  Fields are seeded by case and tuple, not by
+check, so all checks of a case see the same fields at tuple t; inside a
+:func:`sampling` scope each is drawn once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import gc
 import math
 import random
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import symexpr as se
@@ -67,18 +70,54 @@ class SampleBatch:
     forms: tuple[PForm, ...]
 
 
+# the fields drawn in the open sampling scope, or None outside one
+_drawn: dict | None = None
+
+
+@contextmanager
+def sampling():
+    """A scope inside which :func:`sample_fields` draws each slot once;
+    a nested scope reuses the open one.  Emptied on exit, also on error."""
+    global _drawn
+    if _drawn is not None:
+        yield
+        return
+    _drawn = drawn = {}
+    try:
+        yield
+    finally:
+        _drawn = None
+        drawn.clear()
+
+
+def _draw(chart: Chart, stream: str, sample: Callable):
+    """``sample(random.Random(stream))``, once per scope and chart."""
+    drawn = {} if _drawn is None else _drawn
+    key = (chart, stream)
+    got = drawn.get(key)
+    if got is None:
+        got = drawn[key] = sample(random.Random(stream))
+    return got
+
+
 def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:
     """Deterministically sample vector fields and p-forms.
 
-    The RNG is keyed by ``seed`` alone, so equal seeds give identical output.
-    Vector fields use random polynomial components (non-commuting, so bracket
-    terms in the identities stay exercised).  A degree outside 0..dim
-    raises :class:`~bianchi.geometry.DegreeError`.
+    Vector i comes from the stream ``{seed}/v{i}`` and the k-th form of
+    degree d from ``{seed}/f{d}.{k}``, so a smaller spec gets the same
+    first slots.  Vector fields use random polynomial components
+    (non-commuting, so bracket terms in the identities stay exercised).
+    A degree outside 0..dim raises :class:`~bianchi.geometry.DegreeError`.
     """
-    rng = random.Random(str(seed))
-    vectors = tuple(geo.random_vector_field(chart, rng) for _ in range(spec.vectors))
-    forms = tuple(geo.random_pform(chart, d, rng) for d in spec.form_degrees)
-    return SampleBatch(vectors, forms)
+    vectors = tuple(
+        _draw(chart, f"{seed}/v{i}", lambda rng: geo.random_vector_field(chart, rng))
+        for i in range(spec.vectors)
+    )
+    forms, counts = [], {}
+    for d in spec.form_degrees:
+        k = counts[d] = counts.get(d, -1) + 1
+        forms.append(_draw(chart, f"{seed}/f{d}.{k}", lambda rng: geo.random_pform(chart, d, rng)))
+    return SampleBatch(vectors, tuple(forms))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -629,8 +668,9 @@ CATALOG: dict[str, IdentityCheck] = {
 def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     """Evaluate both sides of one check on a case and report the worst residual.
 
-    Python's cycle collector is paused while the check runs and left as the
-    caller had it afterwards, also when the check raises.
+    No seed names the check, so its report is the same alone and in a
+    suite.  Python's cycle collector is paused while the check runs and
+    left as the caller had it afterwards, also when the check raises.
     """
     # A check makes no reference cycles: its expression DAGs, their
     # derivative memos and every evaluation memo are freed by reference
@@ -642,7 +682,7 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     gc.disable()
     try:
         chart = case.chart
-        stem = f"{config.seed}/{case.id}/{check.identifier}"
+        stem = f"{config.seed}/{case.id}"
         points = geo.sample_points(chart, f"{stem}/points", config.points)
         build = check.factory(case)
         spec = check.sample_spec(chart)
@@ -691,12 +731,12 @@ def check_identity(check_id: str, case, config: CheckConfig | None = None) -> Re
 def run_suite(case, config: CheckConfig | None = None) -> list[Report]:
     """Run every applicable catalog check; failures are reported, never raised."""
     config = config or CheckConfig()
-    reports = []
-    for check_id in sorted(CATALOG):
-        if not CATALOG[check_id].applicable(case):
-            continue
-        reports.append(check_identity(check_id, case, config))
-    return reports
+    with sampling():
+        return [
+            check_identity(check_id, case, config)
+            for check_id in sorted(CATALOG)
+            if CATALOG[check_id].applicable(case)
+        ]
 
 
 def mutation_probe(
@@ -720,4 +760,5 @@ def mutation_probe(
         rhs_connection=case.connection,
     )
     config = config or CheckConfig()
-    return [check_identity(check_id, probe, config) for check_id in check_ids]
+    with sampling():
+        return [check_identity(check_id, probe, config) for check_id in check_ids]
