@@ -2,12 +2,13 @@
 
     bianchi verify [--case ID]... [--check ID]... [--case-file PATH] [options]
     bianchi list {cases|checks}
-    bianchi describe-case ID
+    bianchi describe-case {ID | --case-file PATH}
 
 Exit codes: 0 all checks pass, 1 at least one identity check failed,
 2 usage or input errors.  JSON output is a single array with one object
-per (case, check) in sorted order; identical invocations produce
-byte-identical output.
+per (case, check) in sorted order: a repeated id runs once, and a case
+file may not share its id with another case of the run.  Identical
+invocations produce byte-identical output.
 """
 
 import argparse
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     describe = sub.add_parser(
         "describe-case", help="print one case's chart, connection and structures"
     )
-    describe.add_argument("case_id", metavar="ID")
+    describe.add_argument("case_id", metavar="ID", nargs="?")
     describe.add_argument(
         "--case-file", metavar="PATH", help="describe the case in PATH instead"
     )
@@ -79,12 +80,15 @@ def _usage_error(message: str) -> int:
 
 
 def _resolve_cases(args) -> list:
-    cases = []
-    if args.case:
-        for case_id in args.case:
-            cases.append(gallery.build_case(case_id))
+    case_ids = dict.fromkeys(args.case or ())  # a repeated id runs once
+    cases = [gallery.build_case(case_id) for case_id in case_ids]
     if args.case_file:
-        cases.append(casefile.load_case_file(args.case_file).case)
+        case = casefile.load_case_file(args.case_file).case
+        if case.id in case_ids:
+            raise casefile.CaseFileError(
+                f"case file {args.case_file} names case '{case.id}', which --case already runs"
+            )
+        cases.append(case)
     if not cases:
         cases = [gallery.build_case(case_id) for case_id in gallery.case_ids()]
     return sorted(cases, key=lambda c: c.id)
@@ -117,7 +121,7 @@ def _cmd_verify(args) -> int:
         # one case's fields alive at a time
         with ids.sampling():
             if args.check:
-                for check_id in sorted(args.check):
+                for check_id in sorted(set(args.check)):
                     case_check = gallery.CASE_CHECKS.get(check_id)
                     if not (case_check or ids.CATALOG[check_id]).applicable(case):
                         print(
@@ -181,6 +185,8 @@ def _render_field(field) -> str:
 
 
 def _cmd_describe_case(args) -> int:
+    if (args.case_id is None) == (args.case_file is None):
+        return _usage_error("describe-case takes either a case ID or --case-file PATH")
     try:
         if args.case_file:
             loaded = casefile.load_case_file(args.case_file)

@@ -23,13 +23,12 @@ and drop additive/multiplicative identities so that derivative cascades do
 not swell, but any such rewrite preserves the value of the expression at
 every point where it is defined.
 
-Every evaluation is one postorder walk of the DAG.  ``_fold`` walks it
-over a table of operations by node kind, in two arithmetics: floats at one
-point (:func:`evaluate`) and residues modulo a prime
-(:func:`holds_exactly`).  The scan below has two walks of its own, which
-test node kinds inline and do the float arithmetic in place, with no
-table lookup or Python-level call per Mul, Add or Neg node: one over a
-single float, one over lists of floats with one entry per sample point.
+Every evaluation is one postorder walk of the DAG, which tests node kinds
+inline and does the arithmetic in place, with no table lookup or
+Python-level call per Mul, Add or Neg node.  There are three such walks:
+floats at one point (:func:`evaluate`, and the scan over one point),
+floats over lists with one entry per sample point (the scan over several
+points), and residues modulo a prime (:func:`holds_exactly`).
 
 Checks compare two expressions over many sample points with
 :func:`worst_residual`.  One scan, for any number of points, evaluates each
@@ -458,57 +457,12 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 # -- evaluation --------------------------------------------------------------
 
-def _fold(e: Expr, memo: dict, leaf, unary: Mapping, binary: Mapping, power, fail=None):
-    """The value of ``e`` in one arithmetic, by one postorder walk of its DAG.
-
-    The arithmetic is a table of operations by node kind: ``leaf(node)``
-    is the value of a Const or Var, ``unary[kind]`` and ``binary[kind]``
-    map the values of a node's children to its value, and
-    ``power(value, exponent)`` raises a Pow's base to its int exponent.
-    ``memo`` maps nodes to values, so a shared subtree is computed once.
-    Children are computed left to right, so of two failing subtrees the
-    left one raises.  An operation's ArithmeticError, ValueError or
-    KeyError propagates, or, with ``fail``, is replaced by the exception
-    ``fail(node, exc)``, which must be none of those, so that it passes the
-    node's ancestors as is.
-    """
-
-    def ev(node: Expr):
-        got = memo.get(node)
-        if got is not None:
-            return got
-        kind = type(node)
-        try:
-            op = binary.get(kind)
-            if op is not None:
-                out = op(ev(node.a), ev(node.b))
-            else:
-                op = unary.get(kind)
-                if op is not None:
-                    out = op(ev(node.arg))
-                elif kind is Pow:
-                    out = power(ev(node.base), node.exponent)
-                else:
-                    out = leaf(node)
-        except (ArithmeticError, ValueError, KeyError) as exc:
-            if fail is None:
-                raise
-            raise fail(node, exc) from None
-        memo[node] = out
-        return out
-
-    try:
-        return ev(e)
-    finally:
-        del ev  # ev refers to itself; free it without the cycle collector
-
-
 # Float arithmetic.  Python raises where an operation has no float value:
 # x/0.0 and 0.0**-n raise ZeroDivisionError, ln of a non-positive value and
 # sin or cos of an infinity ValueError, and exp, ** and float(Const)
-# OverflowError; ln of NaN is NaN.
-_UNARY = {Neg: operator.neg, Sin: math.sin, Cos: math.cos, Exp: math.exp, Ln: math.log}
-_BINARY = {Add: operator.add, Mul: operator.mul, Div: operator.truediv}
+# OverflowError; ln of NaN is NaN.  Both float walks do Add, Mul, Div, Neg
+# and Pow inline and look up only the elementary functions here.
+_UNARY = {Sin: math.sin, Cos: math.cos, Exp: math.exp, Ln: math.log}
 
 
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
@@ -516,10 +470,10 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
 
     Raises :class:`EvaluationError`, and no other error, on domain
     failures, on results too large for a float and on variables missing
-    from ``point``.  Shared subtrees are evaluated once.  A sample point of
-    a :func:`worst_residual` scan is served from the scan's walk over all
-    its points, whose memo the pairs of a run of equal tags share; it gives
-    the same value.
+    from ``point``.  Shared subtrees are evaluated once, by one
+    :func:`_walk_floats`.  A sample point of a :func:`worst_residual` scan
+    is served from the scan's walk over all its points, whose memo the
+    pairs of a run of equal tags share; it gives the same value.
     """
     if type(point) is _ScanPoint:
         column = point.scan.column(e)
@@ -541,7 +495,7 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
             return EvaluationError(f"ln of non-positive value {value!r} in '{_clip(node)}'")
         return EvaluationError(f"cannot evaluate '{_clip(node)}': {exc}")
 
-    return _fold(e, memo, leaf, _UNARY, _BINARY, pow, fail)
+    return _walk_floats(e, memo, leaf, fail)
 
 
 class _ScanPoint(dict):
@@ -550,32 +504,43 @@ class _ScanPoint(dict):
     __slots__ = ("scan", "index")
 
 
-def _walk_floats(e: Expr, memo: dict, leaf) -> float:
-    """The float value of ``e`` at one point: the walk of :func:`_fold` over
-    the float table of :func:`evaluate`, with the node kinds tested inline
-    (the most frequent first) and their arithmetic done in place, so no
-    table lookup or Python-level call is made per Mul, Add or Neg node.
-    Raises what the operation raises."""
+def _walk_floats(e: Expr, memo: dict, leaf, fail=None) -> float:
+    """The float value of ``e`` at one point, by one postorder walk of its
+    DAG.  ``leaf(node)`` is the value of a Const or Var, and ``memo`` maps
+    nodes to values, so a shared subtree is computed once.  The node kinds
+    are tested inline, the most frequent first, and their arithmetic is
+    done in place, so no table lookup or Python-level call is made per
+    Mul, Add or Neg node.  Children are computed left to right, so of two
+    failing subtrees the left one raises.  An operation's ArithmeticError,
+    ValueError or KeyError propagates, or, with ``fail``, is replaced by
+    the exception ``fail(node, exc)`` of the innermost failing node, which
+    must be none of those, so that it passes the node's ancestors as is.
+    """
 
     def ev(node: Expr) -> float:
         got = memo.get(node)
         if got is not None:
             return got
         kind = type(node)
-        if kind is Mul:
-            out = ev(node.a) * ev(node.b)
-        elif kind is Add:
-            out = ev(node.a) + ev(node.b)
-        elif kind is Neg:
-            out = -ev(node.arg)
-        elif kind is Const or kind is Var:
-            out = leaf(node)
-        elif kind is Pow:
-            out = ev(node.base) ** node.exponent
-        elif kind is Div:
-            out = ev(node.a) / ev(node.b)
-        else:
-            out = _UNARY[kind](ev(node.arg))
+        try:
+            if kind is Mul:
+                out = ev(node.a) * ev(node.b)
+            elif kind is Add:
+                out = ev(node.a) + ev(node.b)
+            elif kind is Neg:
+                out = -ev(node.arg)
+            elif kind is Const or kind is Var:
+                out = leaf(node)
+            elif kind is Pow:
+                out = ev(node.base) ** node.exponent
+            elif kind is Div:
+                out = ev(node.a) / ev(node.b)
+            else:
+                out = _UNARY[kind](ev(node.arg))
+        except (ArithmeticError, ValueError, KeyError) as exc:
+            if fail is None:
+                raise
+            raise fail(node, exc) from None
         memo[node] = out
         return out
 
@@ -624,11 +589,11 @@ class _Scan:
     A side is computed at all points in one walk of its DAG, with one memo
     shared by every side until :meth:`start_run`, so a subtree that
     several of those sides share is computed once.  Over one point the walk
-    is :func:`_walk_floats`; over several it is :func:`_walk_lists`, with
-    the same IEEE operation per point, so every value is the one
-    :func:`evaluate` gives at that point.  The walk raises
-    wherever :func:`evaluate` raises at some point; such a side has no
-    column and is evaluated point by point, which raises the
+    is :func:`_walk_floats`, the walk of :func:`evaluate`; over several it
+    is :func:`_walk_lists`, with the same IEEE operation per point, so
+    every value is the one :func:`evaluate` gives at that point.  The walk
+    raises wherever :func:`evaluate` raises at some point; such a side has
+    no column and is evaluated point by point, which raises the
     EvaluationError at the same point as before.
     """
 
@@ -756,30 +721,48 @@ def _residue(*key) -> int:
     return int.from_bytes(digest, "big") % _PRIME
 
 
-# Arithmetic modulo _PRIME.  Sums and negations are left unreduced, so they
-# cost no Python-level call, and grow by a bit per nested sum; every other
-# operation reduces its result.  A sin/cos/exp/ln node is a pseudo-random
-# function of its argument's residue.  pow(b, -1, p) raises ValueError where
-# b has no inverse.
-_MOD_UNARY = {Neg: operator.neg}
-_MOD_UNARY.update(
-    {kind: lambda a, name=kind.__name__: _residue(name, a % _PRIME) for kind in (Sin, Cos, Exp, Ln)}
-)
-_MOD_BINARY = {
-    Add: operator.add,
-    Mul: lambda a, b: a * b % _PRIME,
-    Div: lambda a, b: a * pow(b, -1, _PRIME) % _PRIME,
-}
+def _walk_residues(e: Expr, memo: dict, leaf) -> int:
+    """The residue of ``e`` modulo _PRIME: the walk of :func:`_walk_floats`
+    in that arithmetic, with the node kinds tested in the same order.  Sums
+    and negations are left unreduced, which saves a modulo per node, and
+    grow by a bit per nested sum; every other operation reduces its
+    result.  A sin/cos/exp/ln node is a pseudo-random function of its
+    argument's residue.  pow(b, -1, p) raises ValueError where b has no
+    inverse."""
 
+    def ev(node: Expr) -> int:
+        got = memo.get(node)
+        if got is not None:
+            return got
+        kind = type(node)
+        if kind is Mul:
+            out = ev(node.a) * ev(node.b) % _PRIME
+        elif kind is Add:
+            out = ev(node.a) + ev(node.b)
+        elif kind is Neg:
+            out = -ev(node.arg)
+        elif kind is Const or kind is Var:
+            out = leaf(node)
+        elif kind is Pow:
+            out = pow(ev(node.base), node.exponent, _PRIME)
+        elif kind is Div:
+            out = ev(node.a) * pow(ev(node.b), -1, _PRIME) % _PRIME
+        else:
+            out = _residue(kind.__name__, ev(node.arg) % _PRIME)
+        memo[node] = out
+        return out
 
-def _mod_power(base: int, exponent: int) -> int:
-    return pow(base, exponent, _PRIME)
+    try:
+        return ev(e)
+    finally:
+        del ev  # ev refers to itself; free it without the cycle collector
 
 
 def holds_exactly(lhs: Expr, rhs) -> bool:
     """Whether ``lhs == rhs`` holds at a pseudo-random point of GF(p).
 
-    Both sides are evaluated exactly modulo the prime p = 2^61 - 1: each
+    Both sides are evaluated exactly modulo the prime p = 2^61 - 1, by
+    :func:`_walk_residues` with one memo for the two sides: each
     variable is a pseudo-random residue, a constant num/den is
     num * den^-1, and each sin/cos/exp/ln node is a pseudo-random function
     of its argument's residue, a fresh indeterminate whose derivative rule
@@ -811,8 +794,7 @@ def holds_exactly(lhs: Expr, rhs) -> bool:
 
         memo: dict[Expr, int] = {}
         try:
-            difference = (_fold(lhs, memo, leaf, _MOD_UNARY, _MOD_BINARY, _mod_power)
-                          - _fold(rhs, memo, leaf, _MOD_UNARY, _MOD_BINARY, _mod_power))
+            difference = _walk_residues(lhs, memo, leaf) - _walk_residues(rhs, memo, leaf)
         except ValueError:  # something to invert is 0 at this draw: redraw
             continue
         return difference % _PRIME == 0

@@ -8,6 +8,7 @@ non-commuting fields checks both.
 """
 
 import gc
+import math
 import random
 from contextlib import contextmanager
 
@@ -135,6 +136,28 @@ def curvature_three_form_via_iterated_derivatives(conn, theta, fields):
         bracket = nabla(conn, geo.lie_bracket(x, y), theta).apply([z])
         terms.append(se.neg(se.sub(se.sub(lead, swapped), bracket)))
     return se.add_all(terms)
+
+
+def evaluate_recursively(e, point) -> float:
+    """The float value of ``e`` at ``point`` by plain recursion over the
+    tree, with no memo: a shared subtree is evaluated once per path to it.
+    Oracle for :func:`bianchi.symexpr.evaluate`, whose walks it shares no
+    code with; each node kind is the same IEEE operation, so the two
+    agree bit for bit."""
+    kind = type(e)
+    if kind is se.Const:
+        return float(e.value)
+    if kind is se.Var:
+        return float(point[e.name])
+    if kind is se.Pow:
+        return evaluate_recursively(e.base, point) ** e.exponent
+    if kind in (se.Add, se.Mul, se.Div):
+        a, b = evaluate_recursively(e.a, point), evaluate_recursively(e.b, point)
+        return a + b if kind is se.Add else a * b if kind is se.Mul else a / b
+    arg = evaluate_recursively(e.arg, point)
+    if kind is se.Neg:
+        return -arg
+    return {se.Sin: math.sin, se.Cos: math.cos, se.Exp: math.exp, se.Ln: math.log}[kind](arg)
 
 
 def field_values(field, point):

@@ -342,9 +342,10 @@ def test_describe_contact_case_prints_structure_and_checks(capsys):
 def test_describe_case_output_matches_the_pinned_digest(capsys, request, case_id, digest):
     """describe-case output is byte-identical across refactors; it samples
     the points of its Christoffel filter and validates the case first."""
-    argv = ["describe-case", case_id]
     if case_id == "metric_case":
-        argv += ["--case-file", request.getfixturevalue(case_id)]
+        argv = ["describe-case", "--case-file", request.getfixturevalue(case_id)]
+    else:
+        argv = ["describe-case", case_id]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -354,6 +355,36 @@ def test_describe_unknown_case_exits_2(capsys):
     code, _, err = run_cli(capsys, "describe-case", "nonexistent")
     assert code == 2
     assert "unknown case" in err
+
+
+@pytest.mark.parametrize("with_id, with_file", [(False, False), (True, True)],
+                         ids=["neither", "both"])
+def test_describe_case_takes_an_id_or_a_case_file(capsys, metric_case, with_id, with_file):
+    argv = ["describe-case"] + ["contact_r3"] * with_id + ["--case-file", metric_case] * with_file
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: describe-case takes either a case ID or --case-file PATH\n"
+
+
+@pytest.mark.parametrize("flags", [["--case", "flat_euclidean"], ["--check", "D1"]],
+                         ids=["case", "check"])
+def test_a_repeated_id_runs_once(capsys, flags):
+    argv = ["verify", "--case", "flat_euclidean", "--check", "D1", "--check", "S1",
+            "--points", "2", "--tuples", "1", "--format", "json"]
+    _, once, _ = run_cli(capsys, *argv)
+    code, twice, _ = run_cli(capsys, *argv, *flags)
+    assert code == 0
+    assert twice == once
+    assert [r["check"] for r in json.loads(twice)] == ["D1", "S1"]
+
+
+def test_a_case_file_may_not_reuse_the_id_of_a_gallery_case(tmp_path, capsys):
+    path = tmp_path / "x.case"
+    path.write_text("[chart]\nname = flat_euclidean\ncoords = x y\n")
+    code, out, err = run_cli(capsys, "verify", "--case", "flat_euclidean", "--case-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: case file {path} names case 'flat_euclidean', "
+                   "which --case already runs\n")
 
 
 # -- case files -----------------------------------------------------------------------
@@ -419,7 +450,7 @@ def test_probed_flags_are_not_re_checked_by_validation(tmp_path, capsys, name):
 
 
 def test_describe_case_file_prints_named_objects(capsys, metric_case):
-    code, out, _ = run_cli(capsys, "describe-case", "ignored", "--case-file", metric_case)
+    code, out, _ = run_cli(capsys, "describe-case", "--case-file", metric_case)
     assert code == 0
     assert "form alpha: (-y) dx + (1) dz" in out
     assert "field V: (1) d/dz" in out
@@ -488,7 +519,7 @@ def test_case_file_infinite_range_exits_2(tmp_path, capsys, command, bounds):
     if command == "verify":
         argv = ["verify", "--case-file", str(path), "--check", "S1", "--points", "3"]
     else:
-        argv = ["describe-case", "user", "--case-file", str(path)]
+        argv = ["describe-case", "--case-file", str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "infinite" in err
@@ -520,7 +551,7 @@ def test_case_file_domain_error_exits_2(tmp_path, capsys, command, chart_range, 
     if command == "verify":
         argv = ["verify", "--case-file", str(path), "--check", "S1", "--points", "3"]
     else:
-        argv = ["describe-case", "user", "--case-file", str(path)]
+        argv = ["describe-case", "--case-file", str(path)]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert culprit in err
@@ -544,7 +575,7 @@ def test_case_file_constant_error_exits_2(tmp_path, capsys, command, section, me
     if command == "verify":
         argv = ["verify", "--case-file", str(path), "--check", "S1", "--points", "3"]
     else:
-        argv = ["describe-case", "user", "--case-file", str(path)]
+        argv = ["describe-case", "--case-file", str(path)]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and message in err
@@ -584,13 +615,14 @@ def test_module_invocation_round_trip():
     assert "S2p" in proc.stdout
 
 
-def test_importing_the_cli_leaves_out_configparser():
-    """Only case files need configparser, so a run without one does not
-    import it."""
+@pytest.mark.parametrize("module", ["configparser", "hashlib"])
+def test_importing_the_cli_leaves_out(module):
+    """Only case files need configparser and only the exact recheck needs
+    hashlib, so a run without them does not import them."""
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bianchi.cli; print('configparser' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, bianchi.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0

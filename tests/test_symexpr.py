@@ -5,8 +5,10 @@ agree with numeric ones on randomly generated expression trees.  Parsing is
 checked by evaluation-equivalent round trips.
 """
 
+import errno
 import gc
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi import symexpr as se
-from oracles import collector, same_tree
+from oracles import collector, evaluate_recursively, same_tree
 
 
 VARS = ("x", "y", "z")
@@ -405,6 +407,25 @@ def test_evaluate_overflow_raises_evaluation_error():
         se.evaluate(se.parse("sin(x*x)", VARS), {"x": 1e200})
 
 
+@pytest.mark.parametrize(
+    "expr, point, message",
+    [
+        (se.parse("1/(x - 1)", VARS), {"x": 1.0}, "division by zero in '1/(x - 1)'"),
+        (se.parse("exp(x)", VARS), {"x": 800.0}, "cannot evaluate 'exp(x)': math range error"),
+        (se.parse("sin(x)", VARS), {"x": math.inf}, "cannot evaluate 'sin(x)': math domain error"),
+        (se.parse("x^3", VARS), {"x": 1e200},
+         f"cannot evaluate 'x^3': ({errno.ERANGE}, {os.strerror(errno.ERANGE)!r})"),
+        (se.Const(10**400), {},
+         f"cannot evaluate '{'1' + '0' * 76}...': int too large to convert to float"),
+    ],
+    ids=["division", "exp", "sin-inf", "power", "constant"],
+)
+def test_evaluation_error_messages_are_pinned(expr, point, message):
+    with pytest.raises(se.EvaluationError) as err:
+        se.evaluate(expr, point)
+    assert str(err.value) == message
+
+
 def test_worst_residual_never_passes_non_finite_values():
     x = se.Var("x")
     big = se.Const(10**300)
@@ -496,6 +517,20 @@ def test_scan_values_equal_the_per_point_walk(monkeypatch, count):
 def test_scan_values_equal_the_per_point_walk_with_shared_tags(monkeypatch, count):
     """Pairs that share a tag share the scan's memo; the values stay exact."""
     check_scan_values(monkeypatch, count, group=2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evaluate_equals_a_memo_free_recursion(seed):
+    """Every node kind, with shared subtrees: the one-point walk of
+    ``evaluate`` gives the oracle's value bit for bit."""
+    rng = random.Random(f"oracle/{seed}")
+    pool = random_dag(rng, 45)
+    assert {type(e) for e in pool} == {
+        se.Const, se.Var, se.Add, se.Mul, se.Div, se.Pow, se.Neg, se.Sin, se.Cos, se.Exp, se.Ln
+    }
+    for point in (random_point(rng) for _ in range(3)):
+        for e in pool:
+            assert repr(se.evaluate(e, point)) == repr(evaluate_recursively(e, point))
 
 
 def test_scan_returns_an_earlier_nan_before_a_later_domain_error():
