@@ -90,29 +90,35 @@ _scope: dict | None = None
 
 
 @contextmanager
-def sharing():
+def sharing(table: dict | None = None):
     """A scope inside which :func:`shared` builds each result once.
 
-    Its entries are dropped when the scope closes, also when its body
-    raises.
+    By default the scope has a table of its own, whose entries are dropped
+    when the scope closes, also when its body raises.  A given ``table``
+    keeps its entries for the next scope that is given it: the identity
+    suite keeps one per case and sampled tuple for as long as the case's
+    sampling scope is open, so all the checks of a case share each piece
+    built from that tuple's fields.
     """
     global _scope
-    _scope = scope = {}
+    _scope = scope = {} if table is None else table
     try:
         yield
     finally:
         _scope = None
-        scope.clear()
+        if table is None:
+            scope.clear()
 
 
 def shared(build: Callable, *args):
-    """``build(*args)``, built once per sharing scope for the same ``build``
+    """``build(*args)``, built once per sharing table for the same ``build``
     and argument objects; outside a scope, built at every call.
 
     Entries are keyed by the ids of the arguments and hold the arguments,
-    so no id can be reused while its entry lives.  ``build`` must be a pure
-    function of its arguments' identities, which is what makes the first
-    result good for every later request.
+    so no id can be reused while its entry lives, for as long as the table
+    is kept.  ``build`` must be a pure function of its arguments'
+    identities, which is what makes the first result good for every later
+    request.
     """
     scope = _scope
     if scope is None:
@@ -122,6 +128,24 @@ def shared(build: Callable, *args):
     if got is None:
         got = scope[key] = (args, build(*args))
     return got[1]
+
+
+def _roots(piece) -> list[Expr]:
+    """The expressions that a piece of a sharing table holds: the
+    components of a vector field, p-form or endomorphism field, or the
+    entries of a component dict or matrix (omega(X)).  A :class:`_Minors`
+    fills lazily and has none."""
+    if isinstance(piece, VectorField):
+        return list(piece.comps)
+    if isinstance(piece, PForm):
+        return list(piece.comps.values())
+    if type(piece) is dict:
+        return list(piece.values())
+    if isinstance(piece, LinearMap):
+        return [e for row in piece.entries for e in row]
+    if type(piece) is list:
+        return [e for row in piece for e in row]
+    return []
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import random
 from collections.abc import Callable, Sequence
@@ -70,24 +71,71 @@ class SampleBatch:
     forms: tuple[PForm, ...]
 
 
-# the fields drawn in the open sampling scope, or None outside one
+class _Pieces:
+    """What a sampling scope keeps for one sampled tuple of its case: the
+    sharing table of the pieces built from the tuple's fields, the roots
+    of those pieces (see :func:`bianchi.geometry._roots`), and the values
+    of those roots that the checks' scans have computed, per number of
+    points."""
+
+    __slots__ = ("table", "roots", "values")
+
+    def __init__(self):
+        self.table: dict = {}
+        self.roots: list = []
+        self.values: dict[int, dict] = {}
+
+    def build(self, build: Callable, batch: SampleBatch) -> list:
+        """``build``'s pairs, built inside this tuple's sharing table; the
+        roots of each piece are recorded once, when it is built."""
+        start = len(self.table)
+        try:
+            with geo.sharing(self.table):
+                return build(batch.vectors, batch.forms)
+        finally:
+            for _, piece in itertools.islice(self.table.values(), start, None):
+                self.roots += geo._roots(piece)
+
+    def known(self, count: int) -> tuple:
+        """The known values at the case's ``count`` points and the roots,
+        as :func:`bianchi.symexpr.worst_residual` takes them."""
+        values = self.values.get(count)
+        if values is None:
+            values = self.values[count] = {}
+        return values, self.roots
+
+    def clear(self) -> None:
+        self.table.clear()
+        self.roots.clear()
+        self.values.clear()
+
+
+# What the open sampling scope keeps, or None outside one: the drawn fields
+# by (chart, stream), and the pieces of each sampled tuple by (chart, stem).
 _drawn: dict | None = None
+_tuples: dict | None = None
 
 
 @contextmanager
 def sampling():
-    """A scope inside which :func:`sample_fields` draws each slot once;
-    a nested scope reuses the open one.  Emptied on exit, also on error."""
-    global _drawn
+    """A scope inside which :func:`sample_fields` draws each slot once,
+    and the checks of a case share, per sampled tuple, the pieces built
+    from its fields and their values at the case's points; a nested scope
+    reuses the open one.  All of it lives until the scope closes, and is
+    emptied then, also on error."""
+    global _drawn, _tuples
     if _drawn is not None:
         yield
         return
-    _drawn = drawn = {}
+    _drawn, _tuples = drawn, tuples = {}, {}
     try:
         yield
     finally:
-        _drawn = None
+        _drawn = _tuples = None
         drawn.clear()
+        for pieces in tuples.values():
+            pieces.clear()
+        tuples.clear()
 
 
 def _draw(chart: Chart, stream: str, sample: Callable):
@@ -97,6 +145,18 @@ def _draw(chart: Chart, stream: str, sample: Callable):
     got = drawn.get(key)
     if got is None:
         got = drawn[key] = sample(random.Random(stream))
+    return got
+
+
+def _kept_pieces(chart: Chart, stem: str) -> _Pieces | None:
+    """The open sampling scope's pieces of the tuple ``stem``, or None
+    outside one."""
+    if _tuples is None:
+        return None
+    key = (chart, stem)
+    got = _tuples.get(key)
+    if got is None:
+        got = _tuples[key] = _Pieces()
     return got
 
 
@@ -689,17 +749,25 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
         # a check that samples no fields would build the same pairs for every tuple
         tuples = config.tuples if spec != SampleSpec() else 1
 
+        known = {}
+
         def pairs():
             for t in range(tuples):
                 batch = sample_fields(chart, f"{stem}/{t}", spec)
-                # the pieces that the pairs of one tuple repeat are built once
-                with geo.sharing():
-                    built = build(batch.vectors, batch.forms)
+                pieces = _kept_pieces(chart, f"{stem}/{t}")
+                if pieces is None:
+                    # the pieces that the pairs of one tuple repeat are built once
+                    with geo.sharing():
+                        built = build(batch.vectors, batch.forms)
+                else:
+                    # ... once for all the checks of the case, and evaluated once
+                    built = pieces.build(build, batch)
+                    known[t] = pieces.known(len(points))
                 for lhs, rhs in built:
                     yield t, lhs, rhs
 
         worst, worst_point, worst_tuple, cleared = se.worst_residual(
-            pairs(), points, config.tolerance
+            pairs(), points, config.tolerance, known
         )
     finally:
         if collecting:

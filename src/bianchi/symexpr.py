@@ -493,6 +493,9 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
         if type(node) is Ln and isinstance(exc, ValueError):
             value = memo[node.arg]
             return EvaluationError(f"ln of non-positive value {value!r} in '{_clip(node)}'")
+        if type(node) is Pow and isinstance(exc, OverflowError):
+            # float ** reports errno and libc text; say what math.exp says
+            exc = "math range error"
         return EvaluationError(f"cannot evaluate '{_clip(node)}': {exc}")
 
     return _walk_floats(e, memo, leaf, fail)
@@ -595,6 +598,10 @@ class _Scan:
     raises wherever :func:`evaluate` raises at some point; such a side has
     no column and is evaluated point by point, which raises the
     EvaluationError at the same point as before.
+
+    A run may start from known values: its memo starts as a copy of them,
+    and when the run ends the values it has of the given roots are written
+    back, for the next run over the same nodes and points.
     """
 
     def __init__(self, samples: list):
@@ -603,6 +610,7 @@ class _Scan:
         self.walk = _walk_floats if self.single else _walk_lists
         # one leaf value per variable name and per constant value
         self.leaves: dict = {}
+        self.known = None
         self.start_run()
 
     def points(self) -> list:
@@ -615,10 +623,25 @@ class _Scan:
             points.append(point)
         return points
 
-    def start_run(self) -> None:
-        self.memo: dict[Expr, list] = {}
+    def start_run(self, known=None) -> None:
+        """End the current run and start one from ``known``, a ``(values,
+        roots)`` pair as :func:`worst_residual` takes it, or from nothing."""
+        self.end_run()
+        self.known = known
+        self.memo: dict[Expr, list] = {} if known is None else dict(known[0])
         # each side seen in this run: its column, or None when its walk raised
         self.sides: dict[Expr, list | None] = {}
+
+    def end_run(self) -> None:
+        """Write the run's values of its roots back to its known values."""
+        if self.known is None:
+            return
+        values, roots = self.known
+        memo = self.memo
+        for root in roots:
+            got = memo.get(root)
+            if got is not None:
+                values[root] = got
 
     def column(self, e: Expr):
         """The values of ``e`` at every point, or None when the walk raised."""
@@ -648,7 +671,7 @@ class _Scan:
         return out
 
 
-def worst_residual(pairs, points, tol=None) -> tuple:
+def worst_residual(pairs, points, tol=None, known=None) -> tuple:
     """Worst residual |lhs - rhs| over ``(tag, lhs, rhs)`` triples and points.
 
     ``pairs`` is consumed lazily, one triple at a time.  ``rhs`` is an
@@ -662,7 +685,14 @@ def worst_residual(pairs, points, tol=None) -> tuple:
     ``evaluate`` serves each value from one scan of all the points.  The
     pairs of a run of equal tags share the scan's memo, so a subtree that
     they share is computed once per run; the memo and the sides it keeps
-    alive are dropped when the tag changes.
+    alive are dropped when the tag changes.  ``known`` may map a tag,
+    when its run starts, to a ``(values, roots)`` pair: ``values`` maps
+    nodes to their values at these points (a float over one point, a list
+    over several), the run's memo starts from a copy of it, and when the
+    run ends the values that the memo has of the nodes in ``roots`` are
+    written back to it.  The identity suite passes the components of the
+    pieces that a case's checks share at one sampled tuple, so each is
+    evaluated once for all those checks.
 
     With a tolerance ``tol``, a pair with a residual above it is tested
     once by :func:`holds_exactly`.  The residuals of a pair that holds
@@ -680,26 +710,31 @@ def worst_residual(pairs, points, tol=None) -> tuple:
     samples = list(points)
     scan = _Scan(samples)
     points = scan.points()
+    if known is None:
+        known = {}
     worst, failing = (0.0, None, None), None
     run_tag = object()  # equal to no tag
-    for tag, lhs, rhs in pairs:
-        if tag != run_tag:
-            scan.start_run()
-            run_tag = tag
-        exact = None
-        for index, point in enumerate(points):
-            left = evaluate(lhs, point)
-            right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
-            residual = abs(left - right)
-            if residual != residual or residual == math.inf:
-                return residual, samples[index], tag, False
-            if residual > worst[0]:
-                worst = residual, samples[index], tag
-            if tol is not None and residual > tol and (failing is None or residual > failing[0]):
-                if exact is None:
-                    exact = holds_exactly(lhs, rhs)
-                if not exact:
-                    failing = residual, samples[index], tag
+    try:
+        for tag, lhs, rhs in pairs:
+            if tag != run_tag:
+                scan.start_run(known.get(tag))
+                run_tag = tag
+            exact = None
+            for index, point in enumerate(points):
+                left = evaluate(lhs, point)
+                right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
+                residual = abs(left - right)
+                if residual != residual or residual == math.inf:
+                    return residual, samples[index], tag, False
+                if residual > worst[0]:
+                    worst = residual, samples[index], tag
+                if tol is not None and residual > tol and (failing is None or residual > failing[0]):
+                    if exact is None:
+                        exact = holds_exactly(lhs, rhs)
+                    if not exact:
+                        failing = residual, samples[index], tag
+    finally:
+        scan.end_run()
     if failing is not None:
         return (*failing, False)
     return (*worst, tol is not None and worst[0] > tol)

@@ -5,10 +5,8 @@ agree with numeric ones on randomly generated expression trees.  Parsing is
 checked by evaluation-equivalent round trips.
 """
 
-import errno
 import gc
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -413,8 +411,7 @@ def test_evaluate_overflow_raises_evaluation_error():
         (se.parse("1/(x - 1)", VARS), {"x": 1.0}, "division by zero in '1/(x - 1)'"),
         (se.parse("exp(x)", VARS), {"x": 800.0}, "cannot evaluate 'exp(x)': math range error"),
         (se.parse("sin(x)", VARS), {"x": math.inf}, "cannot evaluate 'sin(x)': math domain error"),
-        (se.parse("x^3", VARS), {"x": 1e200},
-         f"cannot evaluate 'x^3': ({errno.ERANGE}, {os.strerror(errno.ERANGE)!r})"),
+        (se.parse("x^3", VARS), {"x": 1e200}, "cannot evaluate 'x^3': math range error"),
         (se.Const(10**400), {},
          f"cannot evaluate '{'1' + '0' * 76}...': int too large to convert to float"),
     ],
