@@ -23,7 +23,7 @@ defining vector-field formulas with Lie brackets.  :func:`torsion` and
 of the last coframe it was given the same way.
 
 Inside a :func:`bianchi.geometry.sharing` scope (one sampled tuple of a
-check) each omega(X), nabla_X Y of a vector field, nabla_{d/dx^i} theta
+check, or of all the checks of a case) each omega(X), nabla_X Y of a vector field, nabla_{d/dx^i} theta
 of a form and wedge entry (X wedge Y)^{ij} is built once per connection
 and arguments, and so, through the tensor-valued form call, is each
 T(X, Y) and R(X, Y); the wedge entries are the ones that 2-forms pair

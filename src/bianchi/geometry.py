@@ -23,8 +23,10 @@ identities are signed sums over the fields they are given, so omega(X),
 nabla_X Z, nabla_{d/dx^i} theta, X wedge Y and R(X, Y) recur from term to
 term.  Inside a :func:`sharing` scope, which the identity suite opens around
 each tuple's build, :func:`shared` returns the object that the first
-request built, so its nodes are built and evaluated once.  Outside a scope
-nothing is kept and every request builds afresh.  The minors of
+request built, so its nodes are built and evaluated once.  The suite
+keeps the scope's table per case and tuple while the case's sampling
+scope is open, so the checks of a case share those pieces too.  Outside
+a scope nothing is kept and every request builds afresh.  The minors of
 :meth:`PForm.apply` go through it, and so does every tensor-valued form
 call.
 """
@@ -353,25 +355,40 @@ class _Minors(dict):
     """The minors det[fields[b]^{key[a]}] of some vector fields by
     increasing key, each built at its first lookup.
 
-    Two fields X, Y give (X wedge Y)^{ij} = X^i Y^j - X^j Y^i, which the
-    torsion and curvature rules pair with their components; it differs
-    from the 2 x 2 :func:`_symbolic_det` only in the operand order of the
-    product X^j Y^i, and IEEE multiplication commutes, so its value is the
-    same bit for bit.
+    One field gives its components, and two fields X, Y give
+    (X wedge Y)^{ij} = X^i Y^j - X^j Y^i, which the torsion and curvature
+    rules pair with their components.  A minor of more fields is expanded
+    along the last field (Laplace) over the minors of the others,
+    ``shared(_Minors, *fields[:-1])``, kept in ``rest``: each minor of p
+    fields is built once for every minor of p + 1 fields that contains
+    it, where the Leibniz sum of :func:`_symbolic_det` rebuilds its
+    products, and in a sharing scope the 2-minors are the wedge entries
+    that T and R use.  A sharing table keeps a :class:`_Minors` like any
+    piece, for as long as the table lives.
     """
 
-    __slots__ = ("fields",)
+    __slots__ = ("fields", "rest")
 
     def __init__(self, *fields: VectorField):
         self.fields = fields
+        self.rest = None
 
     def __missing__(self, key: tuple[int, ...]) -> Expr:
-        if len(key) == 2:
+        fields = self.fields
+        if len(key) == 1:
+            det = fields[0].comps[key[0]]
+        elif len(key) == 2:
             i, j = key
-            x, y = self.fields[0].comps, self.fields[1].comps
+            x, y = fields[0].comps, fields[1].comps
             det = se.sub(se.mul(x[i], y[j]), se.mul(x[j], y[i]))
         else:
-            det = _symbolic_det([[f.comps[k] for f in self.fields] for k in key])
+            if self.rest is None:
+                self.rest = shared(_Minors, *fields[:-1])
+            last, top = fields[-1].comps, len(key) - 1
+            det = ZERO
+            for a, k in enumerate(key):
+                term = se.mul(self.rest[key[:a] + key[a + 1 :]], last[k])
+                det = se.add(det, term) if (top - a) % 2 == 0 else se.sub(det, term)
         self[key] = det
         return det
 

@@ -20,8 +20,11 @@ that the harness can actually fail (mutation probing).
 :func:`bianchi.geometry.sharing` scope, so the pieces that the pairs repeat
 (omega(X), nabla_X Z, X wedge Y, R(X, Y), ...) are built once per tuple;
 factories run outside it.  Fields are seeded by case and tuple, not by
-check, so all checks of a case see the same fields at tuple t; inside a
-:func:`sampling` scope each is drawn once.
+check, so all checks of a case see the same fields at tuple t.  Inside a
+:func:`sampling` scope, which the suite runners open once per case, each
+field is drawn once, and the checks of the case share each tuple's
+pieces and the values of their components at the case's points, until
+the scope closes.
 """
 
 from __future__ import annotations
@@ -729,7 +732,14 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     """Evaluate both sides of one check on a case and report the worst residual.
 
     No seed names the check, so its report is the same alone and in a
-    suite.  Python's cycle collector is paused while the check runs and
+    suite.  Each tuple is built in a sharing scope of its own, emptied
+    right after; inside a :func:`sampling` scope it is built in the table
+    that the scope keeps for the case's tuple, so it gets the pieces that
+    earlier checks of the case built from the same fields, and its scan
+    starts from the values those checks computed for their components at
+    the same points (and leaves its own for the next check).  The values
+    are the ones a fresh build and scan would compute, so the report is
+    the same.  Python's cycle collector is paused while the check runs and
     left as the caller had it afterwards, also when the check raises.
     """
     # A check makes no reference cycles: its expression DAGs, their

@@ -37,8 +37,12 @@ the walk over lists with the same IEEE operation per point over several,
 so the values are bit-identical to those of :func:`evaluate`.  The pairs
 of a run of equal tags (the pairs of one sampled tuple, in a check) share
 the scan's memo, and the scan keeps their sides alive until the tag
-changes, so a subtree they share is computed once per run.  ``evaluate``
-is still called once per side and point and serves each value from the
+changes, so a subtree they share is computed once per run.  A run may
+also start from known values of some nodes at the same points, and
+write back those it computes: the identity suite passes the components of
+the pieces that the checks of a case share at one tuple, so each is
+evaluated once per case and tuple, not once per check.  ``evaluate`` is
+still called once per side and point and serves each value from the
 scan.  A pair with a residual above the check's tolerance is rechecked by
 :func:`holds_exactly`, an identity test modulo a prime; a pair that holds
 exactly keeps its float residual in the result, but that residual is
@@ -601,7 +605,10 @@ class _Scan:
 
     A run may start from known values: its memo starts as a copy of them,
     and when the run ends the values it has of the given roots are written
-    back, for the next run over the same nodes and points.
+    back, for the next run over the same nodes and points.  The identity
+    suite keeps such values for each sampled tuple of a case, so the
+    checks of the case evaluate the pieces they share once, for as long as
+    the case's sampling scope is open; the memo itself lives for one run.
     """
 
     def __init__(self, samples: list):

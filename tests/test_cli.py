@@ -154,7 +154,7 @@ def test_verify_json_output_matches_the_pinned_digest(capsys):
     code, out, _ = run_cli(capsys, *GALLERY_RUN)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "259efcc41d8669a638a4fe5ba6dc213d2bbbecccefd0137dcc59e6ace9bd6ab3"
+        "6762391cc9ad83945538c1ae0d3ccd7ae477ca28b59dd1710185e817bdd5275e"
     )
 
 
@@ -164,7 +164,7 @@ def test_verify_application_checks_match_the_pinned_digest(capsys):
     code, out, _ = run_cli(capsys, *APPLICATION_RUN)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cd653e1d9a0d1233db332c5202d6c61979e71897ebacbb92364e6e152542c519"
+        "f33f55b915e950daa5f527a3b6c5b694a7a5b30b2bbf166f124da8984e8f84f3"
     )
 
 
@@ -174,7 +174,7 @@ def test_verify_at_one_point_matches_the_pinned_digest(capsys):
     code, out, _ = run_cli(capsys, *ONE_POINT_RUN)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "400192ac290fc40a6678f98e4aa477c978c9e4254cb96649f3fbbc2c93de5fb0"
+        "a050917d6e7c2b85fdcb243421576ebe643dcb994e903f7a50ff3b8279adfce2"
     )
 
 

@@ -1,5 +1,7 @@
 """Exterior calculus invariants, with the intrinsic formula as oracle."""
 
+import contextlib
+import itertools
 import random
 
 import pytest
@@ -211,3 +213,32 @@ def test_tensor_valued_form_arity_checks():
         identity(X, X)
     with pytest.raises(geo.GeometryError):
         geo.TensorValuedForm(R3, -1, lambda: X)
+
+
+R5 = geo.Chart("r5", ("a", "b", "c", "d", "e"), ((-1.0, 1.0),) * 5)
+
+
+@pytest.mark.parametrize("scoped", [True, False])
+def test_laplace_minors_equal_the_leibniz_determinant(scoped):
+    """Every minor of p = 1..5 fields on a 5-chart, each expanded along its
+    last field, is the Leibniz determinant of its rows, exactly."""
+    rng = random.Random(29)
+    fields = [geo.random_vector_field(R5, rng) for _ in range(5)]
+    with geo.sharing() if scoped else contextlib.nullcontext():
+        for p in range(1, 6):
+            minors = geo.shared(geo._Minors, *fields[:p])
+            for key in itertools.combinations(range(5), p):
+                leibniz = geo._symbolic_det([[f.comps[k] for f in fields[:p]] for k in key])
+                assert se.holds_exactly(minors[key], leibniz), (p, key)
+
+
+def test_two_minors_stay_the_wedge_entries_bit_for_bit():
+    rng = random.Random(31)
+    x, y = (geo.random_vector_field(R5, rng) for _ in range(2))
+    minors = geo._Minors(x, y)
+    points = [geo.random_point(R5, rng) for _ in range(5)]
+    for i, j in itertools.combinations(range(5), 2):
+        wedge = x.comps[i] * y.comps[j] - x.comps[j] * y.comps[i]
+        assert [se.evaluate(minors[i, j], p) for p in points] == [
+            se.evaluate(wedge, p) for p in points
+        ]

@@ -100,6 +100,47 @@ def test_run_check_opens_one_scope_per_tuple_and_closes_it():
     assert geo._scope is None
 
 
+def test_the_checks_of_a_case_share_each_tuples_pieces_in_a_sampling_scope():
+    """Inside a sampling scope a later check gets the pieces that an
+    earlier check of the case built from the same tuple, and every root of
+    those pieces has a known value at the case's points; outside one,
+    each tuple's table is fresh and emptied."""
+    case = gallery.build_case("random_poly")
+    config = ids.CheckConfig(points=3, tuples=2)
+    built = []
+
+    def build(vectors, forms):
+        value = con.torsion(case.connection)(*vectors)
+        built.append(value)
+        return [(c, c) for c in value.comps]
+
+    with ids.sampling():
+        for _ in range(2):
+            ids.run_check(_tiny_check(build), case, config)
+        assert built[0] is built[2] and built[1] is built[3] and built[0] is not built[1]
+        pieces = ids._tuples[case.chart, "0/random_poly/0"]
+        values = pieces.values[config.points]
+        assert built[0].comps[0] in pieces.roots
+        assert all(root in values for root in pieces.roots)
+        assert values[built[0].comps[0]] == [
+            se.evaluate(built[0].comps[0], p)
+            for p in geo.sample_points(case.chart, "0/random_poly/points", config.points)
+        ]
+    assert ids._tuples is None and not pieces.table and not pieces.values
+    ids.run_check(_tiny_check(build), case, config)
+    assert built[4] is not built[0]
+
+
+def test_known_values_are_kept_per_number_of_points():
+    """Runs at different numbers of points in one sampling scope share the
+    pieces but not their values, and report what they report alone."""
+    case = gallery.build_case("contact_r3")
+    configs = [ids.CheckConfig(points=n, tuples=2) for n in (1, 4, 1, 4)]
+    alone = [ids.check_identity("B2v", case, config) for config in configs]
+    with ids.sampling():
+        assert [ids.check_identity("B2v", case, config) for config in configs] == alone
+
+
 def test_a_builder_that_raises_leaves_the_scope_closed_and_empty():
     case = gallery.build_case("random_poly")
     seen = []

@@ -443,6 +443,23 @@ def test_worst_residual_keeps_the_first_strictly_greater():
     assert (worst, point, tag) == (1.0, points[0], 0)
 
 
+@pytest.mark.parametrize("points", [[{"x": 2.0, "y": 3.0}], [{"x": 2.0, "y": 3.0}, {"x": 1.0, "y": 1.0}]])
+def test_a_run_starts_from_known_values_and_writes_back_its_roots(points):
+    x, y = se.Var("x"), se.Var("y")
+    root = se.mul(x, y)
+    side = se.add(root, x)
+    values = {}
+    known = {"t": (values, [root])}
+    se.worst_residual([("t", side, 0)], points, known=known)
+    expected = [p["x"] * p["y"] for p in points]
+    # the root's value only, a float over one point and a list over several
+    assert values == {root: expected[0] if len(points) == 1 else expected}
+    # a run of tag t starts from the known value; a run of another tag does not
+    values[root] = 100.0 if len(points) == 1 else [100.0] * len(points)
+    worst, point, tag, _ = se.worst_residual([("u", side, 0), ("t", side, 0)], points, known=known)
+    assert (worst, point, tag) == (102.0, points[0], "t")
+
+
 # -- scans over several points ------------------------------------------------------
 
 
