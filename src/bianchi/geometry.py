@@ -23,10 +23,9 @@ identities are signed sums over the fields they are given, so omega(X),
 nabla_X Z, nabla_{d/dx^i} theta, X wedge Y and R(X, Y) recur from term to
 term.  Inside a :func:`sharing` scope, which the identity suite opens around
 each tuple's build, :func:`shared` returns the object that the first
-request built, so its nodes are built and evaluated once.  The suite
-keeps the scope's table per case and tuple while the case's sampling
-scope is open, so the checks of a case share those pieces too.  Outside
-a scope nothing is kept and every request builds afresh.  The minors of
+request built, so its nodes are built and evaluated once, for all the
+checks of a case while its sampling scope is open.  Outside a scope
+nothing is kept and every request builds afresh.  The minors of
 :meth:`PForm.apply` go through it, and so does every tensor-valued form
 call.
 """
@@ -95,12 +94,11 @@ _scope: dict | None = None
 def sharing(table: dict | None = None):
     """A scope inside which :func:`shared` builds each result once.
 
-    By default the scope has a table of its own, whose entries are dropped
-    when the scope closes, also when its body raises.  A given ``table``
-    keeps its entries for the next scope that is given it: the identity
-    suite keeps one per case and sampled tuple for as long as the case's
-    sampling scope is open, so all the checks of a case share each piece
-    built from that tuple's fields.
+    By default the scope's table is its own and is emptied when the scope
+    closes, also when its body raises.  A given ``table`` keeps its
+    entries: the identity suite keeps one per case and sampled tuple while
+    the case's sampling scope is open, so the checks of a case share each
+    piece built from the tuple's fields.
     """
     global _scope
     _scope = scope = {} if table is None else table
@@ -117,10 +115,9 @@ def shared(build: Callable, *args):
     and argument objects; outside a scope, built at every call.
 
     Entries are keyed by the ids of the arguments and hold the arguments,
-    so no id can be reused while its entry lives, for as long as the table
-    is kept.  ``build`` must be a pure function of its arguments'
-    identities, which is what makes the first result good for every later
-    request.
+    so no id can be reused while its entry lives.  ``build`` must be a pure
+    function of its arguments' identities, which is what makes the first
+    result good for every later request.
     """
     scope = _scope
     if scope is None:
@@ -355,16 +352,12 @@ class _Minors(dict):
     """The minors det[fields[b]^{key[a]}] of some vector fields by
     increasing key, each built at its first lookup.
 
-    One field gives its components, and two fields X, Y give
-    (X wedge Y)^{ij} = X^i Y^j - X^j Y^i, which the torsion and curvature
-    rules pair with their components.  A minor of more fields is expanded
-    along the last field (Laplace) over the minors of the others,
-    ``shared(_Minors, *fields[:-1])``, kept in ``rest``: each minor of p
-    fields is built once for every minor of p + 1 fields that contains
-    it, where the Leibniz sum of :func:`_symbolic_det` rebuilds its
-    products, and in a sharing scope the 2-minors are the wedge entries
-    that T and R use.  A sharing table keeps a :class:`_Minors` like any
-    piece, for as long as the table lives.
+    Two fields X, Y give (X wedge Y)^{ij} = X^i Y^j - X^j Y^i, which the
+    torsion and curvature rules pair with their components.  More fields
+    expand along the last one (Laplace) over ``rest``, the shared minors
+    of the others, so each smaller minor is built once, where the Leibniz
+    sum of :func:`_symbolic_det` rebuilds its products.  A sharing table
+    keeps a :class:`_Minors` as long as any other piece.
     """
 
     __slots__ = ("fields", "rest")

@@ -76,10 +76,9 @@ class SampleBatch:
 
 class _Pieces:
     """What a sampling scope keeps for one sampled tuple of its case: the
-    sharing table of the pieces built from the tuple's fields, the roots
-    of those pieces (see :func:`bianchi.geometry._roots`), and the values
-    of those roots that the checks' scans have computed, per number of
-    points."""
+    sharing table of the pieces built from its fields, their roots (see
+    :func:`bianchi.geometry._roots`), and the values of the roots that
+    the checks' scans computed, per number of points."""
 
     __slots__ = ("table", "roots", "values")
 
@@ -89,23 +88,19 @@ class _Pieces:
         self.values: dict[int, dict] = {}
 
     def build(self, build: Callable, batch: SampleBatch) -> list:
-        """``build``'s pairs, built inside this tuple's sharing table; the
-        roots of each piece are recorded once, when it is built."""
+        """``build``'s pairs, built in this tuple's sharing table; each new
+        piece's roots are recorded once."""
         start = len(self.table)
-        try:
-            with geo.sharing(self.table):
-                return build(batch.vectors, batch.forms)
-        finally:
-            for _, piece in itertools.islice(self.table.values(), start, None):
-                self.roots += geo._roots(piece)
+        with geo.sharing(self.table):
+            built = build(batch.vectors, batch.forms)
+        for _, piece in itertools.islice(self.table.values(), start, None):
+            self.roots += geo._roots(piece)
+        return built
 
     def known(self, count: int) -> tuple:
-        """The known values at the case's ``count`` points and the roots,
-        as :func:`bianchi.symexpr.worst_residual` takes them."""
-        values = self.values.get(count)
-        if values is None:
-            values = self.values[count] = {}
-        return values, self.roots
+        """The known values at ``count`` points and the roots, as
+        :func:`bianchi.symexpr.worst_residual` takes them."""
+        return self.values.setdefault(count, {}), self.roots
 
     def clear(self) -> None:
         self.table.clear()
@@ -154,13 +149,7 @@ def _draw(chart: Chart, stream: str, sample: Callable):
 def _kept_pieces(chart: Chart, stem: str) -> _Pieces | None:
     """The open sampling scope's pieces of the tuple ``stem``, or None
     outside one."""
-    if _tuples is None:
-        return None
-    key = (chart, stem)
-    got = _tuples.get(key)
-    if got is None:
-        got = _tuples[key] = _Pieces()
-    return got
+    return None if _tuples is None else _tuples.setdefault((chart, stem), _Pieces())
 
 
 def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:
@@ -733,12 +722,11 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
 
     No seed names the check, so its report is the same alone and in a
     suite.  Each tuple is built in a sharing scope of its own, emptied
-    right after; inside a :func:`sampling` scope it is built in the table
-    that the scope keeps for the case's tuple, so it gets the pieces that
-    earlier checks of the case built from the same fields, and its scan
-    starts from the values those checks computed for their components at
-    the same points (and leaves its own for the next check).  The values
-    are the ones a fresh build and scan would compute, so the report is
+    right after, or inside a :func:`sampling` scope in the table that it
+    keeps for the case's tuple: then the check gets the pieces that
+    earlier checks built from the same fields, and its scan starts from
+    the values they computed for those pieces at the same points.  Both
+    are what the check would build and compute itself, so the report is
     the same.  Python's cycle collector is paused while the check runs and
     left as the caller had it afterwards, also when the check raises.
     """
@@ -758,7 +746,7 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
         spec = check.sample_spec(chart)
         # a check that samples no fields would build the same pairs for every tuple
         tuples = config.tuples if spec != SampleSpec() else 1
-
+        # the known values of each tuple's pieces, by tuple
         known = {}
 
         def pairs():
@@ -770,7 +758,7 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
                     with geo.sharing():
                         built = build(batch.vectors, batch.forms)
                 else:
-                    # ... once for all the checks of the case, and evaluated once
+                    # ... and once for all the checks of the case
                     built = pieces.build(build, batch)
                     known[t] = pieces.known(len(points))
                 for lhs, rhs in built:

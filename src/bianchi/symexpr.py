@@ -38,12 +38,11 @@ so the values are bit-identical to those of :func:`evaluate`.  The pairs
 of a run of equal tags (the pairs of one sampled tuple, in a check) share
 the scan's memo, and the scan keeps their sides alive until the tag
 changes, so a subtree they share is computed once per run.  A run may
-also start from known values of some nodes at the same points, and
-write back those it computes: the identity suite passes the components of
-the pieces that the checks of a case share at one tuple, so each is
-evaluated once per case and tuple, not once per check.  ``evaluate`` is
-still called once per side and point and serves each value from the
-scan.  A pair with a residual above the check's tolerance is rechecked by
+start from known values at the same points and write back those it
+computes: the identity suite passes the components of the pieces that a
+case's checks share at one tuple, so each is evaluated once per case and
+tuple, not per check.  ``evaluate`` is still called once per side and
+point and serves each value from the scan.  A pair with a residual above the check's tolerance is rechecked by
 :func:`holds_exactly`, an identity test modulo a prime; a pair that holds
 exactly keeps its float residual in the result, but that residual is
 rounding error and does not fail the check.
@@ -603,12 +602,11 @@ class _Scan:
     no column and is evaluated point by point, which raises the
     EvaluationError at the same point as before.
 
-    A run may start from known values: its memo starts as a copy of them,
-    and when the run ends the values it has of the given roots are written
-    back, for the next run over the same nodes and points.  The identity
-    suite keeps such values for each sampled tuple of a case, so the
-    checks of the case evaluate the pieces they share once, for as long as
-    the case's sampling scope is open; the memo itself lives for one run.
+    A run may start from known values, which its memo copies; when it
+    ends, the values it has of the given roots are written back.  The
+    identity suite keeps such values per case and tuple while the case's
+    sampling scope is open, so its checks evaluate the pieces they share
+    once.
     """
 
     def __init__(self, samples: list):
@@ -692,14 +690,13 @@ def worst_residual(pairs, points, tol=None, known=None) -> tuple:
     ``evaluate`` serves each value from one scan of all the points.  The
     pairs of a run of equal tags share the scan's memo, so a subtree that
     they share is computed once per run; the memo and the sides it keeps
-    alive are dropped when the tag changes.  ``known`` may map a tag,
-    when its run starts, to a ``(values, roots)`` pair: ``values`` maps
-    nodes to their values at these points (a float over one point, a list
-    over several), the run's memo starts from a copy of it, and when the
-    run ends the values that the memo has of the nodes in ``roots`` are
-    written back to it.  The identity suite passes the components of the
-    pieces that a case's checks share at one sampled tuple, so each is
-    evaluated once for all those checks.
+    alive are dropped when the tag changes.  ``known`` may map a tag to a
+    ``(values, roots)`` pair: the run's memo starts from a copy of
+    ``values``, a dict of node values at these points (a float over one
+    point, a list over several), and when the run ends the memo's values
+    of the nodes in ``roots`` are written back to it.  The identity suite
+    passes, per tuple, the components of the pieces that a case's checks
+    share, while the case's sampling scope is open.
 
     With a tolerance ``tol``, a pair with a residual above it is tested
     once by :func:`holds_exactly`.  The residuals of a pair that holds
@@ -717,31 +714,27 @@ def worst_residual(pairs, points, tol=None, known=None) -> tuple:
     samples = list(points)
     scan = _Scan(samples)
     points = scan.points()
-    if known is None:
-        known = {}
     worst, failing = (0.0, None, None), None
     run_tag = object()  # equal to no tag
-    try:
-        for tag, lhs, rhs in pairs:
-            if tag != run_tag:
-                scan.start_run(known.get(tag))
-                run_tag = tag
-            exact = None
-            for index, point in enumerate(points):
-                left = evaluate(lhs, point)
-                right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
-                residual = abs(left - right)
-                if residual != residual or residual == math.inf:
-                    return residual, samples[index], tag, False
-                if residual > worst[0]:
-                    worst = residual, samples[index], tag
-                if tol is not None and residual > tol and (failing is None or residual > failing[0]):
-                    if exact is None:
-                        exact = holds_exactly(lhs, rhs)
-                    if not exact:
-                        failing = residual, samples[index], tag
-    finally:
-        scan.end_run()
+    for tag, lhs, rhs in pairs:
+        if tag != run_tag:
+            scan.start_run(None if known is None else known.get(tag))
+            run_tag = tag
+        exact = None
+        for index, point in enumerate(points):
+            left = evaluate(lhs, point)
+            right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
+            residual = abs(left - right)
+            if residual != residual or residual == math.inf:
+                return residual, samples[index], tag, False
+            if residual > worst[0]:
+                worst = residual, samples[index], tag
+            if tol is not None and residual > tol and (failing is None or residual > failing[0]):
+                if exact is None:
+                    exact = holds_exactly(lhs, rhs)
+                if not exact:
+                    failing = residual, samples[index], tag
+    scan.end_run()
     if failing is not None:
         return (*failing, False)
     return (*worst, tol is not None and worst[0] > tol)
