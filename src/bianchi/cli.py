@@ -6,9 +6,10 @@
 
 Exit codes: 0 all checks pass, 1 at least one identity check failed,
 2 usage or input errors.  JSON output is a single array with one object
-per (case, check) in sorted order: a repeated id runs once, and a case
-file may not share its id with another case of the run.  Identical
-invocations produce byte-identical output.
+per (case, check) in sorted order: a repeated id, or an alias that builds
+the same case, runs once, and a case file may not share its id with
+another case of the run.  Identical invocations produce byte-identical
+output.
 """
 
 import argparse
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "applicable catalog check",
     )
     verify.add_argument(
-        "--case-file", metavar="PATH", help="also verify the case described in PATH"
+        "--case-file", metavar="PATH", help="verify the case in PATH too, or alone without --case"
     )
     verify.add_argument(
         "--case-checks",
@@ -80,17 +81,17 @@ def _usage_error(message: str) -> int:
 
 
 def _resolve_cases(args) -> list:
-    case_ids = dict.fromkeys(args.case or ())  # a repeated id runs once
-    cases = [gallery.build_case(case_id) for case_id in case_ids]
+    # a repeated id runs once, and so does an alias of it: random_poly,
+    # random_poly:0 and random_poly:00 build the same case
+    cases = {case.id: case for case in map(gallery.build_case, dict.fromkeys(args.case or ()))}
     if args.case_file:
         case = casefile.load_case_file(args.case_file).case
-        if case.id in case_ids:
+        if case.id in cases:
             raise casefile.CaseFileError(
                 f"case file {args.case_file} names case '{case.id}', which --case already runs"
             )
-        cases.append(case)
-    if not cases:
-        cases = [gallery.build_case(case_id) for case_id in gallery.case_ids()]
+        cases[case.id] = case
+    cases = list(cases.values()) or [gallery.build_case(c) for c in gallery.case_ids()]
     return sorted(cases, key=lambda c: c.id)
 
 

@@ -22,12 +22,12 @@ defining vector-field formulas with Lie brackets.  :func:`torsion` and
 :func:`bianchi.structure_forms.cartan_coframe_forms` keeps the Cartan forms
 of the last coframe it was given the same way.
 
-Inside a :func:`bianchi.geometry.sharing` scope (one sampled tuple of a
-check, or of all the checks of a case) each omega(X), nabla_X Y of a vector field, nabla_{d/dx^i} theta
-of a form and wedge entry (X wedge Y)^{ij} is built once per connection
-and arguments, and so, through the tensor-valued form call, is each
-T(X, Y) and R(X, Y); the wedge entries are the ones that 2-forms pair
-with in :meth:`bianchi.geometry.PForm.apply`.
+Inside a :func:`bianchi.geometry.sharing` scope (one sampled tuple of
+all the checks of a case) each omega(X), nabla_X Y of a vector field,
+nabla_{d/dx^i} theta of a form and wedge entry (X wedge Y)^{ij} is built
+once per connection and arguments, and so, through the tensor-valued form
+call, is each T(X, Y) and R(X, Y); the wedge entries are the ones that
+2-forms pair with in :meth:`bianchi.geometry.PForm.apply`.
 """
 
 from __future__ import annotations

@@ -21,11 +21,11 @@ Sharing
 One sampled tuple of a check asks for the same pieces many times: the
 identities are signed sums over the fields they are given, so omega(X),
 nabla_X Z, nabla_{d/dx^i} theta, X wedge Y and R(X, Y) recur from term to
-term.  Inside a :func:`sharing` scope, which the identity suite opens around
-each tuple's build, :func:`shared` returns the object that the first
-request built, so its nodes are built and evaluated once, for all the
-checks of a case while its sampling scope is open.  Outside a scope
-nothing is kept and every request builds afresh.  The minors of
+term.  Inside a :func:`sharing` scope, which the identity suite opens
+around each tuple's build over the table that it keeps for that tuple,
+:func:`shared` returns the object that the first request built, so its
+nodes are built and evaluated once for all the checks of a case.  Outside
+a scope nothing is kept and every request builds afresh.  The minors of
 :meth:`PForm.apply` go through it, and so does every tensor-valued form
 call.
 """
@@ -91,23 +91,19 @@ _scope: dict | None = None
 
 
 @contextmanager
-def sharing(table: dict | None = None):
-    """A scope inside which :func:`shared` builds each result once.
-
-    By default the scope's table is its own and is emptied when the scope
-    closes, also when its body raises.  A given ``table`` keeps its
-    entries: the identity suite keeps one per case and sampled tuple while
-    the case's sampling scope is open, so the checks of a case share each
-    piece built from the tuple's fields.
+def sharing(table: dict):
+    """A scope inside which :func:`shared` builds each result once, into
+    ``table``.  The table keeps its entries when the scope closes: the
+    identity suite keeps one per sampled tuple, so the checks of a case
+    share each piece built from the tuple's fields, and empties it when
+    the case's sampling scope closes.
     """
     global _scope
-    _scope = scope = {} if table is None else table
+    _scope = table
     try:
         yield
     finally:
         _scope = None
-        if table is None:
-            scope.clear()
 
 
 def shared(build: Callable, *args):

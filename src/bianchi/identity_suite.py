@@ -16,15 +16,15 @@ built from ``case.connection`` while the right-hand side uses
 deliberately splitting them lets a corrupted connection on one side prove
 that the harness can actually fail (mutation probing).
 
-:func:`run_check` builds each sampled tuple's pairs inside a
-:func:`bianchi.geometry.sharing` scope, so the pieces that the pairs repeat
-(omega(X), nabla_X Z, X wedge Y, R(X, Y), ...) are built once per tuple;
-factories run outside it.  Fields are seeded by case and tuple, not by
-check, so all checks of a case see the same fields at tuple t.  Inside a
-:func:`sampling` scope, which the suite runners open once per case, each
-field is drawn once, and the checks of the case share each tuple's
-pieces and the values of their components at the case's points, until
-the scope closes.
+Fields are seeded by case and tuple, not by check, so all checks of a
+case see the same fields at tuple t.  Every check runs inside a
+:func:`sampling` scope, which the suite runners open once per case and a
+check run alone opens for itself.  The scope keeps one record per sampled
+tuple: its fields, each drawn once, the pieces that the pairs of the
+case's checks repeat (omega(X), nabla_X Z, X wedge Y, R(X, Y), ...), each
+built once in the record's :func:`bianchi.geometry.sharing` table, and the
+values of their components at the case's points.  Factories run outside
+the tables.  Everything dies with the scope.
 """
 
 from __future__ import annotations
@@ -76,16 +76,26 @@ class SampleBatch:
 
 class _Pieces:
     """What a sampling scope keeps for one sampled tuple of its case: the
-    sharing table of the pieces built from its fields, their roots (see
-    :func:`bianchi.geometry._roots`), and the values of the roots that
-    the checks' scans computed, per number of points."""
+    fields drawn for it by slot, the sharing table of the pieces built
+    from them, their roots (see :func:`bianchi.geometry._roots`), and the
+    values of the roots that the checks' scans computed, per number of
+    points."""
 
-    __slots__ = ("table", "roots", "values")
+    __slots__ = ("fields", "table", "roots", "values")
 
     def __init__(self):
+        self.fields: dict[str, object] = {}
         self.table: dict = {}
         self.roots: list = []
         self.values: dict[int, dict] = {}
+
+    def field(self, seed, slot: str, sample: Callable):
+        """The field of ``slot``: ``sample(random.Random(f"{seed}/{slot}"))``
+        at the first request, the same object after it."""
+        got = self.fields.get(slot)
+        if got is None:
+            got = self.fields[slot] = sample(random.Random(f"{seed}/{slot}"))
+        return got
 
     def build(self, build: Callable, batch: SampleBatch) -> list:
         """``build``'s pairs, built in this tuple's sharing table; each new
@@ -103,53 +113,44 @@ class _Pieces:
         return self.values.setdefault(count, {}), self.roots
 
     def clear(self) -> None:
+        self.fields.clear()
         self.table.clear()
         self.roots.clear()
         self.values.clear()
 
 
-# What the open sampling scope keeps, or None outside one: the drawn fields
-# by (chart, stream), and the pieces of each sampled tuple by (chart, stem).
-_drawn: dict | None = None
+# The open sampling scope's record of each sampled tuple by (chart, seed),
+# or None outside one.
 _tuples: dict | None = None
 
 
 @contextmanager
 def sampling():
-    """A scope inside which :func:`sample_fields` draws each slot once,
-    and the checks of a case share, per sampled tuple, the pieces built
-    from its fields and their values at the case's points; a nested scope
-    reuses the open one.  All of it lives until the scope closes, and is
-    emptied then, also on error."""
-    global _drawn, _tuples
-    if _drawn is not None:
+    """A scope that keeps one record per sampled tuple: the fields that
+    :func:`sample_fields` draws for it, each slot once, and the pieces
+    that the checks of a case build from them, with their values at the
+    case's points.  A nested scope reuses the open one, so the checks run
+    inside a suite's scope share each tuple's record, and a check run
+    alone opens and closes its own.  Every record is emptied when the
+    scope closes, also on error."""
+    global _tuples
+    if _tuples is not None:
         yield
         return
-    _drawn, _tuples = drawn, tuples = {}, {}
+    _tuples = tuples = {}
     try:
         yield
     finally:
-        _drawn = _tuples = None
-        drawn.clear()
+        _tuples = None
         for pieces in tuples.values():
             pieces.clear()
         tuples.clear()
 
 
-def _draw(chart: Chart, stream: str, sample: Callable):
-    """``sample(random.Random(stream))``, once per scope and chart."""
-    drawn = {} if _drawn is None else _drawn
-    key = (chart, stream)
-    got = drawn.get(key)
-    if got is None:
-        got = drawn[key] = sample(random.Random(stream))
-    return got
-
-
-def _kept_pieces(chart: Chart, stem: str) -> _Pieces | None:
-    """The open sampling scope's pieces of the tuple ``stem``, or None
-    outside one."""
-    return None if _tuples is None else _tuples.setdefault((chart, stem), _Pieces())
+def _pieces(chart: Chart, seed) -> _Pieces:
+    """The open sampling scope's record of the tuple seeded by ``seed``,
+    or a fresh record outside one."""
+    return _Pieces() if _tuples is None else _tuples.setdefault((chart, f"{seed}"), _Pieces())
 
 
 def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:
@@ -157,18 +158,21 @@ def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:
 
     Vector i comes from the stream ``{seed}/v{i}`` and the k-th form of
     degree d from ``{seed}/f{d}.{k}``, so a smaller spec gets the same
-    first slots.  Vector fields use random polynomial components
-    (non-commuting, so bracket terms in the identities stay exercised).
-    A degree outside 0..dim raises :class:`~bianchi.geometry.DegreeError`.
+    first slots.  Inside a :func:`sampling` scope each slot is drawn once
+    per chart and seed; outside one every call draws afresh.  Vector
+    fields use random polynomial components (non-commuting, so bracket
+    terms in the identities stay exercised).  A degree outside 0..dim
+    raises :class:`~bianchi.geometry.DegreeError`.
     """
+    pieces = _pieces(chart, seed)
     vectors = tuple(
-        _draw(chart, f"{seed}/v{i}", lambda rng: geo.random_vector_field(chart, rng))
+        pieces.field(seed, f"v{i}", lambda rng: geo.random_vector_field(chart, rng))
         for i in range(spec.vectors)
     )
     forms, counts = [], {}
     for d in spec.form_degrees:
         k = counts[d] = counts.get(d, -1) + 1
-        forms.append(_draw(chart, f"{seed}/f{d}.{k}", lambda rng: geo.random_pform(chart, d, rng)))
+        forms.append(pieces.field(seed, f"f{d}.{k}", lambda rng: geo.random_pform(chart, d, rng)))
     return SampleBatch(vectors, tuple(forms))
 
 
@@ -197,13 +201,16 @@ class Report:
         return self.max_residual <= self.tolerance or self.cleared
 
     def to_json_dict(self) -> dict:
-        """Stable serialization: exactly these keys, in this order."""
+        """Stable serialization: exactly these keys, in this order.  JSON
+        has no NaN or infinity, so a non-finite residual is the string
+        ``"nan"`` or ``"inf"``."""
+        residual = self.max_residual
         return {
             "case": self.case_id,
             "check": self.check_id,
             "points": self.points,
             "tuples": self.tuples,
-            "max_residual": self.max_residual,
+            "max_residual": residual if math.isfinite(residual) else str(residual),
             "tol": self.tolerance,
             "pass": self.passed,
             "seed": self.seed,
@@ -721,13 +728,14 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     """Evaluate both sides of one check on a case and report the worst residual.
 
     No seed names the check, so its report is the same alone and in a
-    suite.  Each tuple is built in a sharing scope of its own, emptied
-    right after, or inside a :func:`sampling` scope in the table that it
-    keeps for the case's tuple: then the check gets the pieces that
-    earlier checks built from the same fields, and its scan starts from
-    the values they computed for those pieces at the same points.  Both
-    are what the check would build and compute itself, so the report is
-    the same.  Python's cycle collector is paused while the check runs and
+    suite.  The check runs inside a :func:`sampling` scope: the open one
+    of its case in a suite, else one of its own that closes when it
+    returns.  Each tuple is built in the sharing table of the scope's
+    record of that tuple, so the check gets the pieces that earlier checks
+    of the case built from the same fields, and its scan starts from the
+    values they computed for those pieces at the same points.  Both are
+    what the check would build and compute itself, so the report is the
+    same.  Python's cycle collector is paused while the check runs and
     left as the caller had it afterwards, also when the check raises.
     """
     # A check makes no reference cycles: its expression DAGs, their
@@ -739,34 +747,28 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        chart = case.chart
-        stem = f"{config.seed}/{case.id}"
-        points = geo.sample_points(chart, f"{stem}/points", config.points)
-        build = check.factory(case)
-        spec = check.sample_spec(chart)
-        # a check that samples no fields would build the same pairs for every tuple
-        tuples = config.tuples if spec != SampleSpec() else 1
-        # the known values of each tuple's pieces, by tuple
-        known = {}
+        with sampling():
+            chart = case.chart
+            stem = f"{config.seed}/{case.id}"
+            points = geo.sample_points(chart, f"{stem}/points", config.points)
+            build = check.factory(case)
+            spec = check.sample_spec(chart)
+            # a check that samples no fields would build the same pairs for every tuple
+            tuples = config.tuples if spec != SampleSpec() else 1
+            # the known values of each tuple's pieces, by tuple
+            known = {}
 
-        def pairs():
-            for t in range(tuples):
-                batch = sample_fields(chart, f"{stem}/{t}", spec)
-                pieces = _kept_pieces(chart, f"{stem}/{t}")
-                if pieces is None:
-                    # the pieces that the pairs of one tuple repeat are built once
-                    with geo.sharing():
-                        built = build(batch.vectors, batch.forms)
-                else:
-                    # ... and once for all the checks of the case
-                    built = pieces.build(build, batch)
+            def pairs():
+                for t in range(tuples):
+                    batch = sample_fields(chart, f"{stem}/{t}", spec)
+                    pieces = _pieces(chart, f"{stem}/{t}")
                     known[t] = pieces.known(len(points))
-                for lhs, rhs in built:
-                    yield t, lhs, rhs
+                    for lhs, rhs in pieces.build(build, batch):
+                        yield t, lhs, rhs
 
-        worst, worst_point, worst_tuple, cleared = se.worst_residual(
-            pairs(), points, config.tolerance, known
-        )
+            worst, worst_point, worst_tuple, cleared = se.worst_residual(
+                pairs(), points, config.tolerance, known
+            )
     finally:
         if collecting:
             gc.enable()

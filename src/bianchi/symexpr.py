@@ -39,10 +39,11 @@ of a run of equal tags (the pairs of one sampled tuple, in a check) share
 the scan's memo, and the scan keeps their sides alive until the tag
 changes, so a subtree they share is computed once per run.  A run may
 start from known values at the same points and write back those it
-computes: the identity suite passes the components of the pieces that a
-case's checks share at one tuple, so each is evaluated once per case and
-tuple, not per check.  ``evaluate`` is still called once per side and
-point and serves each value from the scan.  A pair with a residual above the check's tolerance is rechecked by
+computes: every check of the identity suite passes the components of the
+pieces that its case's checks share at each tuple, so each is evaluated
+once per case and tuple, not per check.  ``evaluate`` is still called
+once per side and point and serves each value from the scan.  A pair
+with a residual above the check's tolerance is rechecked by
 :func:`holds_exactly`, an identity test modulo a prime; a pair that holds
 exactly keeps its float residual in the result, but that residual is
 rounding error and does not fail the check.
@@ -604,9 +605,8 @@ class _Scan:
 
     A run may start from known values, which its memo copies; when it
     ends, the values it has of the given roots are written back.  The
-    identity suite keeps such values per case and tuple while the case's
-    sampling scope is open, so its checks evaluate the pieces they share
-    once.
+    identity suite keeps such values in its record of each sampled tuple,
+    so the checks of a case evaluate the pieces they share once.
     """
 
     def __init__(self, samples: list):
@@ -694,9 +694,9 @@ def worst_residual(pairs, points, tol=None, known=None) -> tuple:
     ``(values, roots)`` pair: the run's memo starts from a copy of
     ``values``, a dict of node values at these points (a float over one
     point, a list over several), and when the run ends the memo's values
-    of the nodes in ``roots`` are written back to it.  The identity suite
-    passes, per tuple, the components of the pieces that a case's checks
-    share, while the case's sampling scope is open.
+    of the nodes in ``roots`` are written back to it.  Every check of the
+    identity suite passes, per tuple, the components of the pieces that
+    its case's checks share; the other callers pass none.
 
     With a tolerance ``tol``, a pair with a residual above it is tested
     once by :func:`holds_exactly`.  The residuals of a pair that holds

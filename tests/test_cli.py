@@ -366,10 +366,19 @@ def test_describe_case_takes_an_id_or_a_case_file(capsys, metric_case, with_id, 
     assert err == "error: describe-case takes either a case ID or --case-file PATH\n"
 
 
-@pytest.mark.parametrize("flags", [["--case", "flat_euclidean"], ["--check", "D1"]],
-                         ids=["case", "check"])
-def test_a_repeated_id_runs_once(capsys, flags):
-    argv = ["verify", "--case", "flat_euclidean", "--check", "D1", "--check", "S1",
+@pytest.mark.parametrize(
+    "case, flags",
+    [
+        ("flat_euclidean", ["--case", "flat_euclidean"]),
+        ("flat_euclidean", ["--check", "D1"]),
+        ("random_poly", ["--case", "random_poly:0"]),
+        ("random_poly:7", ["--case", "random_poly:07"]),
+    ],
+    ids=["case", "check", "seed-suffix-0", "seed-suffix-07"],
+)
+def test_a_repeated_id_runs_once(capsys, case, flags):
+    """Also under an alias: a seed suffix that builds the same case."""
+    argv = ["verify", "--case", case, "--check", "D1", "--check", "S1",
             "--points", "2", "--tuples", "1", "--format", "json"]
     _, once, _ = run_cli(capsys, *argv)
     code, twice, _ = run_cli(capsys, *argv, *flags)
@@ -378,12 +387,17 @@ def test_a_repeated_id_runs_once(capsys, flags):
     assert [r["check"] for r in json.loads(twice)] == ["D1", "S1"]
 
 
-def test_a_case_file_may_not_reuse_the_id_of_a_gallery_case(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "case, name",
+    [("flat_euclidean", "flat_euclidean"), ("random_poly:0", "random_poly")],
+    ids=["same-id", "seed-suffix"],
+)
+def test_a_case_file_may_not_reuse_the_id_of_a_gallery_case(tmp_path, capsys, case, name):
     path = tmp_path / "x.case"
-    path.write_text("[chart]\nname = flat_euclidean\ncoords = x y\n")
-    code, out, err = run_cli(capsys, "verify", "--case", "flat_euclidean", "--case-file", str(path))
+    path.write_text(f"[chart]\nname = {name}\ncoords = x y\n")
+    code, out, err = run_cli(capsys, "verify", "--case", case, "--case-file", str(path))
     assert (code, out) == (2, "")
-    assert err == (f"error: case file {path} names case 'flat_euclidean', "
+    assert err == (f"error: case file {path} names case '{name}', "
                    "which --case already runs\n")
 
 

@@ -224,7 +224,7 @@ def test_laplace_minors_equal_the_leibniz_determinant(scoped):
     last field, is the Leibniz determinant of its rows, exactly."""
     rng = random.Random(29)
     fields = [geo.random_vector_field(R5, rng) for _ in range(5)]
-    with geo.sharing() if scoped else contextlib.nullcontext():
+    with geo.sharing({}) if scoped else contextlib.nullcontext():
         for p in range(1, 6):
             minors = geo.shared(geo._Minors, *fields[:p])
             for key in itertools.combinations(range(5), p):

@@ -173,16 +173,26 @@ def test_a_mutation_probe_of_several_checks_equals_probes_of_one_each():
     assert ids.mutation_probe(case, checks, config=SMALL) == probes
 
 
+def _lone_check(case, config):
+    return ids.check_identity("B2v", case, config)
+
+
+def _lone_case_check(case, config):
+    return ids.run_check(gallery.CASE_CHECKS["reeb-contracted-second-bianchi"], case, config)
+
+
 def test_no_sampled_field_outlives_run_suite(sampled):
     """Nothing that a case's sampling scope keeps outlives it: not its
     fields, nor the pieces built from them and their values, after a
-    suite, the case checks or a mutation probe.  Holding the scope open
-    over the three keeps about 1.6 MB; once it closes, the traced size is
+    suite, the case checks, a mutation probe, or a catalog check or case
+    check run alone in a scope of its own.  Holding the scope open over
+    the first three keeps about 1.6 MB; once it closes, the traced size is
     back within a few KB of where it was.  The first runs fill lasting
     memos on the case's connection, so they run first, and a full
     collection empties the interpreter's free lists before each reading."""
     case = gallery.build_case("contact_r3")
-    runs = (ids.run_suite, gallery.case_specific_checks, ids.mutation_probe)
+    runs = (ids.run_suite, gallery.case_specific_checks, ids.mutation_probe,
+            _lone_check, _lone_case_check)
     for run in runs * 2:
         run(case, config=SMALL)
     sampled.clear()
@@ -196,7 +206,7 @@ def test_no_sampled_field_outlives_run_suite(sampled):
         for run in runs:
             before = traced()
             run(case, config=SMALL)
-            assert ids._drawn is None and ids._tuples is None and geo._scope is None
+            assert ids._tuples is None and geo._scope is None
             grown = traced() - before
             assert grown < 16 * 1024, (run.__name__, grown)
     finally:
@@ -489,10 +499,19 @@ def overflowing_case():
 # CS1 is left out: on this connection both of its sides are finite and equal
 @pytest.mark.parametrize("check_id", ["B1v", "S2", "CS2"])
 def test_non_finite_residual_fails_the_check(check_id):
+    """The check fails, and its JSON row holds the residual as the string
+    "nan" or "inf": JSON has no NaN or Infinity, and a strict parser
+    refuses them."""
     report = ids.check_identity(check_id, overflowing_case())
     assert not report.passed
     assert not math.isfinite(report.max_residual)
     assert report.worst_point is not None
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    row = json.loads(json.dumps(report.to_json_dict()), parse_constant=refuse)
+    assert row["max_residual"] == str(report.max_residual) in ("nan", "inf")
 
 
 def mutated_case():

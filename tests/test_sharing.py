@@ -39,7 +39,7 @@ def test_a_scope_returns_the_first_result_and_nothing_is_kept_outside(name):
     request = REQUESTS[name]
     assert geo._scope is None
     assert request(conn, X, Y) is not request(conn, X, Y)
-    with geo.sharing():
+    with geo.sharing({}):
         first = request(conn, X, Y)
         assert request(conn, X, Y) is first
         assert request(conn, Y, X) is not first
@@ -66,7 +66,7 @@ def test_omega_and_axis_derivatives_are_built_once_per_scope(monkeypatch, scoped
     conn, X, Y, Z, theta = _setting()
     omega = _counting(monkeypatch, "_connection_matrix")
     axes = _counting(monkeypatch, "_cov_pform_along_axis")
-    with geo.sharing() if scoped else nullcontext():
+    with geo.sharing({}) if scoped else nullcontext():
         con.covariant_derivative(conn, X, Y)
         con.covariant_derivative(conn, X, Z)
         con.covariant_derivative(conn, X, theta)
@@ -83,6 +83,8 @@ def _tiny_check(build):
 
 
 def test_run_check_opens_one_scope_per_tuple_and_closes_it():
+    """A check run alone builds each tuple in a sharing table of its own,
+    and every table is emptied when the check returns."""
     case = gallery.build_case("random_poly")
     seen = []
 
@@ -90,21 +92,22 @@ def test_run_check_opens_one_scope_per_tuple_and_closes_it():
         x, y = vectors
         seen.append(geo._scope)
         value = con.torsion(case.connection)(x, y)
-        assert con.torsion(case.connection)(x, y) is value
+        assert con.torsion(case.connection)(x, y) is value and geo._scope
         return [(c, c) for c in value.comps]
 
     report = ids.run_check(_tiny_check(build), case, ids.CheckConfig(points=3, tuples=3))
     assert report.passed
     assert len(seen) == 3 and len({id(scope) for scope in seen}) == 3
     assert seen == [{}, {}, {}]
-    assert geo._scope is None
+    assert geo._scope is None and ids._tuples is None
 
 
 def test_the_checks_of_a_case_share_each_tuples_pieces_in_a_sampling_scope():
     """Inside a sampling scope a later check gets the pieces that an
     earlier check of the case built from the same tuple, and every root of
-    those pieces has a known value at the case's points; outside one,
-    each tuple's table is fresh and emptied."""
+    those pieces has a known value at the case's points.  A check run
+    alone builds each tuple in a table of its own, emptied when it
+    returns."""
     case = gallery.build_case("random_poly")
     config = ids.CheckConfig(points=3, tuples=2)
     built = []
@@ -126,7 +129,7 @@ def test_the_checks_of_a_case_share_each_tuples_pieces_in_a_sampling_scope():
             se.evaluate(built[0].comps[0], p)
             for p in geo.sample_points(case.chart, "0/random_poly/points", config.points)
         ]
-    assert ids._tuples is None and not pieces.table and not pieces.values
+    assert ids._tuples is None and not (pieces.fields or pieces.table or pieces.values)
     ids.run_check(_tiny_check(build), case, config)
     assert built[4] is not built[0]
 
@@ -168,7 +171,7 @@ def test_sharing_builds_node_identical_values_from_fewer_nodes():
     batch = ids.sample_fields(case.chart, "sharing/0", spec)
     build = check.factory(case)
     plain = build(batch.vectors, batch.forms)[-1]
-    with geo.sharing():
+    with geo.sharing({}):
         scoped = build(batch.vectors, batch.forms)[-1]
     points = geo.sample_points(case.chart, "sharing/points", 5)
     for old, new in zip(plain, scoped):
