@@ -74,20 +74,33 @@ class SampleBatch:
     forms: tuple[PForm, ...]
 
 
+def _table_roots(entries) -> list:
+    """The roots (see :func:`bianchi.geometry._roots`) of the pieces of
+    sharing-table entries, without the constants and variables: a scan
+    gets their values without a walk, and a constant that no side reaches
+    would stay unknown and be visited again by every later run."""
+    leaves = (se.Const, se.Var)
+    return [
+        root
+        for _, piece in entries
+        for root in geo._roots(piece)
+        if type(root) not in leaves
+    ]
+
+
 class _Pieces:
     """What a sampling scope keeps for one sampled tuple of its case: the
     fields drawn for it by slot, the sharing table of the pieces built
-    from them, their roots (see :func:`bianchi.geometry._roots`), and the
-    values of the roots that the checks' scans computed, per number of
-    points."""
+    from them, and, per number of points, the values of their roots that
+    the checks' scans computed and the roots whose values are still
+    unknown."""
 
-    __slots__ = ("fields", "table", "roots", "values")
+    __slots__ = ("fields", "table", "values")
 
     def __init__(self):
         self.fields: dict[str, object] = {}
         self.table: dict = {}
-        self.roots: list = []
-        self.values: dict[int, dict] = {}
+        self.values: dict[int, tuple[dict, list]] = {}
 
     def field(self, seed, slot: str, sample: Callable):
         """The field of ``slot``: ``sample(random.Random(f"{seed}/{slot}"))``
@@ -99,23 +112,27 @@ class _Pieces:
 
     def build(self, build: Callable, batch: SampleBatch) -> list:
         """``build``'s pairs, built in this tuple's sharing table; each new
-        piece's roots are recorded once."""
+        piece's roots join the unknown roots at every number of points."""
         start = len(self.table)
         with geo.sharing(self.table):
             built = build(batch.vectors, batch.forms)
-        for _, piece in itertools.islice(self.table.values(), start, None):
-            self.roots += geo._roots(piece)
+        roots = _table_roots(itertools.islice(self.table.values(), start, None))
+        for _, unknown in self.values.values():
+            unknown += roots
         return built
 
-    def known(self, count: int) -> tuple:
-        """The known values at ``count`` points and the roots, as
-        :func:`bianchi.symexpr.worst_residual` takes them."""
-        return self.values.setdefault(count, {}), self.roots
+    def known(self, count: int) -> tuple[dict, list]:
+        """The known values at ``count`` points and the roots whose values
+        are unknown, as :func:`bianchi.symexpr.worst_residual` takes them:
+        a scan writes back the values it finds and drops those roots."""
+        got = self.values.get(count)
+        if got is None:
+            got = self.values[count] = {}, _table_roots(self.table.values())
+        return got
 
     def clear(self) -> None:
         self.fields.clear()
         self.table.clear()
-        self.roots.clear()
         self.values.clear()
 
 
@@ -132,11 +149,24 @@ def sampling():
     case's points.  A nested scope reuses the open one, so the checks run
     inside a suite's scope share each tuple's record, and a check run
     alone opens and closes its own.  Every record is emptied when the
-    scope closes, also on error."""
+    scope closes, also on error.
+
+    Python's cycle collector is paused while the outermost scope is open
+    and left as the caller had it when the scope closes, also on error.
+    """
+    # A check makes no reference cycles: its expression DAGs, their
+    # derivative memos and every evaluation memo are freed by reference
+    # counting alone, so the collector would only rescan the growing DAGs and
+    # records and find nothing.  Re-enabled after each check, it would run at
+    # the next allocation and traverse all the scope still holds.  Pinned by
+    # tests/test_symexpr.py's test_*_leaves_no_reference_cycles and
+    # tests/test_identity_suite.py's test_checks_leave_no_reference_cycles.
     global _tuples
     if _tuples is not None:
         yield
         return
+    collecting = gc.isenabled()
+    gc.disable()
     _tuples = tuples = {}
     try:
         yield
@@ -145,6 +175,8 @@ def sampling():
         for pieces in tuples.values():
             pieces.clear()
         tuples.clear()
+        if collecting:
+            gc.enable()
 
 
 def _pieces(chart: Chart, seed) -> _Pieces:
@@ -735,43 +767,32 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     of the case built from the same fields, and its scan starts from the
     values they computed for those pieces at the same points.  Both are
     what the check would build and compute itself, so the report is the
-    same.  Python's cycle collector is paused while the check runs and
-    left as the caller had it afterwards, also when the check raises.
+    same.  The scope pauses Python's cycle collector (see
+    :func:`sampling`), so a check run alone pauses it while it runs and
+    leaves it as the caller had it, also when the check raises.
     """
-    # A check makes no reference cycles: its expression DAGs, their
-    # derivative memos and every evaluation memo are freed by reference
-    # counting alone, so the collector would only rescan the growing DAGs and
-    # find nothing.  Pinned by tests/test_symexpr.py's
-    # test_*_leaves_no_reference_cycles and tests/test_identity_suite.py's
-    # test_checks_leave_no_reference_cycles.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with sampling():
-            chart = case.chart
-            stem = f"{config.seed}/{case.id}"
-            points = geo.sample_points(chart, f"{stem}/points", config.points)
-            build = check.factory(case)
-            spec = check.sample_spec(chart)
-            # a check that samples no fields would build the same pairs for every tuple
-            tuples = config.tuples if spec != SampleSpec() else 1
-            # the known values of each tuple's pieces, by tuple
-            known = {}
+    with sampling():
+        chart = case.chart
+        stem = f"{config.seed}/{case.id}"
+        points = geo.sample_points(chart, f"{stem}/points", config.points)
+        build = check.factory(case)
+        spec = check.sample_spec(chart)
+        # a check that samples no fields would build the same pairs for every tuple
+        tuples = config.tuples if spec != SampleSpec() else 1
+        # the known values of each tuple's pieces, by tuple
+        known = {}
 
-            def pairs():
-                for t in range(tuples):
-                    batch = sample_fields(chart, f"{stem}/{t}", spec)
-                    pieces = _pieces(chart, f"{stem}/{t}")
-                    known[t] = pieces.known(len(points))
-                    for lhs, rhs in pieces.build(build, batch):
-                        yield t, lhs, rhs
+        def pairs():
+            for t in range(tuples):
+                batch = sample_fields(chart, f"{stem}/{t}", spec)
+                pieces = _pieces(chart, f"{stem}/{t}")
+                known[t] = pieces.known(len(points))
+                for lhs, rhs in pieces.build(build, batch):
+                    yield t, lhs, rhs
 
-            worst, worst_point, worst_tuple, cleared = se.worst_residual(
-                pairs(), points, config.tolerance, known
-            )
-    finally:
-        if collecting:
-            gc.enable()
+        worst, worst_point, worst_tuple, cleared = se.worst_residual(
+            pairs(), points, config.tolerance, known
+        )
     return Report(
         case_id=case.id,
         check_id=check.identifier,

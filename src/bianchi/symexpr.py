@@ -47,13 +47,16 @@ with a residual above the check's tolerance is rechecked by
 :func:`holds_exactly`, an identity test modulo a prime; a pair that holds
 exactly keeps its float residual in the result, but that residual is
 rounding error and does not fail the check.
+
+:func:`to_text` prints the syntax that :func:`parse` reads.  The parser
+lives in :mod:`bianchi.parsing`, which ``parse`` imports at its first
+call, so a run that parses no text does not compile it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -604,9 +607,11 @@ class _Scan:
     EvaluationError at the same point as before.
 
     A run may start from known values, which its memo copies; when it
-    ends, the values it has of the given roots are written back.  The
-    identity suite keeps such values in its record of each sampled tuple,
-    so the checks of a case evaluate the pieces they share once.
+    ends, the values it has of the given roots are written back and those
+    roots are dropped from the list, so a later run visits only the roots
+    still unknown.  The identity suite keeps such values in its record of
+    each sampled tuple, so the checks of a case evaluate the pieces they
+    share once.
     """
 
     def __init__(self, samples: list):
@@ -638,15 +643,20 @@ class _Scan:
         self.sides: dict[Expr, list | None] = {}
 
     def end_run(self) -> None:
-        """Write the run's values of its roots back to its known values."""
+        """Write the run's values of its unknown roots back to its known
+        values, and keep in the list only the roots it has no value of."""
         if self.known is None:
             return
         values, roots = self.known
         memo = self.memo
+        unknown = []
         for root in roots:
             got = memo.get(root)
-            if got is not None:
+            if got is None:
+                unknown.append(root)
+            else:
                 values[root] = got
+        roots[:] = unknown
 
     def column(self, e: Expr):
         """The values of ``e`` at every point, or None when the walk raised."""
@@ -694,7 +704,8 @@ def worst_residual(pairs, points, tol=None, known=None) -> tuple:
     ``(values, roots)`` pair: the run's memo starts from a copy of
     ``values``, a dict of node values at these points (a float over one
     point, a list over several), and when the run ends the memo's values
-    of the nodes in ``roots`` are written back to it.  Every check of the
+    of the nodes in ``roots``, a list, are written back to it and those
+    nodes are removed from ``roots``.  Every check of the
     identity suite passes, per tuple, the components of the pieces that
     its case's checks share; the other callers pass none.
 
@@ -911,181 +922,15 @@ def to_text(e: Expr) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-_FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            out.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            out.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    out.append(_Token("end", "", n))
-    return out
-
-
-def _in_float_range(node: Expr, pos: int) -> Expr:
-    """``node``, or a ParseError at ``pos`` when it is a constant whose
-    numerator or denominator is larger than every float: no float
-    evaluation can use it, and printing it can pass the int-to-str limit."""
-    if type(node) is Const:
-        value = node.value
-        if abs(value.numerator) > sys.float_info.max or value.denominator > sys.float_info.max:
-            raise ParseError("constant outside the float range", pos)
-    return node
-
-
-class _Parser:
-    """Recursive descent over the grammar
-
-        expr   := term (('+' | '-') term)*
-        term   := unary (('*' | '/') unary)*
-        unary  := '-' unary | power
-        power  := atom ('^' unary)?        # right-associative
-        atom   := number | name | name '(' expr ')' | '(' expr ')'
-
-    '^' binds tightest, then unary minus, then '*' '/', then '+' '-'.
-    Exponents must fold to integer constants.  Every constant that a
-    number or an operator folds must lie in the float range, and no
-    constant may be divided by zero.
-    """
-
-    def __init__(self, tokens: list[_Token], variables: frozenset):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
-        return self.take()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_term()
-            node = _in_float_range(add(node, rhs) if op.kind == "+" else sub(node, rhs), op.pos)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.take()
-            rhs = self.parse_unary()
-            try:
-                node = mul(node, rhs) if op.kind == "*" else div(node, rhs)
-            except ZeroDivisionError:
-                raise ParseError("division by the constant zero", op.pos) from None
-            node = _in_float_range(node, op.pos)
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "-":
-            self.take()
-            return neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek().kind == "^":
-            caret = self.take()
-            exponent = self.parse_unary()
-            if not (isinstance(exponent, Const) and exponent.value.denominator == 1):
-                raise ParseError("exponent must be an integer constant", caret.pos)
-            n = int(exponent.value)
-            if type(base) is Const:
-                # a numerator or denominator of b bits, to the power n, is at
-                # least 2^(|n| * (b - 1)): refuse one past the float range
-                # before computing it
-                bits = max(abs(base.value.numerator), base.value.denominator).bit_length()
-                if abs(n) * (bits - 1) >= sys.float_info.max_exp:
-                    raise ParseError("constant outside the float range", caret.pos)
-            return _in_float_range(power(base, n), caret.pos)
-        return base
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            try:
-                value = Fraction(tok.text)
-            except ValueError:  # past the int-to-str digit limit
-                raise ParseError("constant outside the float range", tok.pos) from None
-            return _in_float_range(Const(value), tok.pos)
-        if tok.kind == "name":
-            self.take()
-            if self.peek().kind == "(":
-                fn = _FUNCTIONS.get(tok.text)
-                if fn is None:
-                    raise UnknownIdentifierError(tok.text, tok.pos)
-                self.take()
-                arg = self.parse_expr()
-                self.expect(")")
-                return fn(arg)
-            if tok.text in self.variables:
-                return Var(tok.text)
-            raise UnknownIdentifierError(tok.text, tok.pos)
-        if tok.kind == "(":
-            self.take()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise ParseError(f"unexpected token {tok.text!r}" if tok.kind != "end" else "unexpected end of input", tok.pos)
-
 
 def parse(text: str, variables: Iterable[str]) -> Expr:
     """Parse ``text`` against the given variable names.
 
     Unknown identifiers raise :class:`UnknownIdentifierError`; all other
     malformed input raises :class:`ParseError` with the offset of the
-    offending token.
+    offending token.  The parser lives in :mod:`bianchi.parsing`, imported
+    at the first call.
     """
+    from . import parsing
 
-    parser = _Parser(_tokenize(text), frozenset(variables))
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.pos)
-    return node
+    return parsing.parse(text, variables)

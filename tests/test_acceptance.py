@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from bianchi import applications
 from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
@@ -148,7 +149,7 @@ def test_criterion_5_contact_case():
         assert report.passed, (report.check_id, report.max_residual)
 
     # rebuilding the structure re-runs every invariant at 1e-9
-    rebuilt = gallery.derive_contact_structure(alpha)
+    rebuilt = applications.derive_contact_structure(alpha)
     assert max_abs((rebuilt.reeb - reeb).comps, points) <= 1e-12
 
     # the curvature 2-form against the Reeb pair vanishes identically, so
@@ -207,7 +208,7 @@ def test_criterion_6_foliation_case():
         chart.basis_field(1),
         geo.VectorField(chart, (se.ONE, se.ZERO, se.Var("y"))),
     )
-    foliation = gallery.FoliationStructure(contact.form, kernel, contact.reeb)
+    foliation = applications.FoliationStructure(contact.form, kernel, contact.reeb)
     probe = dataclasses.replace(contact_case, foliation=foliation)
     defect = ids.run_check(restricted, probe, config).max_residual
     assert defect > 0.5, "non-integrable control unexpectedly passed"
@@ -227,7 +228,7 @@ def test_criterion_7_mechanics_case(omega_rank_profile):
     case = gallery.build_case("sode_oscillator")
     sode = case.sode
     chart = case.chart
-    theta, omega = gallery.build_cartan_form(sode, case.lagrangian)
+    theta, omega = applications.build_cartan_form(sode, case.lagrangian)
     points = geo.sample_points(chart, "mechanics-acceptance", 20)
 
     # energy 1-form of the oscillator: u dx - (u^2 + x^2)/2 dt
@@ -251,7 +252,7 @@ def test_criterion_7_mechanics_case(omega_rank_profile):
     hook = geo.interior_product(sode.semispray, omega)
     assert max_abs(list(hook.comps.values()) or [se.ZERO], points) <= 1e-9
 
-    residuals = gallery.massa_pagani_property_residuals(case.connection, sode, points)
+    residuals = applications.massa_pagani_property_residuals(case.connection, sode, points)
     assert len(residuals) == 4
     for name, value in residuals.items():
         assert value <= 1e-9, (name, value)

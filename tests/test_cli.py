@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bianchi import casefile, cli, gallery
+from bianchi import applications, casefile, cli, gallery
 from bianchi import identity_suite as ids
 
 ALL_CHECKS = [
@@ -629,18 +629,45 @@ def test_module_invocation_round_trip():
     assert "S2p" in proc.stdout
 
 
-@pytest.mark.parametrize("module", ["configparser", "hashlib"])
-def test_importing_the_cli_leaves_out(module):
-    """Only case files need configparser and only the exact recheck needs
-    hashlib, so a run without them does not import them."""
+def _imported_by(code: str, modules) -> str:
+    """What a fresh interpreter prints after running ``code`` and then the
+    list of which of ``modules`` it has imported."""
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, bianchi.cli; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys; print([m in sys.modules for m in {modules!r}])"],
         capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "module", ["configparser", "hashlib", "bianchi.applications", "bianchi.parsing"]
+)
+def test_importing_the_cli_leaves_out(module):
+    """Only case files need configparser, only the exact recheck needs
+    hashlib, only the applications' cases need bianchi.applications and
+    only parsed text needs bianchi.parsing, so importing the CLI imports
+    none of them."""
+    assert _imported_by("import bianchi.cli", [module]) == "[False]"
+
+
+def test_verifying_generic_cases_imports_neither_applications_nor_the_parser():
+    """The gallery_verify benchmark's run, at one point and tuple: it builds
+    no application case and parses no text."""
+    code = (
+        "import contextlib, io, bianchi.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    bianchi.cli.main(['verify', '--case', 'random_poly', '--case', 'sphere_lc',"
+        " '--case-checks', '--points', '1', '--tuples', '1'])"
+    )
+    assert _imported_by(code, ["bianchi.applications", "bianchi.parsing"]) == "[False, False]"
+
+
+def test_building_an_application_case_imports_the_applications():
+    code = "from bianchi import gallery; gallery.build_case('foliation_adapted_n4')"
+    assert _imported_by(code, ["bianchi.applications", "bianchi.parsing"]) == "[True, False]"
 
 
 def _sum_of_products(terms: int) -> str:
@@ -677,13 +704,13 @@ def test_case_file_expression_at_the_depth_limit_verifies(tmp_path, capsys):
 
 def test_case_checks_build_the_cartan_form_once(capsys, monkeypatch):
     calls = []
-    build = gallery.build_cartan_form
+    build = applications.build_cartan_form
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(gallery, "build_cartan_form", counted)
+    monkeypatch.setattr(applications, "build_cartan_form", counted)
     code, _, _ = run_cli(
         capsys, "verify", "--case", "sode_oscillator", "--case-checks", "--points", "3",
         "--tuples", "1",

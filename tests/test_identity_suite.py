@@ -602,6 +602,35 @@ def test_run_check_restores_the_collector_when_the_check_raises(collecting, spec
         assert gc.isenabled() is collecting
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_sampling_scope_pauses_the_collector_across_its_checks(collecting):
+    """The outermost scope pauses the collector for its checks and between
+    them, a nested scope or a check that raises leaves it paused, and the
+    collector is left as the caller had it when the scope closes, also on
+    a raise."""
+    case = gallery.build_case("random_poly")
+    config = ids.CheckConfig(points=2, tuples=1)
+    seen = []
+    with collector(collecting):
+        with ids.sampling():
+            seen.append(gc.isenabled())
+            ids.check_identity("D1", case, config)
+            seen.append(gc.isenabled())
+            with ids.sampling():
+                seen.append(gc.isenabled())
+            seen.append(gc.isenabled())
+            with pytest.raises(geo.GeometryError, match="factory failed"):
+                ids.run_check(_check(ids.SampleSpec(vectors=1), _failing_factory), case, config)
+            seen.append(gc.isenabled())
+        assert gc.isenabled() is collecting
+        with pytest.raises(RuntimeError, match="scope failed"):
+            with ids.sampling():
+                seen.append(gc.isenabled())
+                raise RuntimeError("scope failed")
+        assert gc.isenabled() is collecting
+    assert seen == [False] * 6
+
+
 def test_checks_leave_no_reference_cycles():
     """What lets run_check pause the collector: building every gallery case
     and running its catalog checks, its case-specific checks and a mutation

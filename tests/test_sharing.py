@@ -105,9 +105,9 @@ def test_run_check_opens_one_scope_per_tuple_and_closes_it():
 def test_the_checks_of_a_case_share_each_tuples_pieces_in_a_sampling_scope():
     """Inside a sampling scope a later check gets the pieces that an
     earlier check of the case built from the same tuple, and every root of
-    those pieces has a known value at the case's points.  A check run
-    alone builds each tuple in a table of its own, emptied when it
-    returns."""
+    those pieces has a known value at the case's points, so none is left
+    to visit.  A check run alone builds each tuple in a table of its own,
+    emptied when it returns."""
     case = gallery.build_case("random_poly")
     config = ids.CheckConfig(points=3, tuples=2)
     built = []
@@ -122,9 +122,10 @@ def test_the_checks_of_a_case_share_each_tuples_pieces_in_a_sampling_scope():
             ids.run_check(_tiny_check(build), case, config)
         assert built[0] is built[2] and built[1] is built[3] and built[0] is not built[1]
         pieces = ids._tuples[case.chart, "0/random_poly/0"]
-        values = pieces.values[config.points]
-        assert built[0].comps[0] in pieces.roots
-        assert all(root in values for root in pieces.roots)
+        values, unknown = pieces.values[config.points]
+        assert unknown == []
+        assert all(root in values for root in ids._table_roots(pieces.table.items()))
+        assert built[0].comps[0] in values
         assert values[built[0].comps[0]] == [
             se.evaluate(built[0].comps[0], p)
             for p in geo.sample_points(case.chart, "0/random_poly/points", config.points)

@@ -448,12 +448,15 @@ def test_a_run_starts_from_known_values_and_writes_back_its_roots(points):
     x, y = se.Var("x"), se.Var("y")
     root = se.mul(x, y)
     side = se.add(root, x)
+    unreached = se.sin(x)
     values = {}
-    known = {"t": (values, [root])}
+    known = {"t": (values, [root, unreached])}
     se.worst_residual([("t", side, 0)], points, known=known)
     expected = [p["x"] * p["y"] for p in points]
     # the root's value only, a float over one point and a list over several
     assert values == {root: expected[0] if len(points) == 1 else expected}
+    # a root whose value is written back leaves the list; the other stays
+    assert known["t"][1] == [unreached]
     # a run of tag t starts from the known value; a run of another tag does not
     values[root] = 100.0 if len(points) == 1 else [100.0] * len(points)
     worst, point, tag, _ = se.worst_residual([("u", side, 0), ("t", side, 0)], points, known=known)
