@@ -253,24 +253,19 @@ def _random_connection(chart: Chart, seed: int) -> Connection:
     return Connection(chart, gamma)
 
 
-def _case_random_poly(seed: int) -> GeometryCase:
-    return GeometryCase(
-        id=f"random_poly:{seed}" if seed else "random_poly",
-        chart=R3,
-        connection=_random_connection(R3, seed),
-        description="Random degree-1 polynomial connection on 3-space.",
-        coframe=sf.CoFrame.coordinate(R3),
-    )
+def _random_poly(chart: Chart, stem: str):
+    """Builder of the random-polynomial case ``stem`` on ``chart``, by seed."""
 
+    def build(seed: int) -> GeometryCase:
+        return GeometryCase(
+            id=f"{stem}:{seed}" if seed else stem,
+            chart=chart,
+            connection=_random_connection(chart, seed),
+            description=f"Random degree-1 polynomial connection on {chart.dim}-space.",
+            coframe=sf.CoFrame.coordinate(chart),
+        )
 
-def _case_random_poly4(seed: int) -> GeometryCase:
-    return GeometryCase(
-        id=f"random_poly4:{seed}" if seed else "random_poly4",
-        chart=R4,
-        connection=_random_connection(R4, seed),
-        description="Random degree-1 polynomial connection on 4-space.",
-        coframe=sf.CoFrame.coordinate(R4),
-    )
+    return build
 
 
 def _application_case(name: str):
@@ -289,8 +284,8 @@ _BUILDERS = {
     "flat_euclidean": lambda seed: _case_flat_euclidean(),
     "flat_with_torsion": lambda seed: _case_flat_with_torsion(),
     "sphere_lc": lambda seed: _case_sphere_lc(),
-    "random_poly": _case_random_poly,
-    "random_poly4": _case_random_poly4,
+    "random_poly": _random_poly(R3, "random_poly"),
+    "random_poly4": _random_poly(R4, "random_poly4"),
     **{
         name: _application_case(name)
         for name in ("contact_r3", "foliation_adapted", "foliation_adapted_n4", "sode_oscillator")
@@ -383,14 +378,14 @@ def _leaf(foliation: FoliationStructure, x: VectorField) -> VectorField:
 
 
 def _restricted_torsion_is_identity_wedge(case):
-    # T_theta(U, U') = -(nabla theta wedge I)(U, U') on leaf fields; it holds
+    # T_theta(U, U') = xi_theta(U, U') on leaf fields; it holds
     # exactly when the kernel of theta is integrable, for any connection
     conn, foliation = case.connection, case.foliation
 
     def build(vectors, forms):
         pair = [_leaf(foliation, x) for x in vectors]
         lhs = sf.torsion_form_apply(conn, foliation.form, pair)
-        return [(lhs, se.neg(sf.wedge_covector_identity_apply(conn, foliation.form, pair)))]
+        return [(lhs, sf.xi_form_apply(conn, foliation.form, pair))]
 
     return build
 

@@ -16,6 +16,14 @@ The exterior derivative is the coordinate formula on components; the
 tests hold it against the alternating vector-field formula with Lie
 brackets, an independent oracle kept in the test suite.
 
+Signed sums
+-----------
+The structure equations and Bianchi identities are alternating sums over
+argument positions.  :func:`_signed_sum` is the one kernel for them: d,
+the Laplace expansion of the minors and the alternating sums of
+:mod:`bianchi.structure_forms` pass it a ``term`` for the positions they
+pick and the items they leave.
+
 Sharing
 -------
 One sampled tuple of a check asks for the same pieces many times: the
@@ -266,6 +274,28 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
+def _signed_sum(items, size, term, odd=0, start=None):
+    """start + sum of (-1)^(sum(P) + odd) term(*P, rest) over the increasing
+    zero-based position tuples P of ``size`` of ``items``, where ``rest``
+    is the tuple of the other items in order.
+
+    Terms are added left to right with ``+`` and negated with unary ``-``,
+    so one kernel sums expressions, vector fields, forms and endomorphisms.
+    Without ``start`` the sum begins at its first term; an empty sum is
+    ``start``.
+    """
+    # the complements of the position tuples, taken in lexicographic order,
+    # are the (n - size)-tuples of items in reverse lexicographic order
+    rests = list(itertools.combinations(items, max(len(items) - size, 0)))
+    total = start
+    for P, rest in zip(itertools.combinations(range(len(items)), size), reversed(rests)):
+        value = term(*P, rest)
+        if (sum(P) + odd) % 2:
+            value = -value
+        total = value if total is None else total + value
+    return total
+
+
 class PForm:
     """Differential p-form with components on strictly increasing tuples.
 
@@ -373,11 +403,10 @@ class _Minors(dict):
         else:
             if self.rest is None:
                 self.rest = shared(_Minors, *fields[:-1])
-            last, top = fields[-1].comps, len(key) - 1
-            det = ZERO
-            for a, k in enumerate(key):
-                term = se.mul(self.rest[key[:a] + key[a + 1 :]], last[k])
-                det = se.add(det, term) if (top - a) % 2 == 0 else se.sub(det, term)
+            last = fields[-1].comps
+            det = _signed_sum(
+                key, 1, lambda a, minor: se.mul(self.rest[minor], last[key[a]]), odd=len(key) - 1
+            )
         self[key] = det
         return det
 
@@ -467,15 +496,15 @@ def exterior_derivative(theta: PForm) -> PForm:
     increasing tuple K.  Top-degree forms map to the canonical zero form of
     degree dim + 1.
     """
-    chart = theta.chart
-    out: dict[tuple[int, ...], Expr] = {}
-    for key in itertools.combinations(range(chart.dim), theta.degree + 1):
-        total = ZERO
-        for a, idx in enumerate(key):
-            rest = key[:a] + key[a + 1 :]
-            partial = se.differentiate(theta.comps.get(rest, ZERO), chart.coords[idx])
-            total = se.add(total, partial if a % 2 == 0 else se.neg(partial))
-        out[key] = total
+    chart, comps = theta.chart, theta.comps
+    out = {
+        key: _signed_sum(
+            key,
+            1,
+            lambda a, rest: se.differentiate(comps.get(rest, ZERO), chart.coords[key[a]]),
+        )
+        for key in itertools.combinations(range(chart.dim), theta.degree + 1)
+    }
     return PForm(chart, theta.degree + 1, out)
 
 

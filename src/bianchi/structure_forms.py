@@ -10,11 +10,16 @@ operator families appearing in those splittings:
 * alternating covariant-derivative sums (``xi_form``, ``psi_form_apply``,
   ``connection_form``),
 * the tensor-valued wedge pairings the identities use, each evaluated
-  directly on its arguments (``wedge_*_apply``),
+  directly on its arguments (``wedge_*_apply``): nabla theta ^ T,
+  nabla theta ^ R_Z, R_theta ^ nabla Z and R ^ I,
 * the exterior covariant derivative on tensor-valued forms
   (``exterior_covariant_derivative``),
 * the moving-frame apparatus: connection one-forms plus torsion and
   curvature two-forms of a coframe (``cartan_coframe_forms``).
+
+The alternating sums run through :func:`bianchi.geometry._signed_sum`,
+each as the ``term`` of the positions it picks; only the cyclic sums and
+the torsion-mixed sum are written out.
 
 A direct evaluator, suffixed ``_apply``, runs its signed sum on arbitrary
 vector fields and returns a scalar expression.  A builder returns a
@@ -43,6 +48,7 @@ from .geometry import (
     PForm,
     TensorValuedForm,
     VectorField,
+    _signed_sum,
     lie_bracket,
     sample_points,
 )
@@ -67,15 +73,6 @@ class CoFrameError(StructureFormError):
 
 
 # -- signed-sum plumbing ------------------------------------------------------
-
-
-def _drop(fields, *skip):
-    return [f for pos, f in enumerate(fields) if pos not in skip]
-
-
-def _pair_sign(a: int, b: int) -> int:
-    # (-1)^(i+j+1) for one-based positions i, j; a, b are zero-based.
-    return 1 if (a + b) % 2 else -1
 
 
 def _expect_args(fields, count: int) -> None:
@@ -107,17 +104,6 @@ def _rotations(triple):
     return ((a, b, c), (b, c, a), (c, a, b))
 
 
-def _pair_sum(fields, term) -> Expr:
-    """sum_{i<j} (-1)^(i+j+1) term(a, b, rest), where a < b are the
-    zero-based positions of one-based i < j and rest is ``fields`` without
-    them."""
-    terms = []
-    for a, b in combinations(range(len(fields)), 2):
-        value = term(a, b, _drop(fields, a, b))
-        terms.append(value if _pair_sign(a, b) > 0 else se.neg(value))
-    return se.add_all(terms)
-
-
 def _cyclic_sum(fields, term):
     """term(X, Y, Z) + term(Y, Z, X) + term(Z, X, Y) over three fields; the
     terms are expressions or vector fields."""
@@ -133,30 +119,22 @@ def _insertion_pair_sum(theta: PForm, fields, insert) -> Expr:
     """sum_{i<j} (-1)^(i+j+1) Theta(insert(X_i, X_j), rest), the torsion
     and curvature sums."""
     _expect_form_args(theta, fields)
-    return _pair_sum(
-        fields, lambda a, b, rest: theta.apply([insert(fields[a], fields[b])] + rest)
+    return _signed_sum(
+        fields, 2, lambda a, b, rest: theta.apply([insert(fields[a], fields[b]), *rest]), odd=1
     )
 
 
 def _connection_sum(theta: PForm, fields, nabla_z) -> Expr:
     """sum_i (-1)^(i+1) Theta(nabla_z(X_i), rest)."""
     _expect_form_args(theta, fields, extra=0)
-    terms = []
-    for a in range(len(fields)):
-        value = theta.apply([nabla_z(fields[a])] + _drop(fields, a))
-        terms.append(value if a % 2 == 0 else se.neg(value))
-    return se.add_all(terms)
+    return _signed_sum(fields, 1, lambda a, rest: theta.apply([nabla_z(fields[a]), *rest]))
 
 
 def _xi_sum(theta: PForm, fields, nabla_theta) -> Expr:
     """sum_i (-1)^i nabla_theta(X_i)(rest)."""
     _expect_form_args(theta, fields)
-    terms = []
-    for a in range(len(fields)):
-        value = nabla_theta(fields[a]).apply(_drop(fields, a))
-        # one-based (-1)^i: the first position enters negatively
-        terms.append(se.neg(value) if a % 2 == 0 else value)
-    return se.add_all(terms)
+    # one-based (-1)^i: the first position enters negatively
+    return _signed_sum(fields, 1, lambda a, rest: nabla_theta(fields[a]).apply(rest), odd=1)
 
 
 def torsion_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
@@ -244,14 +222,16 @@ def psi_form_apply(conn: Connection, theta: PForm, z: VectorField, fields) -> Ex
     derivative_along = [covariant_derivative(conn, f, theta) for f in fields]
     z_along = [covariant_derivative(conn, f, z) for f in fields]
     # one-based (-1)^(i+j): the pair sign, negated
-    return _pair_sum(
+    return _signed_sum(
         fields,
+        2,
         lambda a, b, rest: se.neg(
             se.sub(
-                derivative_along[a].apply([z_along[b]] + rest),
-                derivative_along[b].apply([z_along[a]] + rest),
+                derivative_along[a].apply([z_along[b], *rest]),
+                derivative_along[b].apply([z_along[a], *rest]),
             )
         ),
+        odd=1,
     )
 
 
@@ -270,11 +250,13 @@ def torsion_mixed_form_apply(conn: Connection, theta: PForm, z: VectorField, fie
     """
     _expect_form_args(theta, fields)
     tor = torsion(conn)
+    # not the signed-sum kernel: one flat sum of all the rotation terms, since
+    # summing each triple's three first would re-associate it and move residuals
     terms = []
     for key in combinations(range(len(fields)), 3):
         # one-based (-1)^(i+j+k)
         sign = 1 if sum(key) % 2 else -1
-        rest = _drop(fields, *key)
+        rest = [f for pos, f in enumerate(fields) if pos not in key]
         trio = tuple(fields[pos] for pos in key)
         for xi, xj, xk in _rotations(trio):
             value = theta.apply(
@@ -293,16 +275,6 @@ def curvature_three_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
 
 
 # -- tensor-valued wedge pairings ----------------------------------------------
-
-
-def wedge_covector_identity_apply(conn: Connection, theta: PForm, fields) -> Expr:
-    """(nabla theta ^ I)(X, Y) = nabla_X theta(Y) - nabla_Y theta(X)."""
-    _expect_args(fields, 2)
-    x, y = fields
-    return se.sub(
-        covariant_derivative(conn, x, theta).apply([y]),
-        covariant_derivative(conn, y, theta).apply([x]),
-    )
 
 
 def wedge_covector_torsion_apply(conn: Connection, theta: PForm, fields) -> Expr:
@@ -373,25 +345,19 @@ def exterior_covariant_derivative(conn: Connection, target) -> TensorValuedForm:
     # alternating-sum rule still evaluates and cancels pointwise
     if target.arity > conn.chart.dim:
         raise DegreeError("exterior covariant derivative would exceed top arity")
-    arity = target.arity
 
     def rule(*fields):
-        total = None
-        for a in range(arity + 1):
-            value = target(*_drop(fields, a))
-            term = covariant_derivative(conn, fields[a], value)
-            if a % 2:
-                term = -term
-            total = term if total is None else total + term
-        for a in range(arity + 1):
-            for b in range(a + 1, arity + 1):
-                term = target(lie_bracket(fields[a], fields[b]), *_drop(fields, a, b))
-                if (a + b) % 2:
-                    term = -term
-                total = total + term
-        return total
+        derivatives = _signed_sum(
+            fields, 1, lambda a, rest: covariant_derivative(conn, fields[a], target(*rest))
+        )
+        return _signed_sum(
+            fields,
+            2,
+            lambda a, b, rest: target(lie_bracket(fields[a], fields[b]), *rest),
+            start=derivatives,
+        )
 
-    return TensorValuedForm(conn.chart, arity + 1, rule)
+    return TensorValuedForm(conn.chart, target.arity + 1, rule)
 
 
 # -- coframes and their structure forms ----------------------------------------

@@ -142,33 +142,13 @@ class Expr:
 
     __slots__ = ("_derivs",)
 
-    # Arithmetic sugar; all routes go through the folding constructors.
+    # +, - and unary - for code that sums expressions, vector fields and forms
+    # alike; they are the folding constructors add, sub and neg.
     def __add__(self, other):
         return add(self, as_expr(other))
 
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
     def __sub__(self, other):
         return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, n):
-        return power(self, n)
 
     def __neg__(self):
         return neg(self)

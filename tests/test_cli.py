@@ -57,6 +57,15 @@ coords = x y z
 3 2 1 = -1
 """
 
+# every degree-3 identity reduces to 0 = 0 on a line
+LINE_CASE = """
+[chart]
+coords = x
+
+[christoffel]
+1 1 1 = x
+"""
+
 # torsion far below the torsion-free probe's 1e-10
 TINY_TORSION_CASE = """
 [chart]
@@ -416,15 +425,22 @@ def test_metric_case_file_gets_levi_civita_connection(metric_case):
     assert set(loaded.fields) == {"V"}
 
 
-def test_metric_case_file_verifies_clean(capsys, metric_case):
+@pytest.mark.parametrize("text, vacuous", [
+    (METRIC_CASE, ()),
+    (LINE_CASE, ("B1", "B2", "C1", "C2", "DB1", "DB2", "LC1")),
+], ids=["heisenberg", "line"])
+def test_case_file_verifies_clean(capsys, tmp_path, text, vacuous):
+    path = tmp_path / "input.case"
+    path.write_text(text)
     code, out, _ = run_cli(
-        capsys, "verify", "--case-file", metric_case,
+        capsys, "verify", "--case-file", str(path),
         "--points", "4", "--tuples", "2", "--format", "json",
     )
     assert code == 0
     reports = json.loads(out)
     assert [r["check"] for r in reports] == ALL_CHECKS
     assert all(r["pass"] for r in reports)
+    assert [r["max_residual"] for r in reports if r["check"] in vacuous] == [0.0] * len(vacuous)
 
 
 def test_christoffel_case_file_probes_flags(torsion_case):

@@ -215,6 +215,38 @@ def test_tensor_valued_form_arity_checks():
         geo.TensorValuedForm(R3, -1, lambda: X)
 
 
+def test_signed_sum_signs_order_and_start():
+    calls = []
+
+    def term(*args):
+        *positions, rest = args
+        calls.append((tuple(positions), rest))
+        # the one-based positions as digits: (0, 2) gives 13
+        return int("".join(str(p + 1) for p in positions))
+
+    # (-1)^(sum(P) + odd), worked by hand: 1 - 2 + 3 - 4; -12 + 13 - 14 - 23
+    # + 24 - 34; -123 + 124 - 134 + 234
+    for size, even in ((1, -2), (2, -46), (3, 101)):
+        assert geo._signed_sum("abcd", size, term) == even
+        assert geo._signed_sum("abcd", size, term, 1) == -even
+    calls.clear()
+    assert geo._signed_sum("abcd", 2, term, start=100) == 54
+    assert calls == [
+        ((0, 1), ("c", "d")),
+        ((0, 2), ("b", "d")),
+        ((0, 3), ("b", "c")),
+        ((1, 2), ("a", "d")),
+        ((1, 3), ("a", "c")),
+        ((2, 3), ("a", "b")),
+    ]
+    assert geo._signed_sum("", 1, term, start=7) == 7
+    assert geo._signed_sum("ab", 3, term, start=7) == 7
+    # left to right from the first term, which no zero precedes
+    a, b, c = (se.Var(name) for name in "abc")
+    folded = geo._signed_sum((a, b, c), 1, lambda pos, rest: (a, b, c)[pos])
+    assert same_tree(folded, se.add(se.add(a, se.neg(b)), c))
+
+
 R5 = geo.Chart("r5", ("a", "b", "c", "d", "e"), ((-1.0, 1.0),) * 5)
 
 
@@ -238,7 +270,7 @@ def test_two_minors_stay_the_wedge_entries_bit_for_bit():
     minors = geo._Minors(x, y)
     points = [geo.random_point(R5, rng) for _ in range(5)]
     for i, j in itertools.combinations(range(5), 2):
-        wedge = x.comps[i] * y.comps[j] - x.comps[j] * y.comps[i]
+        wedge = se.sub(se.mul(x.comps[i], y.comps[j]), se.mul(x.comps[j], y.comps[i]))
         assert [se.evaluate(minors[i, j], p) for p in points] == [
             se.evaluate(wedge, p) for p in points
         ]

@@ -140,17 +140,6 @@ def test_xi_form_frozen_torsion_example():
     assert se.evaluate(built.component((0, 1)), pt) == pytest.approx(2.0)
 
 
-def test_xi_form_is_negated_identity_wedge():
-    rng = random.Random(50)
-    for trial in range(20):
-        conn = random_linear_connection(R3, 500 + trial)
-        theta = geo.random_pform(R3, 1, rng)
-        fields = sample_fields(R3, rng, 2)
-        lhs = sf.xi_form_apply(conn, theta, fields)
-        rhs = se.neg(sf.wedge_covector_identity_apply(conn, theta, fields))
-        assert_close(lhs, rhs, [geo.random_point(R3, rng)], tol=1e-9)
-
-
 def test_xi_one_form_reduction_matches_general_sum():
     """Degree 1 instance of the general sum against the two-term formula."""
     conn = random_linear_connection(R3, 60)
