@@ -112,6 +112,8 @@ def _parse_chart(section, default_name: str) -> Chart:
             _fail(f"[chart]: range override for unknown coordinate {coord!r}")
         intervals[coords.index(coord)] = _parse_range(value, f"[chart] range {coord}")
     name = section.get("name", default_name).strip()
+    if not name:
+        _fail("[chart] name entry is empty")
     try:
         return Chart(name, coords, tuple(intervals))
     except geo.GeometryError as exc:
@@ -206,17 +208,20 @@ def _parse_forms(section, chart: Chart) -> dict[str, PForm]:
 
 
 def _parse_fields(section, chart: Chart) -> dict[str, VectorField]:
-    collected: dict[str, list[se.Expr]] = {}
+    collected: dict[str, dict[int, se.Expr]] = {}
     for key, value in section.items():
         context = f"[fields] {key}"
         name, indices = _parse_indexed_name(key, chart, context)
         if len(indices) != 1:
             _fail(f"{context}: a vector field takes exactly one index per entry")
-        comps = collected.setdefault(name, [se.ZERO] * chart.dim)
-        if not se._is_zero(comps[indices[0]]):
+        comps = collected.setdefault(name, {})
+        if indices[0] in comps:
             _fail(f"{context}: duplicate component")
         comps[indices[0]] = _parse_expr(chart, value, context)
-    return {name: VectorField(chart, tuple(comps)) for name, comps in collected.items()}
+    return {
+        name: VectorField(chart, [comps.get(i, se.ZERO) for i in range(chart.dim)])
+        for name, comps in collected.items()
+    }
 
 
 def load_case_file(path: str) -> LoadedCase:

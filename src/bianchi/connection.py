@@ -24,10 +24,11 @@ of the last coframe it was given the same way.
 
 Inside a :func:`bianchi.geometry.sharing` scope (one sampled tuple of
 all the checks of a case) each omega(X), nabla_X Y of a vector field,
-nabla_{d/dx^i} theta of a form and wedge entry (X wedge Y)^{ij} is built
-once per connection and arguments, and so, through the tensor-valued form
-call, is each T(X, Y) and R(X, Y); the wedge entries are the ones that
-2-forms pair with in :meth:`bianchi.geometry.PForm.apply`.
+nabla_X theta and nabla_{d/dx^i} theta of a form, R(X, Y)Z and wedge
+entry (X wedge Y)^{ij} is built once per connection and arguments, and
+so, through the tensor-valued form call, is each T(X, Y) and R(X, Y); the
+wedge entries are the ones that 2-forms pair with in
+:meth:`bianchi.geometry.PForm.apply`.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _covariant(conn: Connection, X: VectorField, omega, target):
     if isinstance(target, Expr):
         return apply_vector_field(X, target)
     if isinstance(target, PForm):
-        return _cov_pform(conn, X, target)
+        return shared(_cov_pform, conn, X, target)
     if not isinstance(target, (VectorField, LinearMap, TensorValuedForm)):
         raise TypeError(f"cannot covariantly differentiate {type(target).__name__}")
     _same_chart(conn, target)
@@ -359,7 +360,7 @@ class Curvature(TensorValuedForm):
         self.components = comps
 
     def apply_to(self, X: VectorField, Y: VectorField, Z: VectorField) -> VectorField:
-        return self(X, Y)(Z)
+        return shared(LinearMap.__call__, self(X, Y), Z)
 
 
 def curvature(conn: Connection) -> Curvature:

@@ -35,7 +35,10 @@ around each tuple's build over the table that it keeps for that tuple,
 nodes are built and evaluated once for all the checks of a case.  Outside
 a scope nothing is kept and every request builds afresh.  The minors of
 :meth:`PForm.apply` go through it, and so does every tensor-valued form
-call.
+call.  Scopes nest: an inner table (the one in which
+:func:`bianchi.structure_forms.cartan_coframe_forms` builds a coframe's
+forms) takes the requests while it is open, and the table that was open
+before takes them again when it closes.
 """
 
 from __future__ import annotations
@@ -104,14 +107,15 @@ def sharing(table: dict):
     ``table``.  The table keeps its entries when the scope closes: the
     identity suite keeps one per sampled tuple, so the checks of a case
     share each piece built from the tuple's fields, and empties it when
-    the case's sampling scope closes.
+    the case's sampling scope closes.  Closing the scope reopens the
+    table that was open before it, if any.
     """
     global _scope
-    _scope = table
+    outer, _scope = _scope, table
     try:
         yield
     finally:
-        _scope = None
+        _scope = outer
 
 
 def shared(build: Callable, *args):

@@ -23,11 +23,14 @@ the torsion-mixed sum are written out.
 
 A direct evaluator, suffixed ``_apply``, runs its signed sum on arbitrary
 vector fields and returns a scalar expression.  A builder returns a
-componentwise :class:`~bianchi.geometry.PForm`: the same sum evaluated on
-the coordinate frame, coefficients kept symbolic; the connection form has
-only a builder.  Agreement of the two routes on non-coordinate fields is
-exactly the tensoriality of the operator; the tests probe it on random
-fields.
+componentwise :class:`~bianchi.geometry.PForm`: the componentwise assembly
+of its ``_apply`` sum on the coordinate frame, coefficients kept symbolic;
+the connection form has only a builder.  Agreement of the two routes on
+non-coordinate fields is exactly the tensoriality of the operator; the
+tests probe it on random fields.  Cartan's structure forms are the
+builders on a coframe.  The builders keep no cache: inside a
+:func:`bianchi.geometry.sharing` table every value they insert is built
+once, and outside one every request builds afresh.
 
 Docstring formulas use one-based argument positions, matching the usual
 blackboard presentation; the code is zero-based throughout.
@@ -36,7 +39,6 @@ blackboard presentation; the code is zero-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 from . import symexpr as se
@@ -51,6 +53,8 @@ from .geometry import (
     _signed_sum,
     lie_bracket,
     sample_points,
+    shared,
+    sharing,
 )
 from .connection import (
     Connection,
@@ -91,10 +95,10 @@ def _componentwise(chart: Chart, degree: int, value_at) -> PForm:
     """Assemble a PForm by running a defining sum on coordinate frames; above
     top degree there are no components.
 
-    The builders below pass a sum whose inserted value (nabla_{d/dx^i} Z,
-    T(d/dx^i, d/dx^j), ...) is cached per coordinate axis or axis pair, so
-    each is built once and shared by every component that contains it."""
-    frame = chart.coordinate_frame()
+    The frame is the chart's one d/dx^i in a sharing table, so the values
+    that a sum inserts (nabla_{d/dx^i} Z, T(d/dx^i, d/dx^j), ...) are built
+    once there for every component and builder that contains them."""
+    frame = shared(Chart.coordinate_frame, chart)
     keys = combinations(range(chart.dim), degree)
     return PForm(chart, degree, {key: value_at([frame[i] for i in key]) for key in keys})
 
@@ -124,19 +128,6 @@ def _insertion_pair_sum(theta: PForm, fields, insert) -> Expr:
     )
 
 
-def _connection_sum(theta: PForm, fields, nabla_z) -> Expr:
-    """sum_i (-1)^(i+1) Theta(nabla_z(X_i), rest)."""
-    _expect_form_args(theta, fields, extra=0)
-    return _signed_sum(fields, 1, lambda a, rest: theta.apply([nabla_z(fields[a]), *rest]))
-
-
-def _xi_sum(theta: PForm, fields, nabla_theta) -> Expr:
-    """sum_i (-1)^i nabla_theta(X_i)(rest)."""
-    _expect_form_args(theta, fields)
-    # one-based (-1)^i: the first position enters negatively
-    return _signed_sum(fields, 1, lambda a, rest: nabla_theta(fields[a]).apply(rest), odd=1)
-
-
 def torsion_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
     """Defining sum of the torsion form on arbitrary fields.
 
@@ -152,9 +143,8 @@ def torsion_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
 
 def torsion_form(conn: Connection, theta: PForm) -> PForm:
     """Torsion (p+1)-form of a p-form; degree 1 gives (X, Y) -> theta(T(X, Y))."""
-    tor = cache(torsion(conn))
     return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: _insertion_pair_sum(theta, fs, tor)
+        conn.chart, theta.degree + 1, lambda fs: torsion_form_apply(conn, theta, fs)
     )
 
 
@@ -167,23 +157,31 @@ def xi_form_apply(conn: Connection, theta: PForm, fields) -> Expr:
 
     Degree 1 reduces to (X, Y) -> nabla_Y theta(X) - nabla_X theta(Y).
     """
-    return _xi_sum(theta, fields, lambda x: covariant_derivative(conn, x, theta))
+    _expect_form_args(theta, fields)
+    # one-based (-1)^i: the first position enters negatively
+    return _signed_sum(
+        fields, 1, lambda a, rest: covariant_derivative(conn, fields[a], theta).apply(rest), odd=1
+    )
 
 
 def xi_form(conn: Connection, theta: PForm) -> PForm:
     """Covariant-derivative (p+1)-form completing d to the torsion form."""
-    nabla_theta = cache(lambda x: covariant_derivative(conn, x, theta))
-    return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: _xi_sum(theta, fs, nabla_theta)
-    )
+    return _componentwise(conn.chart, theta.degree + 1, lambda fs: xi_form_apply(conn, theta, fs))
 
 
 def connection_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
-    """Connection p-form of a p-form against a reference field Z."""
-    nabla_z = cache(lambda x: covariant_derivative(conn, x, z))
-    return _componentwise(
-        conn.chart, theta.degree, lambda fs: _connection_sum(theta, fs, nabla_z)
-    )
+    """Connection p-form of a p-form against a reference field Z: its
+    defining sum sum_i (-1)^(i+1) Theta(nabla_{X_i} Z, ..., no X_i, ...)."""
+
+    def value_at(fields):
+        _expect_form_args(theta, fields, extra=0)
+        return _signed_sum(
+            fields,
+            1,
+            lambda a, rest: theta.apply([covariant_derivative(conn, fields[a], z), *rest]),
+        )
+
+    return _componentwise(conn.chart, theta.degree, value_at)
 
 
 def curvature_form_apply(conn: Connection, theta: PForm, z: VectorField, fields) -> Expr:
@@ -201,10 +199,8 @@ def curvature_form_apply(conn: Connection, theta: PForm, z: VectorField, fields)
 
 def curvature_form(conn: Connection, theta: PForm, z: VectorField) -> PForm:
     """Curvature (p+1)-form of a p-form against a reference field Z."""
-    curv = curvature(conn)
-    r_z = cache(lambda x, y: curv.apply_to(x, y, z))
     return _componentwise(
-        conn.chart, theta.degree + 1, lambda fs: _insertion_pair_sum(theta, fs, r_z)
+        conn.chart, theta.degree + 1, lambda fs: curvature_form_apply(conn, theta, z, fs)
     )
 
 
@@ -219,17 +215,17 @@ def psi_form_apply(conn: Connection, theta: PForm, z: VectorField, fields) -> Ex
     Degree 1 reduces to (X, Y) -> nabla_Y theta(nabla_X Z) - nabla_X theta(nabla_Y Z).
     """
     _expect_form_args(theta, fields)
-    derivative_along = [covariant_derivative(conn, f, theta) for f in fields]
-    z_along = [covariant_derivative(conn, f, z) for f in fields]
+
+    def paired(x, y, rest):
+        """(nabla_x Theta)(nabla_y Z, rest)."""
+        return covariant_derivative(conn, x, theta).apply([covariant_derivative(conn, y, z), *rest])
+
     # one-based (-1)^(i+j): the pair sign, negated
     return _signed_sum(
         fields,
         2,
         lambda a, b, rest: se.neg(
-            se.sub(
-                derivative_along[a].apply([z_along[b], *rest]),
-                derivative_along[b].apply([z_along[a], *rest]),
-            )
+            se.sub(paired(fields[a], fields[b], rest), paired(fields[b], fields[a], rest))
         ),
         odd=1,
     )
@@ -427,41 +423,29 @@ def cartan_coframe_forms(conn: Connection, coframe: CoFrame) -> CartanForms:
 
     They are the connection, torsion and curvature forms of the coframe's
     1-forms theta^a against its frame fields U_b; the coframe checked its
-    duality when it was built.  One build computes nabla_{d/dx^i} U_b,
-    T(d/dx^i, d/dx^j) and R(d/dx^i, d/dx^j) U_b once each and inserts them
-    into every theta^a.
+    duality when it was built.  The builders run in one sharing table, so
+    nabla_{d/dx^i} U_b, T(d/dx^i, d/dx^j) and R(d/dx^i, d/dx^j) U_b are
+    built once each and inserted into every theta^a.
 
     The forms are kept on ``conn``: a later call with the same coframe
     object returns them, and a call with another coframe builds that
     coframe's forms and keeps those instead.
     """
-    chart = conn.chart
-    if coframe.chart is not chart:
+    if coframe.chart is not conn.chart:
         raise CoFrameError("coframe lives on a different chart than the connection")
     if conn._cartan is not None and conn._cartan.coframe is coframe:
         return conn._cartan
 
-    axes = chart.coordinate_frame()
-    planes = list(combinations(range(chart.dim), 2))
-    tor, curv = torsion(conn), curvature(conn)
-    torsion_values = {(i, j): tor(axes[i], axes[j]) for i, j in planes}
-    nabla_u = [
-        {(i,): covariant_derivative(conn, x, u) for i, x in enumerate(axes)}
-        for u in coframe.frame
-    ]
-    curvature_u = [
-        {(i, j): curv.apply_to(axes[i], axes[j], u) for i, j in planes} for u in coframe.frame
-    ]
-
-    def inserted(theta, degree, vectors):
-        """The form whose component at each key is theta(vectors[key])."""
-        return PForm(chart, degree, {key: theta.apply([v]) for key, v in vectors.items()})
-
-    thetas = coframe.coframe
-    conn._cartan = CartanForms(
-        coframe=coframe,
-        connection_one_forms=tuple(tuple(inserted(t, 1, v) for v in nabla_u) for t in thetas),
-        torsion_two_forms=tuple(inserted(t, 2, torsion_values) for t in thetas),
-        curvature_two_forms=tuple(tuple(inserted(t, 2, v) for v in curvature_u) for t in thetas),
-    )
+    thetas, frame = coframe.coframe, coframe.frame
+    with sharing({}):
+        conn._cartan = CartanForms(
+            coframe=coframe,
+            connection_one_forms=tuple(
+                tuple(connection_form(conn, t, u) for u in frame) for t in thetas
+            ),
+            torsion_two_forms=tuple(torsion_form(conn, t) for t in thetas),
+            curvature_two_forms=tuple(
+                tuple(curvature_form(conn, t, u) for u in frame) for t in thetas
+            ),
+        )
     return conn._cartan

@@ -57,7 +57,7 @@ coords = x y z
 3 2 1 = -1
 """
 
-# every degree-3 identity reduces to 0 = 0 on a line
+# every identity between forms of degree 2 or 3 reduces to 0 = 0 on a line
 LINE_CASE = """
 [chart]
 coords = x
@@ -155,6 +155,10 @@ ONE_POINT_RUN = (
     "verify", "--case", "random_poly", "--case", "sphere_lc", "--case-checks",
     "--points", "1", "--tuples", "2", "--format", "json", "--seed", "0",
 )
+# All nine gallery cases with their case checks at default sampling.
+# ``contact_r3`` and ``sphere_lc`` evaluate powers, sin and cos, so this
+# digest too assumes the libm of the platform it was pinned on.
+NINE_CASE_RUN = ("verify", "--case-checks", "--format", "json", "--seed", "0")
 
 
 def test_verify_json_output_matches_the_pinned_digest(capsys):
@@ -184,6 +188,17 @@ def test_verify_at_one_point_matches_the_pinned_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a050917d6e7c2b85fdcb243421576ebe643dcb994e903f7a50ff3b8279adfce2"
+    )
+
+
+def test_verify_of_every_case_matches_the_pinned_digest(capsys):
+    """JSON output of every gallery case and case check at default
+    sampling is byte-identical across refactors that keep the shape of
+    every expression tree."""
+    code, out, _ = run_cli(capsys, *NINE_CASE_RUN)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "75a67973c9254e83ded74fdde5ee21517363111325cefdd1a1e6b7de84cbd0d1"
     )
 
 
@@ -427,7 +442,9 @@ def test_metric_case_file_gets_levi_civita_connection(metric_case):
 
 @pytest.mark.parametrize("text, vacuous", [
     (METRIC_CASE, ()),
-    (LINE_CASE, ("B1", "B2", "C1", "C2", "DB1", "DB2", "LC1")),
+    (LINE_CASE, (
+        "B1", "B2", "C1", "C2", "CS1", "CS2", "D1", "D2", "DB1", "DB2", "E1", "LC1", "S1", "S2",
+    )),
 ], ids=["heisenberg", "line"])
 def test_case_file_verifies_clean(capsys, tmp_path, text, vacuous):
     path = tmp_path / "input.case"
@@ -567,6 +584,28 @@ def test_case_file_form_indices_must_increase(tmp_path):
     path.write_text("[chart]\ncoords = x y z\n\n[forms]\nw[2,1] = x\n")
     with pytest.raises(casefile.CaseFileError, match="increasing"):
         casefile.load_case_file(str(path))
+
+
+@pytest.mark.parametrize("section", ["fields", "forms"])
+def test_case_file_duplicate_component_exits_2(tmp_path, capsys, section):
+    """A component given twice is an input error, also when the first
+    value given is 0."""
+    path = tmp_path / "duplicate.case"
+    path.write_text(f"[chart]\ncoords = x y\n\n[{section}]\nV[1] = 0\nV[ 1 ] = x\n")
+    code, out, err = run_cli(capsys, "describe-case", "--case-file", str(path))
+    assert (code, out) == (2, "")
+    assert "duplicate component" in err
+
+
+def test_case_file_empty_name_exits_2(tmp_path, capsys):
+    """An empty name would give the case id ``""``."""
+    path = tmp_path / "unnamed.case"
+    path.write_text("[chart]\nname =\ncoords = x y\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--case-file", str(path), "--check", "S1", "--points", "3"
+    )
+    assert (code, out) == (2, "")
+    assert "[chart] name entry is empty" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "describe-case"])

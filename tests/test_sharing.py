@@ -24,12 +24,17 @@ def _setting(seed=71):
     return conn, X, Y, Z, geo.random_pform(R3, 2, rng)
 
 
+# a fixed form and field for the requests that take a third argument
+_, _, _, _FIELD, _FORM = _setting(seed=75)
+
 # one of each piece that a tuple's pairs repeat, requested as the builders do
 REQUESTS = {
     "nabla_X Y": lambda conn, X, Y: con.covariant_derivative(conn, X, Y),
+    "nabla_X theta": lambda conn, X, Y: con.covariant_derivative(conn, X, _FORM),
     "X wedge Y": lambda conn, X, Y: geo.shared(geo._Minors, X, Y)[0, 1],
     "T(X, Y)": lambda conn, X, Y: con.torsion(conn)(X, Y),
     "R(X, Y)": lambda conn, X, Y: con.curvature(conn)(X, Y),
+    "R(X, Y)Z": lambda conn, X, Y: con.curvature(conn).apply_to(X, Y, _FIELD),
 }
 
 

@@ -536,41 +536,47 @@ def test_componentwise_builders_agree_with_direct_apply():
         assert_close(lhs, rhs, points, tol=1e-9)
 
 
-class CountingCalls:
-    """Delegates calls and ``apply_to`` to ``inner`` and counts them."""
+class BuiltValues:
+    """Delegates calls and ``apply_to`` to ``inner`` and keeps the distinct
+    objects they return, by id."""
 
     def __init__(self, inner):
-        self.inner, self.calls = inner, 0
+        self.inner, self.values = inner, {}
+
+    def _kept(self, value):
+        self.values[id(value)] = value
+        return value
 
     def __call__(self, *args):
-        self.calls += 1
-        return self.inner(*args)
+        return self._kept(self.inner(*args))
 
     def apply_to(self, *args):
-        self.calls += 1
-        return self.inner.apply_to(*args)
+        return self._kept(self.inner.apply_to(*args))
 
 
 def test_componentwise_builders_insert_each_axis_value_once(monkeypatch):
-    """On R4 each builder computes its inserted value once per axis (4) or
-    axis pair (6), not once per component and position (12)."""
+    """In a sharing table each builder on R4 builds its inserted value once
+    per axis (4) or axis pair (6), not once per component and position
+    (12).  The builders keep no cache of their own: the table does the
+    reuse, so the test counts distinct built values, not calls."""
     conn = random_linear_connection(R4, 340)
     rng = random.Random(341)
     theta = geo.random_pform(R4, 2, rng)
     z = geo.random_vector_field(R4, rng)
-    nabla = CountingCalls(con.covariant_derivative)
-    tor, curv = CountingCalls(con.torsion(conn)), CountingCalls(con.curvature(conn))
+    nabla = BuiltValues(con.covariant_derivative)
+    tor, curv = BuiltValues(con.torsion(conn)), BuiltValues(con.curvature(conn))
     monkeypatch.setattr(sf, "covariant_derivative", nabla)
     monkeypatch.setattr(sf, "torsion", lambda _: tor)
     monkeypatch.setattr(sf, "curvature", lambda _: curv)
-    sf.connection_form(conn, theta, z)
-    assert nabla.calls == 4
-    sf.xi_form(conn, theta)
-    assert nabla.calls == 8
-    sf.torsion_form(conn, theta)
-    assert tor.calls == 6
-    sf.curvature_form(conn, theta, z)
-    assert curv.calls == 6
+    with geo.sharing({}):
+        sf.connection_form(conn, theta, z)
+        assert len(nabla.values) == 4
+        sf.xi_form(conn, theta)
+        assert len(nabla.values) == 8
+        sf.torsion_form(conn, theta)
+        assert len(tor.values) == 6
+        sf.curvature_form(conn, theta, z)
+        assert len(curv.values) == 6
 
 
 def test_direct_evaluators_are_antisymmetric():
