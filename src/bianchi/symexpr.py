@@ -15,8 +15,8 @@ payload, straight into its slots.  A constant's value is an ``int`` when
 it is integral and a ``Fraction`` otherwise, so constant folding stays
 exact.  The derivative memo is made by the first :func:`differentiate`
 that reaches the node.  Nodes compare and hash by identity, so every
-memo keys a node by the node itself and keeps it alive while the memo
-lives.
+memo keys a node by the node itself.  An evaluation walk stores the
+value only of a node held by something besides its parent.
 
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
@@ -59,6 +59,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import repeat
+from sys import getrefcount
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -478,7 +479,8 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
             what = "division by zero" if type(node) is Div else "zero raised to a negative power"
             return EvaluationError(f"{what} in '{_clip(node)}'")
         if type(node) is Ln and isinstance(exc, ValueError):
-            value = memo[node.arg]
+            # the argument is in the memo only if something else holds it
+            value = _walk_floats(node.arg, memo, leaf)
             return EvaluationError(f"ln of non-positive value {value!r} in '{_clip(node)}'")
         if type(node) is Pow and isinstance(exc, OverflowError):
             # float ** reports errno and libc text; say what math.exp says
@@ -494,10 +496,29 @@ class _ScanPoint(dict):
     __slots__ = ("scan", "index")
 
 
+def _held_once(x) -> int:
+    return getrefcount(x)
+
+
+# The reference count that a node held by exactly one parent reads inside
+# an evaluation walk: the parent's slot, the walk's argument and
+# getrefcount's own.  It is measured on a probe held by one list, which
+# reads the same (3 on CPython 3.11), so that it follows an interpreter
+# that counts arguments differently.  A count too high would leave a node
+# of two parents unstored, to be computed once per path; one too low only
+# stores more.
+_probe = [object()]
+_ONE_HOLDER = _held_once(_probe[0])
+del _probe
+
+
 def _walk_floats(e: Expr, memo: dict, leaf, fail=None) -> float:
     """The float value of ``e`` at one point, by one postorder walk of its
     DAG.  ``leaf(node)`` is the value of a Const or Var, and ``memo`` maps
-    nodes to values, so a shared subtree is computed once.  The node kinds
+    nodes to values, so a shared subtree is computed once.  A value is
+    stored only for a node that something besides its one parent holds:
+    a node held once is reached only through that parent, which the walk
+    computes once, so its value is never asked for again.  The node kinds
     are tested inline, the most frequent first, and their arithmetic is
     done in place, so no table lookup or Python-level call is made per
     Mul, Add or Neg node.  Children are computed left to right, so of two
@@ -531,7 +552,8 @@ def _walk_floats(e: Expr, memo: dict, leaf, fail=None) -> float:
             if fail is None:
                 raise
             raise fail(node, exc) from None
-        memo[node] = out
+        if getrefcount(node) > _ONE_HOLDER:
+            memo[node] = out
         return out
 
     try:
@@ -564,7 +586,8 @@ def _walk_lists(e: Expr, memo: dict, leaf) -> list:
             out = list(map(operator.truediv, ev(node.a), ev(node.b)))
         else:
             out = list(map(_UNARY[kind], ev(node.arg)))
-        memo[node] = out
+        if getrefcount(node) > _ONE_HOLDER:
+            memo[node] = out
         return out
 
     try:
@@ -578,7 +601,10 @@ class _Scan:
 
     A side is computed at all points in one walk of its DAG, with one memo
     shared by every side until :meth:`start_run`, so a subtree that
-    several of those sides share is computed once.  Over one point the walk
+    several of those sides share is computed once.  The memo keeps the
+    value of each node held more than once, such as the sides, which their
+    pairs hold, and the roots, which their list holds, but not of a node
+    that only its one parent holds.  Over one point the walk
     is :func:`_walk_floats`, the walk of :func:`evaluate`; over several it
     is :func:`_walk_lists`, with the same IEEE operation per point, so
     every value is the one :func:`evaluate` gives at that point.  The walk
@@ -775,7 +801,8 @@ def _walk_residues(e: Expr, memo: dict, leaf) -> int:
             out = ev(node.a) * pow(ev(node.b), -1, _PRIME) % _PRIME
         else:
             out = _residue(kind.__name__, ev(node.arg) % _PRIME)
-        memo[node] = out
+        if getrefcount(node) > _ONE_HOLDER:
+            memo[node] = out
         return out
 
     try:

@@ -214,6 +214,21 @@ def test_no_sampled_field_outlives_run_suite(sampled):
     assert sampled and all(ref() is None for ref in sampled)
 
 
+def test_a_lone_check_peaks_below_two_and_a_half_megabytes():
+    """random_poly's B2v at 20 points and 2 tuples.  Its traced peak is
+    1.70 MB when a walk stores only the values of nodes held more than
+    once, and 3.67 MB when it stores every node's 20-float list.  The bound
+    assumes CPython's object sizes, as the pinned digests assume a libm."""
+    case = gallery.build_case("random_poly")
+    tracemalloc.start()
+    try:
+        ids.check_identity("B2v", case, ids.CheckConfig(points=20, tuples=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 def test_a_nested_sampling_scope_reuses_the_open_one(sampled):
     spec = ids.SampleSpec(vectors=1)
     with ids.sampling():

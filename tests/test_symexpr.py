@@ -463,6 +463,70 @@ def test_a_run_starts_from_known_values_and_writes_back_its_roots(points):
     assert (worst, point, tag) == (102.0, points[0], "t")
 
 
+# -- what an evaluation walk stores ---------------------------------------------------
+
+# Each walk with a leaf over the values of x, y, a and b: a float at one
+# point, lists at two points, residues modulo the prime.
+VALUES = {"x": 0.5, "y": 2.0, "a": 0.5, "b": 0.25}
+WALKS = {
+    "floats": (se._walk_floats, VALUES),
+    "lists": (se._walk_lists, {name: [value, value + 1.0] for name, value in VALUES.items()}),
+    "residues": (se._walk_residues, {name: 3 + len(name) for name in VALUES}),
+}
+
+
+def shared_root():
+    """sin(x)*y + cos(sin(x)), built so that only the two parents of sin(x),
+    and only the root, hold each of them: no local of the caller does."""
+    def build(twice):
+        return se.add(se.mul(twice, se.Var("y")), se.cos(twice))
+
+    return build(se.sin(se.Var("x")))
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_a_walk_stores_only_the_values_of_nodes_held_more_than_once(walk):
+    walk, values = WALKS[walk]
+    root = shared_root()
+    memo = {}
+    value = walk(root, memo, lambda node: values[node.name])
+    # read after the walk: a local holding them during it would be a holder
+    twice, once = root.a.a, root.a
+    assert root.b.arg is twice
+    assert memo[root] == value
+    assert twice in memo
+    assert once not in memo and root.b not in memo
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_a_walk_stores_every_node_of_two_parents(walk):
+    """x_{k+1} = x_k*a + x_k*b, 20 levels: 2^20 paths from the root to x.
+    Each x_k is held by its two products alone, so a gate that took two
+    parents for one would walk every path and leave x_k out of the memo."""
+    walk, values = WALKS[walk]
+    x, a, b = se.Var("x"), se.Var("a"), se.Var("b")
+    for _ in range(20):
+        x = se.add(se.mul(x, a), se.mul(x, b))
+    memo = {}
+    walk(x, memo, lambda node: values[node.name])
+    level = x
+    for _ in range(20):
+        assert level in memo
+        level = level.a.a
+    assert level.name == "x" and level in memo
+
+
+def test_one_holder_is_the_count_of_a_node_held_by_one_parent():
+    # each count is read outside an assert, whose rewrite would hold the probe
+    probe = [object()]
+    once = se._held_once(probe[0])
+    held_twice = [probe, [probe[0]]]
+    twice = se._held_once(held_twice[0][0])
+    root = se.add(se.sin(se.Var("x")), se.cos(se.Var("x")))
+    child = se._held_once(root.a)
+    assert once == child == se._ONE_HOLDER < twice
+
+
 # -- scans over several points ------------------------------------------------------
 
 
