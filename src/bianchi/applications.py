@@ -15,7 +15,8 @@ and raises the :mod:`bianchi.gallery` error that names a broken property.
 builds one of these cases, and ``gallery._validate_case`` when it first
 validates a case with a foliation, so a run of the generic cases never
 compiles it.  The claims these cases carry are the ``IdentityCheck``
-entries of :data:`bianchi.gallery.CASE_CHECKS`.
+entries of :data:`bianchi.case_checks.CASE_CHECKS`, a module of its own
+that only runs of those claims compile.
 
 Calls into the other modules go through module attributes (``con.*``,
 ``geo.*``, ``se.*``, ``sf.*``), so a wrapper installed on those modules
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import symexpr as se
 from . import geometry as geo
@@ -44,7 +44,9 @@ from .symexpr import Expr
 # -- structures ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# The structures are immutable by contract.
+
+
 class ContactStructure:
     """A maximally non-integrable 1-form with its associated structure.
 
@@ -53,13 +55,15 @@ class ContactStructure:
     metric and ``endomorphism`` the compatible almost-complex-style map.
     """
 
-    form: PForm
-    reeb: VectorField
-    metric: Metric
-    endomorphism: LinearMap
+    __slots__ = ("form", "reeb", "metric", "endomorphism")
+
+    def __init__(self, form: PForm, reeb: VectorField, metric: Metric, endomorphism: LinearMap):
+        self.form = form
+        self.reeb = reeb
+        self.metric = metric
+        self.endomorphism = endomorphism
 
 
-@dataclass(frozen=True)
 class FoliationStructure:
     """A codimension-one integrable 1-form with a leaf frame.
 
@@ -67,12 +71,16 @@ class FoliationStructure:
     ``transverse`` completes them to a frame with unit pairing.
     """
 
-    form: PForm
-    leaf_fields: tuple[VectorField, ...]
-    transverse: VectorField
+    __slots__ = ("form", "leaf_fields", "transverse")
+
+    def __init__(
+        self, form: PForm, leaf_fields: tuple[VectorField, ...], transverse: VectorField
+    ):
+        self.form = form
+        self.leaf_fields = leaf_fields
+        self.transverse = transverse
 
 
-@dataclass(frozen=True)
 class SodeStructure:
     """Second-order ODE system on a (time, positions, velocities) chart.
 
@@ -81,15 +89,32 @@ class SodeStructure:
     vertical endomorphism pairs contact forms with vertical fields.
     """
 
-    chart: Chart
-    forces: tuple[Expr, ...]
-    semispray: VectorField
-    vertical_endomorphism: LinearMap
-    horizontal_fields: tuple[VectorField, ...]
-    vertical_fields: tuple[VectorField, ...]
-    time_form: PForm
-    contact_forms: tuple[PForm, ...]
-    force_forms: tuple[PForm, ...]
+    __slots__ = (
+        "chart", "forces", "semispray", "vertical_endomorphism", "horizontal_fields",
+        "vertical_fields", "time_form", "contact_forms", "force_forms",
+    )
+
+    def __init__(
+        self,
+        chart: Chart,
+        forces: tuple[Expr, ...],
+        semispray: VectorField,
+        vertical_endomorphism: LinearMap,
+        horizontal_fields: tuple[VectorField, ...],
+        vertical_fields: tuple[VectorField, ...],
+        time_form: PForm,
+        contact_forms: tuple[PForm, ...],
+        force_forms: tuple[PForm, ...],
+    ):
+        self.chart = chart
+        self.forces = forces
+        self.semispray = semispray
+        self.vertical_endomorphism = vertical_endomorphism
+        self.horizontal_fields = horizontal_fields
+        self.vertical_fields = vertical_fields
+        self.time_form = time_form
+        self.contact_forms = contact_forms
+        self.force_forms = force_forms
 
     def adapted_coframe(self) -> sf.CoFrame:
         frame = (self.semispray, *self.horizontal_fields, *self.vertical_fields)

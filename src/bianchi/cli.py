@@ -75,6 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _case_checks() -> dict:
+    """The application claims by id; only runs that name or list them
+    import their module."""
+    from . import case_checks
+
+    return case_checks.CASE_CHECKS
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -112,9 +120,13 @@ def _cmd_verify(args) -> int:
     ) as exc:
         return _usage_error(str(exc))
 
+    # the case checks that --check can name: none while every id is a catalog check
+    named = {}
     if args.check:
+        if any(check_id not in ids.CATALOG for check_id in args.check):
+            named = _case_checks()
         for check_id in args.check:
-            if check_id not in ids.CATALOG and check_id not in gallery.CASE_CHECKS:
+            if check_id not in ids.CATALOG and check_id not in named:
                 return _usage_error(f"unknown check '{check_id}'")
 
     reports = []
@@ -123,7 +135,7 @@ def _cmd_verify(args) -> int:
         with ids.sampling():
             if args.check:
                 for check_id in sorted(set(args.check)):
-                    case_check = gallery.CASE_CHECKS.get(check_id)
+                    case_check = named.get(check_id)
                     if not (case_check or ids.CATALOG[check_id]).applicable(case):
                         print(
                             f"note: check {check_id} is not applicable to case "
@@ -161,7 +173,7 @@ def _cmd_list(args) -> int:
             case = gallery.build_case(case_id)
             print(f"{case_id:<22} {case.description}")
     else:
-        for check in [*map(ids.CATALOG.get, sorted(ids.CATALOG)), *gallery.CASE_CHECKS.values()]:
+        for check in [*map(ids.CATALOG.get, sorted(ids.CATALOG)), *_case_checks().values()]:
             print(f"{check.identifier:<5} [{check.anchor}] {check.name}")
     return 0
 
@@ -251,7 +263,7 @@ def _cmd_describe_case(args) -> int:
             print(f"  force {a + 1}:    {se.to_text(force)}")
     if case.lagrangian is not None:
         print(f"lagrangian: {se.to_text(case.lagrangian)}")
-    check_ids = [c for c, check in gallery.CASE_CHECKS.items() if check.applicable(case)]
+    check_ids = [c for c, check in _case_checks().items() if check.applicable(case)]
     if check_ids:
         print("case checks:")
         for check_id in check_ids:

@@ -47,7 +47,6 @@ import itertools
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import symexpr as se
@@ -155,29 +154,47 @@ def _roots(piece) -> list[Expr]:
     return []
 
 
-@dataclass(frozen=True)
 class Chart:
     """A named coordinate patch.
 
     ``intervals`` bounds the sampling domain coordinate by coordinate, and
     ``trig_sampling`` lets the field sampler mix sin/cos factors in (useful
-    on charts whose natural data is trigonometric).
+    on charts whose natural data is trigonometric).  A chart is immutable
+    by contract, and two charts with equal fields are equal and hash alike.
     """
 
-    name: str
-    coords: tuple[str, ...]
-    intervals: tuple[tuple[float, float], ...]
-    trig_sampling: bool = False
+    __slots__ = ("name", "coords", "intervals", "trig_sampling")
 
-    def __post_init__(self):
-        if len(set(self.coords)) != len(self.coords):
-            raise GeometryError(f"duplicate coordinate names in chart '{self.name}'")
-        if len(self.intervals) != len(self.coords):
+    def __init__(
+        self,
+        name: str,
+        coords: tuple[str, ...],
+        intervals: tuple[tuple[float, float], ...],
+        trig_sampling: bool = False,
+    ):
+        if len(set(coords)) != len(coords):
+            raise GeometryError(f"duplicate coordinate names in chart '{name}'")
+        if len(intervals) != len(coords):
             raise GeometryError("one sampling interval is required per coordinate")
-        for name, (lo, hi) in zip(self.coords, self.intervals):
+        for coord, (lo, hi) in zip(coords, intervals):
             # an infinite width would sample inf and NaN coordinates
             if not 0 < hi - lo < math.inf:
-                raise GeometryError(f"empty or infinite sampling interval for coordinate '{name}'")
+                raise GeometryError(f"empty or infinite sampling interval for coordinate '{coord}'")
+        self.name = name
+        self.coords = coords
+        self.intervals = intervals
+        self.trig_sampling = trig_sampling
+
+    def _fields(self) -> tuple:
+        return self.name, self.coords, self.intervals, self.trig_sampling
+
+    def __eq__(self, other):
+        if type(other) is not Chart:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def dim(self) -> int:

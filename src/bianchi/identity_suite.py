@@ -68,18 +68,31 @@ class ApplicabilityError(SuiteError):
 # -- sampling ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SampleSpec:
-    """Counts and degrees of the random objects a check consumes per tuple."""
+    """Counts and degrees of the random objects a check consumes per tuple.
 
-    vectors: int = 0
-    form_degrees: tuple[int, ...] = ()
+    Immutable by contract; two specs with equal fields are equal."""
+
+    __slots__ = ("vectors", "form_degrees")
+
+    def __init__(self, vectors: int = 0, form_degrees: tuple[int, ...] = ()):
+        self.vectors = vectors
+        self.form_degrees = form_degrees
+
+    def __eq__(self, other):
+        if type(other) is not SampleSpec:
+            return NotImplemented
+        return (self.vectors, self.form_degrees) == (other.vectors, other.form_degrees)
 
 
-@dataclass(frozen=True)
 class SampleBatch:
-    vectors: tuple[VectorField, ...]
-    forms: tuple[PForm, ...]
+    """The fields sampled for one tuple, immutable by contract."""
+
+    __slots__ = ("vectors", "forms")
+
+    def __init__(self, vectors: tuple[VectorField, ...], forms: tuple[PForm, ...]):
+        self.vectors = vectors
+        self.forms = forms
 
 
 def _table_roots(entries) -> list:
@@ -219,21 +232,49 @@ def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Report:
-    """Outcome of one identity check on one case."""
+    """Outcome of one identity check on one case, immutable by contract;
+    two reports with equal fields are equal.
 
-    case_id: str
-    check_id: str
-    points: int
-    tuples: int
-    max_residual: float
-    tolerance: float
-    seed: object
-    worst_point: dict | None = None
-    worst_tuple: int | None = None
-    # residuals above the tolerance, all in pairs that hold exactly
-    cleared: bool = False
+    ``cleared`` says that the residuals above the tolerance all lie in
+    pairs that hold exactly."""
+
+    __slots__ = (
+        "case_id", "check_id", "points", "tuples", "max_residual", "tolerance", "seed",
+        "worst_point", "worst_tuple", "cleared",
+    )
+
+    def __init__(
+        self,
+        case_id: str,
+        check_id: str,
+        points: int,
+        tuples: int,
+        max_residual: float,
+        tolerance: float,
+        seed: object,
+        worst_point: dict | None = None,
+        worst_tuple: int | None = None,
+        cleared: bool = False,
+    ):
+        self.case_id = case_id
+        self.check_id = check_id
+        self.points = points
+        self.tuples = tuples
+        self.max_residual = max_residual
+        self.tolerance = tolerance
+        self.seed = seed
+        self.worst_point = worst_point
+        self.worst_tuple = worst_tuple
+        self.cleared = cleared
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in Report.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     @property
     def passed(self) -> bool:
@@ -257,20 +298,24 @@ class Report:
         }
 
 
-@dataclass(frozen=True)
 class CheckConfig:
-    points: int = 20
-    tuples: int = 5
-    tolerance: float = 1e-8
-    seed: object = 0
+    """Sampling and tolerance of a run of checks, immutable by contract."""
 
-    def __post_init__(self):
-        if self.points < 1:
+    __slots__ = ("points", "tuples", "tolerance", "seed")
+
+    def __init__(
+        self, points: int = 20, tuples: int = 5, tolerance: float = 1e-8, seed: object = 0
+    ):
+        if points < 1:
             raise SuiteError("points must be at least 1")
-        if self.tuples < 1:
+        if tuples < 1:
             raise SuiteError("tuples must be at least 1")
-        if not 0 < self.tolerance < math.inf:
+        if not 0 < tolerance < math.inf:
             raise SuiteError("tolerance must be a positive finite number")
+        self.points = points
+        self.tuples = tuples
+        self.tolerance = tolerance
+        self.seed = seed
 
 
 # -- the catalog -------------------------------------------------------------------

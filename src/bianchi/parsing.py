@@ -1,11 +1,11 @@
-"""The text syntax of :mod:`bianchi.symexpr` expressions: a tokenizer and a
-recursive-descent parser.
+"""The text syntax of :mod:`bianchi.symexpr` expressions, a tokenizer and a
+recursive-descent parser, and the sections of :mod:`bianchi.casefile`.
 
 Only case files and tests parse text, so :func:`bianchi.symexpr.parse`
-imports this module at its first call and a run without them never
-compiles it.  The folding constructors are called through the
-``symexpr`` module, so a wrapper installed on it before this module is
-imported still sees every call.
+and :func:`bianchi.casefile.load_case_file` import this module at their
+first call and a run without them never compiles it.  The folding
+constructors are called through the ``symexpr`` module, so a wrapper
+installed on it before this module is imported still sees every call.
 """
 
 from __future__ import annotations
@@ -14,7 +14,11 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
+from . import connection as con
+from . import geometry as geo
 from . import symexpr as se
+from .casefile import DEFAULT_RANGE, MAX_DEPTH, _fail
+from .geometry import Chart, PForm, VectorField
 from .symexpr import Const, Expr, ParseError, UnknownIdentifierError, Var
 
 _FUNCTIONS = {"sin": se.sin, "cos": se.cos, "exp": se.exp, "ln": se.ln}
@@ -196,3 +200,153 @@ def parse(text: str, variables: Iterable[str]) -> Expr:
     if tail.kind != "end":
         raise ParseError(f"unexpected trailing input {tail.text!r}", tail.pos)
     return node
+
+
+# -- case-file sections --------------------------------------------------------
+#
+# One parser per section of a case file, called by
+# bianchi.casefile.load_case_file; each raises CaseFileError naming the entry
+# at fault.
+
+
+def _parse_range(text: str, context: str) -> tuple[float, float]:
+    parts = text.split()
+    if len(parts) != 2:
+        _fail(f"{context}: expected two numbers, got {text!r}")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        _fail(f"{context}: expected two numbers, got {text!r}")
+    return lo, hi
+
+
+def parse_chart(section, default_name: str) -> Chart:
+    if "coords" not in section:
+        _fail("[chart] needs a 'coords' entry")
+    coords = tuple(section["coords"].split())
+    if not coords:
+        _fail("[chart] coords entry is empty")
+    base = DEFAULT_RANGE
+    if "range" in section:
+        base = _parse_range(section["range"], "[chart] range")
+    intervals = [base] * len(coords)
+    for key, value in section.items():
+        if key in ("coords", "range", "name"):
+            continue
+        if not key.startswith("range "):
+            _fail(f"[chart]: unknown entry {key!r}")
+        coord = key[len("range "):].strip()
+        if coord not in coords:
+            _fail(f"[chart]: range override for unknown coordinate {coord!r}")
+        intervals[coords.index(coord)] = _parse_range(value, f"[chart] range {coord}")
+    name = section.get("name", default_name).strip()
+    if not name:
+        _fail("[chart] name entry is empty")
+    try:
+        return Chart(name, coords, tuple(intervals))
+    except geo.GeometryError as exc:
+        _fail(f"[chart]: {exc}")
+
+
+def _deeper_than(expr: Expr, levels: int) -> bool:
+    return levels == 0 or any(_deeper_than(c, levels - 1) for c in expr.children())
+
+
+def _parse_expr(chart: Chart, text: str, context: str) -> Expr:
+    try:
+        expr = parse(text, chart.coords)
+    except ParseError as exc:
+        _fail(f"{context}: {exc}")
+    except RecursionError:  # parentheses, signs or powers nested past the stack
+        expr = None
+    if expr is None or _deeper_than(expr, MAX_DEPTH):
+        _fail(f"{context}: expression nested deeper than {MAX_DEPTH} levels")
+    return expr
+
+
+def _parse_index(token: str, chart: Chart, context: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        _fail(f"{context}: index {token!r} is not an integer")
+    if not 1 <= value <= chart.dim:
+        _fail(f"{context}: index {value} out of range 1..{chart.dim}")
+    return value - 1
+
+
+def parse_christoffel(section, chart: Chart) -> con.Connection:
+    entries = {}
+    for key, value in section.items():
+        context = f"[christoffel] {key}"
+        tokens = key.split()
+        if len(tokens) != 3:
+            _fail(f"{context}: expected three indices 'k i j'")
+        k, i, j = (_parse_index(t, chart, context) for t in tokens)
+        if (k, i, j) in entries:
+            _fail(f"{context}: duplicate entry")
+        entries[(k, i, j)] = _parse_expr(chart, value, context)
+    return con.Connection.from_nonzero(chart, entries)
+
+
+def parse_metric(section, chart: Chart) -> con.Metric:
+    entries = {}
+    for key, value in section.items():
+        context = f"[metric] {key}"
+        tokens = key.split()
+        if len(tokens) != 2:
+            _fail(f"{context}: expected two indices 'i j'")
+        i, j = (_parse_index(t, chart, context) for t in tokens)
+        pair = (min(i, j), max(i, j))
+        if pair in entries:
+            _fail(f"{context}: pair given twice")
+        entries[pair] = _parse_expr(chart, value, context)
+    return con.Metric.from_nonzero(chart, entries)
+
+
+def _parse_indexed_name(key: str, chart: Chart, context: str) -> tuple[str, tuple[int, ...]]:
+    if not key.endswith("]") or "[" not in key:
+        _fail(f"{context}: expected name[indices], got {key!r}")
+    name, _, inside = key[:-1].partition("[")
+    name = name.strip()
+    if not name:
+        _fail(f"{context}: missing name before the bracket")
+    tokens = [t.strip() for t in inside.split(",")]
+    indices = tuple(_parse_index(t, chart, context) for t in tokens)
+    return name, indices
+
+
+def parse_forms(section, chart: Chart) -> dict[str, PForm]:
+    collected: dict[str, dict[tuple[int, ...], Expr]] = {}
+    degrees: dict[str, int] = {}
+    for key, value in section.items():
+        context = f"[forms] {key}"
+        name, indices = _parse_indexed_name(key, chart, context)
+        if list(indices) != sorted(set(indices)):
+            _fail(f"{context}: indices must be strictly increasing")
+        if name in degrees and degrees[name] != len(indices):
+            _fail(f"{context}: component degree disagrees with earlier entries")
+        degrees[name] = len(indices)
+        comps = collected.setdefault(name, {})
+        if indices in comps:
+            _fail(f"{context}: duplicate component")
+        comps[indices] = _parse_expr(chart, value, context)
+    return {
+        name: PForm(chart, degrees[name], comps) for name, comps in collected.items()
+    }
+
+
+def parse_fields(section, chart: Chart) -> dict[str, VectorField]:
+    collected: dict[str, dict[int, Expr]] = {}
+    for key, value in section.items():
+        context = f"[fields] {key}"
+        name, indices = _parse_indexed_name(key, chart, context)
+        if len(indices) != 1:
+            _fail(f"{context}: a vector field takes exactly one index per entry")
+        comps = collected.setdefault(name, {})
+        if indices[0] in comps:
+            _fail(f"{context}: duplicate component")
+        comps[indices[0]] = _parse_expr(chart, value, context)
+    return {
+        name: VectorField(chart, [comps.get(i, se.ZERO) for i in range(chart.dim)])
+        for name, comps in collected.items()
+    }

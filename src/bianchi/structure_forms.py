@@ -38,7 +38,6 @@ blackboard presentation; the code is zero-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import symexpr as se
@@ -403,19 +402,28 @@ class CoFrame:
         )
 
 
-@dataclass(frozen=True)
 class CartanForms:
-    """Connection 1-forms, torsion 2-forms and curvature 2-forms of a coframe.
+    """Connection 1-forms, torsion 2-forms and curvature 2-forms of a coframe,
+    immutable by contract.
 
     ``connection_one_forms[a][b]`` is the 1-form V -> theta^a(nabla_V U_b);
     ``torsion_two_forms[a]`` is (X, Y) -> theta^a(T(X, Y));
     ``curvature_two_forms[a][b]`` is (X, Y) -> theta^a(R(X, Y)U_b).
     """
 
-    coframe: CoFrame
-    connection_one_forms: tuple
-    torsion_two_forms: tuple
-    curvature_two_forms: tuple
+    __slots__ = ("coframe", "connection_one_forms", "torsion_two_forms", "curvature_two_forms")
+
+    def __init__(
+        self,
+        coframe: CoFrame,
+        connection_one_forms: tuple,
+        torsion_two_forms: tuple,
+        curvature_two_forms: tuple,
+    ):
+        self.coframe = coframe
+        self.connection_one_forms = connection_one_forms
+        self.torsion_two_forms = torsion_two_forms
+        self.curvature_two_forms = curvature_two_forms
 
 
 def cartan_coframe_forms(conn: Connection, coframe: CoFrame) -> CartanForms:

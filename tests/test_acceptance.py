@@ -13,6 +13,7 @@ import time
 import pytest
 
 from bianchi import applications
+from bianchi import case_checks
 from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
@@ -194,7 +195,7 @@ def test_criterion_6_foliation_case():
 
     # the restricted torsion identity needs only integrability of the form,
     # not adaptedness: any connection satisfies it on the leaves
-    restricted = gallery.CASE_CHECKS["restricted-torsion-is-identity-wedge"]
+    restricted = case_checks.CASE_CHECKS["restricted-torsion-is-identity-wedge"]
     any_conn = gallery.build_case("random_poly:9").connection
     probe = dataclasses.replace(case, connection=any_conn)
     residual = ids.run_check(restricted, probe, config).max_residual

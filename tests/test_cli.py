@@ -1,7 +1,7 @@
 """CLI tests: exit codes, output formats, determinism, and case-file parsing."""
 
-import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bianchi import applications, casefile, cli, gallery
+from bianchi import applications, case_checks, casefile, cli, gallery
 from bianchi import identity_suite as ids
 
 ALL_CHECKS = [
@@ -238,7 +238,7 @@ def test_verify_has_no_relative_or_all_checks_option(capsys, flag):
         cli.main(["verify", "--case", "flat_euclidean", flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-    fields = [f.name for f in dataclasses.fields(ids.CheckConfig)]
+    fields = list(inspect.signature(ids.CheckConfig).parameters)
     assert fields == ["points", "tuples", "tolerance", "seed"]
 
 
@@ -338,8 +338,8 @@ def test_list_checks_covers_the_catalog(capsys):
     code, out, _ = run_cli(capsys, "list", "checks")
     assert code == 0
     listed = [line.split()[0] for line in out.strip().splitlines()]
-    assert listed == ALL_CHECKS + list(gallery.CASE_CHECKS)
-    assert f"reeb-parallel [{gallery.CASE_CHECKS['reeb-parallel'].anchor}]" in out
+    assert listed == ALL_CHECKS + list(case_checks.CASE_CHECKS)
+    assert f"reeb-parallel [{case_checks.CASE_CHECKS['reeb-parallel'].anchor}]" in out
 
 
 def test_list_cases_covers_the_gallery(capsys):
@@ -698,31 +698,62 @@ def _imported_by(code: str, modules) -> str:
 
 
 @pytest.mark.parametrize(
-    "module", ["configparser", "hashlib", "bianchi.applications", "bianchi.parsing"]
+    "module",
+    ["configparser", "hashlib", "bianchi.applications", "bianchi.case_checks", "bianchi.parsing"],
 )
 def test_importing_the_cli_leaves_out(module):
     """Only case files need configparser, only the exact recheck needs
-    hashlib, only the applications' cases need bianchi.applications and
-    only parsed text needs bianchi.parsing, so importing the CLI imports
-    none of them."""
+    hashlib, only the applications' cases need bianchi.applications, only
+    their claims need bianchi.case_checks and only parsed text needs
+    bianchi.parsing, so importing the CLI imports none of them."""
     assert _imported_by("import bianchi.cli", [module]) == "[False]"
+
+
+def _quiet_cli(*argv: str) -> str:
+    """Code that runs the CLI on ``argv`` with its output swallowed."""
+    return (
+        "import contextlib, io, bianchi.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    bianchi.cli.main({list(argv)!r})"
+    )
 
 
 def test_verifying_generic_cases_imports_neither_applications_nor_the_parser():
     """The gallery_verify benchmark's run, at one point and tuple: it builds
-    no application case and parses no text."""
-    code = (
-        "import contextlib, io, bianchi.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    bianchi.cli.main(['verify', '--case', 'random_poly', '--case', 'sphere_lc',"
-        " '--case-checks', '--points', '1', '--tuples', '1'])"
+    no application case, runs no application claim and parses no text."""
+    code = _quiet_cli(
+        "verify", "--case", "random_poly", "--case", "sphere_lc", "--case-checks",
+        "--points", "1", "--tuples", "1",
     )
-    assert _imported_by(code, ["bianchi.applications", "bianchi.parsing"]) == "[False, False]"
+    modules = ["bianchi.applications", "bianchi.case_checks", "bianchi.parsing"]
+    assert _imported_by(code, modules) == "[False, False, False]"
 
 
 def test_building_an_application_case_imports_the_applications():
     code = "from bianchi import gallery; gallery.build_case('foliation_adapted_n4')"
     assert _imported_by(code, ["bianchi.applications", "bianchi.parsing"]) == "[True, False]"
+
+
+def test_probing_mutants_imports_neither_the_claims_nor_the_parser():
+    """The mutation_sweep benchmark's run, at one point and tuple: it builds
+    an application case but runs catalog checks only."""
+    code = (
+        "import bianchi.cli\n"
+        "from bianchi import gallery, identity_suite as ids\n"
+        "case = gallery.build_case('foliation_adapted_n4')\n"
+        "checks = [c for c in sorted(ids.CATALOG) if ids.CATALOG[c].applicable(case)]\n"
+        "config = ids.CheckConfig(points=1, tuples=1)\n"
+        "ids.mutation_probe(case, checks, index=(0, 1, 2), delta=1, config=config)"
+    )
+    modules = ["bianchi.applications", "bianchi.case_checks", "bianchi.parsing"]
+    assert _imported_by(code, modules) == "[True, False, False]"
+
+
+def test_verifying_an_application_case_with_case_checks_imports_the_claims():
+    code = _quiet_cli(
+        "verify", "--case", "contact_r3", "--case-checks", "--points", "1", "--tuples", "1"
+    )
+    assert _imported_by(code, ["bianchi.case_checks"]) == "[True]"
 
 
 def _sum_of_products(terms: int) -> str:

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from bianchi import applications
+from bianchi import case_checks
 from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
@@ -237,7 +238,7 @@ def test_a_check_that_samples_no_fields_is_built_once():
     """Its tuples would all be the same pairs, so one is drawn; the report
     still records the configured tuple count."""
     case = gallery.build_case("contact_r3")
-    entry = gallery.CASE_CHECKS["reeb-parallel"]
+    entry = case_checks.CASE_CHECKS["reeb-parallel"]
     builds = []
 
     def counting_factory(case):
@@ -294,7 +295,7 @@ def test_foliation_torsion_nonzero_off_the_leaves():
     assert any(abs(se.evaluate(c, pt)) > 0.5 for c in value.comps)
 
 
-RESTRICTED_WEDGE = gallery.CASE_CHECKS["restricted-torsion-is-identity-wedge"]
+RESTRICTED_WEDGE = case_checks.CASE_CHECKS["restricted-torsion-is-identity-wedge"]
 
 
 def contact_kernel_case():
@@ -325,7 +326,7 @@ def test_integrable_form_passes_restricted_wedge_identity_for_any_connection():
 
 
 def test_case_checks_stay_out_of_the_catalog():
-    assert set(gallery.CASE_CHECKS).isdisjoint(ids.CATALOG)
+    assert set(case_checks.CASE_CHECKS).isdisjoint(ids.CATALOG)
 
 
 # -- second-order ODE machinery ---------------------------------------------------------
@@ -421,7 +422,17 @@ def test_massa_pagani_rejects_frame_varying_endomorphism():
             [se.ZERO, x, se.ZERO],
         ],
     )
-    doctored = dataclasses.replace(sode, vertical_endomorphism=warped)
+    doctored = applications.SodeStructure(
+        chart=sode.chart,
+        forces=sode.forces,
+        semispray=sode.semispray,
+        vertical_endomorphism=warped,
+        horizontal_fields=sode.horizontal_fields,
+        vertical_fields=sode.vertical_fields,
+        time_form=sode.time_form,
+        contact_forms=sode.contact_forms,
+        force_forms=sode.force_forms,
+    )
     with pytest.raises(gallery.FrameSolveError):
         applications.derive_massa_pagani(doctored)
 
@@ -519,3 +530,30 @@ def test_case_checks_empty_for_baseline_cases():
     for case_id in ("flat_euclidean", "sphere_lc", "random_poly"):
         case = gallery.build_case(case_id)
         assert gallery.case_specific_checks(case, CheckConfig(points=2, tuples=1)) == []
+
+
+def test_only_cases_with_an_application_structure_have_claims():
+    # case_specific_checks imports the claims only for these cases
+    for case_id in gallery.case_ids():
+        case = gallery.build_case(case_id)
+        claims = [c for c in case_checks.CASE_CHECKS.values() if c.applicable(case)]
+        assert gallery._carries_claims(case) == bool(claims), case_id
+
+
+@pytest.mark.parametrize("case_id", ["foliation_adapted", "sode_oscillator"])
+def test_case_checks_call_structure_forms_through_the_module(monkeypatch, case_id):
+    """A wrapper installed on structure_forms after the claims are imported
+    (as a tracer installs its spans) sees their calls."""
+    calls = {"torsion_form_apply": 0, "xi_form_apply": 0}
+    for name in calls:
+        original = getattr(sf, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sf, name, counted)
+    case = gallery.build_case(case_id)
+    reports = gallery.case_specific_checks(case, CheckConfig(points=2, tuples=1))
+    assert reports and all(r.passed for r in reports)
+    assert all(calls.values()), calls

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import random
 
 import pytest
@@ -182,6 +183,36 @@ def test_chart_mismatch_detected():
     X4 = geo.random_vector_field(R4, rng)
     with pytest.raises(geo.ChartMismatchError):
         a.apply([X4])
+
+
+def test_charts_with_equal_fields_are_equal():
+    a = geo.Chart("r3", ("x", "y", "z"), ((-1.0, 1.0),) * 3)
+    b = geo.Chart("r3", ("x", "y", "z"), ((-1.0, 1.0),) * 3)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {(a, 0): "tuple 0"}[(b, 0)] == "tuple 0"
+    assert geo._same_chart(a.basis_field(0), b.basis_field(1)) is a
+    for other in (
+        geo.Chart("r3", ("x", "y", "z"), ((-1.0, 1.0),) * 3, trig_sampling=True),
+        geo.Chart("r3", ("x", "y", "w"), ((-1.0, 1.0),) * 3),
+        geo.Chart("r3", ("x", "y", "z"), ((-1.0, 2.0),) * 3),
+        geo.Chart("s3", ("x", "y", "z"), ((-1.0, 1.0),) * 3),
+    ):
+        assert a != other
+        with pytest.raises(geo.ChartMismatchError):
+            geo._same_chart(a.basis_field(0), other.basis_field(0))
+
+
+@pytest.mark.parametrize("coords, intervals, message", [
+    (("x", "x"), ((-1.0, 1.0),) * 2, "duplicate coordinate names in chart 'bad'"),
+    (("x", "y"), ((-1.0, 1.0),), "one sampling interval is required per coordinate"),
+    (("x", "y"), ((-1.0, 1.0), (1.0, 1.0)), "empty or infinite sampling interval for coordinate 'y'"),
+    (("x",), ((-math.inf, 1.0),), "empty or infinite sampling interval for coordinate 'x'"),
+])
+def test_chart_rejects_bad_arguments(coords, intervals, message):
+    with pytest.raises(geo.GeometryError) as exc:
+        geo.Chart("bad", coords, intervals)
+    assert str(exc.value) == message
 
 
 def test_sampler_is_deterministic():

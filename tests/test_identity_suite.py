@@ -10,6 +10,7 @@ import weakref
 
 import pytest
 
+from bianchi import case_checks
 from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
@@ -159,7 +160,7 @@ def test_each_check_reports_the_same_alone_and_in_the_suite(case_id, points):
     suite = ids.run_suite(case, config)
     assert [ids.check_identity(r.check_id, case, config) for r in suite] == suite
     specific = gallery.case_specific_checks(case, config)
-    alone = [ids.run_check(gallery.CASE_CHECKS[r.check_id], case, config) for r in specific]
+    alone = [ids.run_check(case_checks.CASE_CHECKS[r.check_id], case, config) for r in specific]
     assert alone == specific
     checks, index = ("S1", "S2p", "B1v", "D1"), (0, 1, 0)
     probes = [r for c in checks for r in ids.mutation_probe(case, (c,), index=index, config=config)]
@@ -178,7 +179,7 @@ def _lone_check(case, config):
 
 
 def _lone_case_check(case, config):
-    return ids.run_check(gallery.CASE_CHECKS["reeb-contracted-second-bianchi"], case, config)
+    return ids.run_check(case_checks.CASE_CHECKS["reeb-contracted-second-bianchi"], case, config)
 
 
 def test_no_sampled_field_outlives_run_suite(sampled):
@@ -295,13 +296,21 @@ def test_report_json_dict_key_order():
 
 
 def test_check_config_validation():
-    with pytest.raises(ids.SuiteError):
+    with pytest.raises(ids.SuiteError, match="^points must be at least 1$"):
         ids.CheckConfig(points=0)
-    with pytest.raises(ids.SuiteError):
+    with pytest.raises(ids.SuiteError, match="^tuples must be at least 1$"):
         ids.CheckConfig(tuples=0)
     for tolerance in (0.0, math.nan, math.inf):
-        with pytest.raises(ids.SuiteError):
+        with pytest.raises(ids.SuiteError, match="^tolerance must be a positive finite number$"):
             ids.CheckConfig(tolerance=tolerance)
+
+
+def test_sample_specs_with_equal_fields_are_equal():
+    # run_check samples one tuple for a check whose spec equals SampleSpec()
+    assert ids.SampleSpec() == ids.SampleSpec()
+    assert ids.SampleSpec(2, (1,)) == ids.SampleSpec(vectors=2, form_degrees=(1,))
+    assert ids.SampleSpec(vectors=1) != ids.SampleSpec()
+    assert ids.SampleSpec(form_degrees=(1,)) != ids.SampleSpec()
 
 
 def test_unknown_check_raises():
