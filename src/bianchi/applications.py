@@ -455,7 +455,7 @@ def build_cartan_form(sode: SodeStructure, lagrangian) -> tuple[PForm, PForm]:
         [se.differentiate(momenta[a], velocity_names[b]) for b in range(n)]
         for a in range(n)
     ]
-    det = geo._symbolic_det([list(row) for row in hessian])
+    det = geo._Minors(*hessian)[tuple(range(n))]
     for pt in points:
         if not abs(se.evaluate(det, pt)) >= 1e-8:
             raise SingularLagrangianError(

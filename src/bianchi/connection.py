@@ -48,7 +48,6 @@ from .geometry import (
     VectorField,
     _Minors,
     _same_chart,
-    _symbolic_det,
     apply_vector_field,
     sample_points,
     shared,
@@ -280,7 +279,8 @@ def _live_pairs(n: int, blocks) -> list[tuple[int, int]]:
 
 def _pair(block, wedge, pairs) -> Expr:
     """sum over the pairs i < j of block[i][j] (X wedge Y)^{ij}, where
-    ``wedge`` is the shared :class:`~bianchi.geometry._Minors` of X, Y."""
+    ``wedge`` is the shared :class:`~bianchi.geometry._Minors` of the
+    components of X, Y."""
     return se.add_all(
         se.mul(block[i][j], wedge[i, j]) for i, j in pairs if not se._is_zero(block[i][j])
     )
@@ -304,7 +304,7 @@ class Torsion(TensorValuedForm):
         pairs = _live_pairs(n, comps)
 
         def rule(X: VectorField, Y: VectorField) -> VectorField:
-            wedge = shared(_Minors, X, Y)
+            wedge = shared(_Minors, X.comps, Y.comps)
             return VectorField(chart, [_pair(comps[k], wedge, pairs) for k in range(n)])
 
         super().__init__(chart, 2, rule)
@@ -353,7 +353,7 @@ class Curvature(TensorValuedForm):
         pairs = _live_pairs(n, [block for row in comps for block in row])
 
         def rule(X: VectorField, Y: VectorField) -> LinearMap:
-            wedge = shared(_Minors, X, Y)
+            wedge = shared(_Minors, X.comps, Y.comps)
             return LinearMap(chart, [[_pair(block, wedge, pairs) for block in row] for row in comps])
 
         super().__init__(chart, 2, rule)
@@ -414,7 +414,7 @@ def levi_civita(metric: Metric) -> Connection:
     """
     chart = metric.chart
     n = chart.dim
-    det = _symbolic_det([list(row) for row in metric.g])
+    det = _Minors(*metric.g)[tuple(range(n))]
     for pt in sample_points(chart, "levi-civita/0", 5):
         value = se.evaluate(det, pt)
         if not abs(value) >= 1e-12:

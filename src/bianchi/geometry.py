@@ -37,8 +37,9 @@ a scope nothing is kept and every request builds afresh.  The minors of
 :meth:`PForm.apply` go through it, and so does every tensor-valued form
 call.  Scopes nest: an inner table (the one in which
 :func:`bianchi.structure_forms.cartan_coframe_forms` builds a coframe's
-forms) takes the requests while it is open, and the table that was open
-before takes them again when it closes.
+forms, or :func:`symbolic_inverse` the minors of a matrix) takes the
+requests while it is open, and the table that was open before takes them
+again when it closes.
 """
 
 from __future__ import annotations
@@ -384,7 +385,7 @@ class PForm:
         if self.degree == 0:
             raise DegreeError("0-forms are scalars; evaluate their expression directly")
         _same_chart(self, *fields)
-        minors = shared(_Minors, *fields)
+        minors = shared(_Minors, *(field.comps for field in fields))
         total = ZERO
         for key, value in self.comps.items():
             total = se.add(total, se.mul(value, minors[key]))
@@ -396,35 +397,39 @@ class PForm:
 
 
 class _Minors(dict):
-    """The minors det[fields[b]^{key[a]}] of some vector fields by
-    increasing key, each built at its first lookup.
+    """The minors det[rows[b][key[a]]] of some rows of components by
+    increasing key, each built at its first lookup: the one minors kernel
+    for p-form evaluation (the rows are the fields' comps), the torsion
+    and curvature pairing and every determinant and cofactor.
 
-    Two fields X, Y give (X wedge Y)^{ij} = X^i Y^j - X^j Y^i, which the
-    torsion and curvature rules pair with their components.  More fields
+    Two rows x, y give (X wedge Y)^{ij} = x[i] y[j] - x[j] y[i], which the
+    torsion and curvature rules pair with their components.  More rows
     expand along the last one (Laplace) over ``rest``, the shared minors
-    of the others, so each smaller minor is built once, where the Leibniz
-    sum of :func:`_symbolic_det` rebuilds its products.  A sharing table
-    keeps a :class:`_Minors` as long as any other piece.
+    of the others, so each smaller minor is built once.  The empty key has
+    the minor 1.  A sharing table keeps a :class:`_Minors` as long as any
+    other piece.
     """
 
-    __slots__ = ("fields", "rest")
+    __slots__ = ("rows", "rest")
 
-    def __init__(self, *fields: VectorField):
-        self.fields = fields
+    def __init__(self, *rows: Sequence[Expr]):
+        self.rows = rows
         self.rest = None
 
     def __missing__(self, key: tuple[int, ...]) -> Expr:
-        fields = self.fields
-        if len(key) == 1:
-            det = fields[0].comps[key[0]]
+        rows = self.rows
+        if not key:
+            det = se.ONE
+        elif len(key) == 1:
+            det = rows[0][key[0]]
         elif len(key) == 2:
             i, j = key
-            x, y = fields[0].comps, fields[1].comps
+            x, y = rows
             det = se.sub(se.mul(x[i], y[j]), se.mul(x[j], y[i]))
         else:
             if self.rest is None:
-                self.rest = shared(_Minors, *fields[:-1])
-            last = fields[-1].comps
+                self.rest = shared(_Minors, *rows[:-1])
+            last = rows[-1]
             det = _signed_sum(
                 key, 1, lambda a, minor: se.mul(self.rest[minor], last[key[a]]), odd=len(key) - 1
             )
@@ -432,43 +437,28 @@ class _Minors(dict):
         return det
 
 
-def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = ZERO
-    for perm in itertools.permutations(range(n)):
-        sign = sort_with_sign(perm)[1]
-        term = se.ONE
-        for row, col in enumerate(perm):
-            term = se.mul(term, matrix[row][col])
-        total = se.add(total, term if sign == 1 else se.neg(term))
-    return total
-
-
 def symbolic_inverse(matrix: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
     """Inverse of a square symbolic matrix: the adjugate times one shared
     reciprocal of the determinant.
 
+    The determinant and the cofactors are minors of the matrix's rows,
+    built in one sharing table so that they share their smaller minors.
     Every entry refers to the same ``1/det`` node, so a derivative of the
     inverse differentiates that quotient once per variable, not once per
     entry.  A constant determinant folds; a constant zero one raises
     ZeroDivisionError.
     """
     n = len(matrix)
-    recip = se.div(se.ONE, _symbolic_det([list(row) for row in matrix]))
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = _symbolic_det(minor) if minor else se.ONE
-            if (i + j) % 2 == 1:
-                cof = se.neg(cof)
-            out[j][i] = se.mul(cof, recip)
+    with sharing({}):
+        recip = se.div(se.ONE, shared(_Minors, *matrix)[tuple(range(n))])
+        out = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            minors = shared(_Minors, *matrix[:i], *matrix[i + 1 :])
+            for j in range(n):
+                cof = minors[tuple(c for c in range(n) if c != j)]
+                if (i + j) % 2 == 1:
+                    cof = se.neg(cof)
+                out[j][i] = se.mul(cof, recip)
     return out
 
 
@@ -640,8 +630,6 @@ def random_pform(chart: Chart, degree: int, rng: random.Random) -> PForm:
         raise DegreeError(
             f"cannot sample a degree-{degree} form on a {chart.dim}-dimensional chart"
         )
-    if degree == 0:
-        return PForm(chart, 0, {(): random_polynomial(chart, rng)})
     comps = {
         key: random_polynomial(chart, rng)
         for key in itertools.combinations(range(chart.dim), degree)

@@ -8,6 +8,7 @@ non-commuting fields checks both.
 """
 
 import gc
+import itertools
 import math
 import random
 from contextlib import contextmanager
@@ -108,6 +109,23 @@ def exterior_derivative_intrinsic_expr(theta, fields):
                 term = theta.apply([geo.lie_bracket(fields[i], fields[j])] + rest)
                 # (-1)^{i+j} with 1-based positions i+1, j+1 gives (-1)^{i+j+2}
                 total = se.add(total, term if (i + j) % 2 == 0 else se.neg(term))
+    return total
+
+
+def leibniz_determinant(matrix):
+    """det(matrix) as the Leibniz sum of n! signed products, the order of
+    the permutations as :func:`itertools.permutations` gives them.  Oracle
+    for the Laplace minors of :class:`bianchi.geometry._Minors`."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = se.ZERO
+    for perm in itertools.permutations(range(n)):
+        sign = geo.sort_with_sign(perm)[1]
+        term = se.ONE
+        for row, col in enumerate(perm):
+            term = se.mul(term, matrix[row][col])
+        total = se.add(total, term if sign == 1 else se.neg(term))
     return total
 
 
@@ -240,6 +258,13 @@ def sphere_metric():
     """The round metric d phi^2 + sin(phi)^2 d psi^2 on :data:`SPHERE`."""
     phi = se.Var("phi")
     return con.Metric.from_nonzero(SPHERE, {(0, 0): se.ONE, (1, 1): se.power(se.sin(phi), 2)})
+
+
+def dense_metric_entry(i, j):
+    """Entry (i, j), 1-based, of a dense metric on coordinates x1..xn:
+    g_ii = 4 + x_i^2 and g_ij = x_i x_j / 10 + 1/(i + j + 3), diagonally
+    dominant on [-1, 1]^n for n <= 7, in case-file syntax."""
+    return f"4 + x{i}^2" if i == j else f"x{i}*x{j}/10 + 1/{i + j + 3}"
 
 
 def random_linear_connection(chart, seed):

@@ -359,9 +359,9 @@ def test_describe_contact_case_prints_structure_and_checks(capsys):
 
 
 @pytest.mark.parametrize("case_id, digest", [
-    ("contact_r3", "86f448c796c7a1711b47f396bf2358617de1df22eb792eda3305fa55c1184afd"),
+    ("contact_r3", "3d09becdb6be93e842895e300864b6ee4486255bb781d6c3af3a9e70df6a7415"),
     ("sode_oscillator", "3ab6f286f99151d45964569be403d028749c233870c57fb9031fc107378fbb2d"),
-    ("metric_case", "ecf621926be59123aee20aab7eca2e2e58626b2003b8d8c509a8104d971049e4"),
+    ("metric_case", "9d6ec318c997365e7382db147f0d52c5e32bf69b78df96d313926c2f0ca76a5f"),
 ])
 def test_describe_case_output_matches_the_pinned_digest(capsys, request, case_id, digest):
     """describe-case output is byte-identical across refactors; it samples

@@ -2,6 +2,7 @@
 Levi-Civita against frozen sphere values."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     covariant_endomorphism_via_leibniz,
     covariant_vector_via_christoffels,
     curvature_via_definition,
+    dense_metric_entry,
     field_max_abs,
     field_values,
     random_linear_connection,
@@ -350,15 +352,24 @@ def _matrix(chart, rows):
     return [[chart.parse(text) for text in row] for row in rows]
 
 
+R7 = geo.Chart("r7", tuple(f"x{i}" for i in range(1, 8)), ((-1.0, 1.0),) * 7)
+
+
+def _dense_matrix(chart, seed):
+    rng = random.Random(seed)
+    return [[geo.random_polynomial(chart, rng) for _ in chart.coords] for _ in chart.coords]
+
+
 def test_metric_inverse_is_symbolic_inverse():
     """M times symbolic_inverse(M) is the identity at seeded points, for
-    metrics and for a 1 x 1 matrix and one whose determinant folds to the
-    constant 2."""
+    metrics, a 1 x 1 matrix, one whose determinant folds to the constant 2
+    and a dense 7 x 7 one."""
     matrices = [
         ("sphere", SPHERE, sphere_metric().g),
         ("heisenberg", R3, heisenberg_metric().g),
         ("1x1", R3, _matrix(R3, [["1 + x^2"]])),
         ("constant det", R3, _matrix(R3, [["2", "x^2"], ["0", "1"]])),
+        ("dense 7x7", R7, _dense_matrix(R7, 7)),
     ]
     rng = random.Random(22)
     for name, chart, matrix in matrices:
@@ -388,6 +399,23 @@ def test_symbolic_inverse_shares_one_reciprocal_of_the_determinant():
     assert not any(type(node) is se.Div for node in reachable(*inv[0], *inv[1]))
     with pytest.raises(ZeroDivisionError):
         geo.symbolic_inverse(_matrix(R3, [["1", "2"], ["2", "4"]]))
+    assert geo.symbolic_inverse([]) == []
+
+
+def test_dense_seven_by_seven_inverse_differentiates_and_levi_civita_builds():
+    """The determinant and cofactors of a dense 7 x 7 matrix are Laplace
+    minors: a Leibniz sum of 5040 terms is too deep for the differentiation
+    and evaluation walks.  Every entry of the inverse has first partials,
+    and a dense 7 x 7 metric has a Levi-Civita connection."""
+    for row in geo.symbolic_inverse(_dense_matrix(R7, 7)):
+        for e in row:
+            for coord in R7.coords:
+                se.differentiate(e, coord)
+    g = [[R7.parse(dense_metric_entry(i, j)) for j in range(1, 8)] for i in range(1, 8)]
+    gamma = con.levi_civita(con.Metric(R7, g)).gamma
+    (pt,) = geo.sample_points(R7, "dense-metric", 1)
+    values = [se.evaluate(e, pt) for block in gamma for row in block for e in row]
+    assert len(values) == 7**3 and all(map(math.isfinite, values))
 
 
 def test_levi_civita_partials_share_the_reciprocal_determinant():

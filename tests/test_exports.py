@@ -37,11 +37,13 @@ def test_oracles_are_not_part_of_the_package(owner, name):
     (con.Metric, "determinant"),
     (ids, "SamplingError"),
     (ids, "_wedge_capped"),
+    (geo, "_symbolic_det"),
 ])
 def test_re_checks_and_wrappers_stay_deleted(owner, name):
     """Each invariant is checked in the object that owns it: coframe
     duality in CoFrame.__init__, the value kind by the value's type, the
-    sampled degree in random_pform and the degree past the top in PForm."""
+    sampled degree in random_pform and the degree past the top in PForm;
+    every determinant is a minor of geometry._Minors."""
     assert not hasattr(owner, name)
 
 

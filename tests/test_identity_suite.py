@@ -11,13 +11,14 @@ import weakref
 import pytest
 
 from bianchi import case_checks
+from bianchi import casefile
 from bianchi import connection as con
 from bianchi import gallery
 from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
-from oracles import collector, same_tree
+from oracles import collector, dense_metric_entry, same_tree
 
 
 R3 = gallery.R3
@@ -386,6 +387,24 @@ def test_sphere_suite_all_pass_with_absolute_residuals():
     # trig Christoffels push member magnitudes to ~1e5 on sampled tuples;
     # the exact recheck clears the float rounding above the tolerance
     reports = run_all(gallery.build_case("sphere_lc"))
+    assert len(reports) == 18
+    assert all(r.passed for r in reports), [
+        (r.check_id, r.max_residual) for r in reports if not r.passed
+    ]
+
+
+def test_dense_metric_case_file_at_dim_five_all_pass(tmp_path):
+    """The whole catalog on the Levi-Civita connection of a dense metric
+    on a 5-chart, loaded from a case file, at one point and one tuple."""
+    entries = [f"{i} {j} = {dense_metric_entry(i, j)}" for i in range(1, 6) for j in range(i, 6)]
+    path = tmp_path / "dense5.case"
+    path.write_text(
+        "[chart]\nname = dense5\ncoords = x1 x2 x3 x4 x5\nrange = -1 1\n\n[metric]\n"
+        + "\n".join(entries)
+        + "\n"
+    )
+    case = casefile.load_case_file(str(path)).case
+    reports = ids.run_suite(case, ids.CheckConfig(points=1, tuples=1))
     assert len(reports) == 18
     assert all(r.passed for r in reports), [
         (r.check_id, r.max_residual) for r in reports if not r.passed

@@ -14,7 +14,14 @@ from bianchi import gallery
 from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import symexpr as se
-from oracles import R3, random_linear_connection, reachable, sample_fields, sample_points
+from oracles import (
+    R3,
+    leibniz_determinant,
+    random_linear_connection,
+    reachable,
+    sample_fields,
+    sample_points,
+)
 
 
 def _setting(seed=71):
@@ -31,7 +38,7 @@ _, _, _, _FIELD, _FORM = _setting(seed=75)
 REQUESTS = {
     "nabla_X Y": lambda conn, X, Y: con.covariant_derivative(conn, X, Y),
     "nabla_X theta": lambda conn, X, Y: con.covariant_derivative(conn, X, _FORM),
-    "X wedge Y": lambda conn, X, Y: geo.shared(geo._Minors, X, Y)[0, 1],
+    "X wedge Y": lambda conn, X, Y: geo.shared(geo._Minors, X.comps, Y.comps)[0, 1],
     "T(X, Y)": lambda conn, X, Y: con.torsion(conn)(X, Y),
     "R(X, Y)": lambda conn, X, Y: con.curvature(conn)(X, Y),
     "R(X, Y)Z": lambda conn, X, Y: con.curvature(conn).apply_to(X, Y, _FIELD),
@@ -188,7 +195,7 @@ def test_sharing_builds_node_identical_values_from_fewer_nodes():
 def test_two_form_apply_equals_the_determinant_route_bit_for_bit():
     conn, X, Y, _, theta = _setting(seed=83)
     old = se.add_all(
-        se.mul(value, geo._symbolic_det([[X.comps[i], Y.comps[i]], [X.comps[j], Y.comps[j]]]))
+        se.mul(value, leibniz_determinant([[X.comps[i], Y.comps[i]], [X.comps[j], Y.comps[j]]]))
         for (i, j), value in theta.comps.items()
     )
     new = theta.apply([X, Y])
