@@ -44,6 +44,7 @@ again when it closes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -318,6 +319,13 @@ def _signed_sum(items, size, term, odd=0, start=None):
     return total
 
 
+@functools.cache
+def _increasing_keys(dim: int, degree: int) -> frozenset:
+    """The strictly increasing index tuples of ``degree`` indices below
+    ``dim``: every valid component key, so a key in it needs no check."""
+    return frozenset(itertools.combinations(range(dim), degree))
+
+
 class PForm:
     """Differential p-form with components on strictly increasing tuples.
 
@@ -334,14 +342,16 @@ class PForm:
         self.chart = chart
         self.degree = degree
         cleaned: dict[tuple[int, ...], Expr] = {}
+        keys = _increasing_keys(chart.dim, degree)
         for key, value in (comps or {}).items():
             key = tuple(key)
-            if len(key) != degree:
-                raise DegreeError(f"component key {key} does not have {degree} indices")
-            if any(not 0 <= i < chart.dim for i in key):
-                raise GeometryError(f"index out of range in component key {key}")
-            if list(key) != sorted(key) or len(set(key)) != len(key):
-                raise GeometryError(f"component keys must be strictly increasing, got {key}")
+            if key not in keys:
+                if len(key) != degree:
+                    raise DegreeError(f"component key {key} does not have {degree} indices")
+                if any(not 0 <= i < chart.dim for i in key):
+                    raise GeometryError(f"index out of range in component key {key}")
+                if list(key) != sorted(key) or len(set(key)) != len(key):
+                    raise GeometryError(f"component keys must be strictly increasing, got {key}")
             value = se.as_expr(value)
             if not se._is_zero(value):
                 cleaned[key] = value

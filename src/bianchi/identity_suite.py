@@ -203,7 +203,13 @@ def sampling():
 def _pieces(chart: Chart, seed) -> _Pieces:
     """The open sampling scope's record of the tuple seeded by ``seed``,
     or a fresh record outside one."""
-    return _Pieces() if _tuples is None else _tuples.setdefault((chart, f"{seed}"), _Pieces())
+    if _tuples is None:
+        return _Pieces()
+    key = (chart, f"{seed}")
+    pieces = _tuples.get(key)
+    if pieces is None:
+        pieces = _tuples[key] = _Pieces()
+    return pieces
 
 
 def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:

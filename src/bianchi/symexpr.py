@@ -21,7 +21,9 @@ value only of a node held by something besides its parent.
 There is no mandatory simplification.  The constructors below fold constants
 and drop additive/multiplicative identities so that derivative cascades do
 not swell, but any such rewrite preserves the value of the expression at
-every point where it is defined.
+every point where it is defined.  ``add``, ``mul`` and ``neg`` return an
+existing operand when the result equals it (0 + c, 1 * c, -0), so a fold
+builds a constant only for a new value.
 
 Every evaluation is one postorder walk of the DAG, which tests node kinds
 inline and does the arithmetic in place, with no table lookup or
@@ -281,10 +283,10 @@ def _is_zero(e: Expr) -> bool:
 
 def add(a: Expr, b: Expr) -> Expr:
     if type(a) is Const:
-        if type(b) is Const:
-            return Const(a.value + b.value)
         if a.value == 0:
             return b
+        if type(b) is Const:
+            return a if b.value == 0 else Const(a.value + b.value)
     elif type(b) is Const and b.value == 0:
         return a
     return Add(a, b)
@@ -297,7 +299,12 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if type(a) is Const:
         if type(b) is Const:
-            return Const(a.value * b.value)
+            x, y = a.value, b.value
+            if x == 0 or y == 1:
+                return a
+            if y == 0 or x == 1:
+                return b
+            return Const(x * y)
         value, other = a.value, b
     elif type(b) is Const:
         value, other = b.value, a
@@ -355,7 +362,7 @@ def power(base: Expr, exponent: int) -> Expr:
 def neg(a: Expr) -> Expr:
     kind = type(a)
     if kind is Const:
-        return Const(-a.value)
+        return a if a.value == 0 else Const(-a.value)
     if kind is Neg:
         return a.arg
     return Neg(a)
@@ -398,49 +405,48 @@ def differentiate(e: Expr, var: str) -> Expr:
     refers only to its node's descendants, never to the node itself, so
     no memo makes a reference cycle.
     """
+    return _d(e, var)
 
-    def d(node: Expr) -> Expr:
-        kind = type(node)
-        if kind is Const:
-            return ZERO
-        if kind is Var:
-            return ONE if node.name == var else ZERO
-        memo = getattr(node, "_derivs", None)
-        if memo is None:
-            memo = {}
-            node._derivs = memo
-        else:
-            got = memo.get(var)
-            if got is not None:
-                return got
-        if kind is Add:
-            out = add(d(node.a), d(node.b))
-        elif kind is Mul:
-            out = add(mul(d(node.a), node.b), mul(node.a, d(node.b)))
-        elif kind is Div:
-            out = sub(div(d(node.a), node.b), div(mul(node.a, d(node.b)), Pow(node.b, 2)))
-        elif kind is Pow:
-            out = mul(mul(Const(node.exponent), power(node.base, node.exponent - 1)), d(node.base))
-        elif kind is Neg:
-            out = neg(d(node.arg))
-        elif kind is Sin:
-            out = mul(cos(node.arg), d(node.arg))
-        elif kind is Cos:
-            out = neg(mul(sin(node.arg), d(node.arg)))
-        elif kind is Exp:
-            # a copy of the node, not the node: its memo must not refer to it
-            out = mul(Exp(node.arg), d(node.arg))
-        elif kind is Ln:
-            out = div(d(node.arg), node.arg)
-        else:  # pragma: no cover - closed node set
-            raise TypeError(f"cannot differentiate {kind.__name__}")
-        memo[var] = out
-        return out
 
-    try:
-        return d(e)
-    finally:
-        del d  # d refers to itself; free it without the cycle collector
+def _d(node: Expr, var: str) -> Expr:
+    """The derivative of :func:`differentiate`, by recursion through the
+    nodes' memos."""
+    kind = type(node)
+    if kind is Const:
+        return ZERO
+    if kind is Var:
+        return ONE if node.name == var else ZERO
+    memo = getattr(node, "_derivs", None)
+    if memo is None:
+        memo = {}
+        node._derivs = memo
+    else:
+        got = memo.get(var)
+        if got is not None:
+            return got
+    if kind is Add:
+        out = add(_d(node.a, var), _d(node.b, var))
+    elif kind is Mul:
+        out = add(mul(_d(node.a, var), node.b), mul(node.a, _d(node.b, var)))
+    elif kind is Div:
+        out = sub(div(_d(node.a, var), node.b), div(mul(node.a, _d(node.b, var)), Pow(node.b, 2)))
+    elif kind is Pow:
+        out = mul(mul(Const(node.exponent), power(node.base, node.exponent - 1)), _d(node.base, var))
+    elif kind is Neg:
+        out = neg(_d(node.arg, var))
+    elif kind is Sin:
+        out = mul(cos(node.arg), _d(node.arg, var))
+    elif kind is Cos:
+        out = neg(mul(sin(node.arg), _d(node.arg, var)))
+    elif kind is Exp:
+        # a copy of the node, not the node: its memo must not refer to it
+        out = mul(Exp(node.arg), _d(node.arg, var))
+    elif kind is Ln:
+        out = div(_d(node.arg, var), node.arg)
+    else:  # pragma: no cover - closed node set
+        raise TypeError(f"cannot differentiate {kind.__name__}")
+    memo[var] = out
+    return out
 
 
 # -- evaluation --------------------------------------------------------------

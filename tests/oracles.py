@@ -11,6 +11,7 @@ import gc
 import itertools
 import math
 import random
+import types
 from contextlib import contextmanager
 
 import pytest
@@ -252,6 +253,25 @@ def collector(enabled: bool):
         yield
     finally:
         gc.enable() if found else gc.disable()
+
+
+@contextmanager
+def const_constructions():
+    """Count the :class:`bianchi.symexpr.Const` nodes constructed inside a
+    ``with`` block: yields a namespace whose ``count`` grows by one per
+    constructor call, and restores the constructor when the block ends."""
+    counter = types.SimpleNamespace(count=0)
+    init = se.Const.__init__
+
+    def counting_init(self, value):
+        counter.count += 1
+        init(self, value)
+
+    se.Const.__init__ = counting_init
+    try:
+        yield counter
+    finally:
+        se.Const.__init__ = init
 
 
 def sphere_metric():

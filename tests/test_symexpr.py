@@ -326,6 +326,21 @@ def test_negation_folds_are_pinned():
     assert se.neg(se.neg(x)) is x
 
 
+@pytest.mark.parametrize("value", [2, Fraction(1, 2)], ids=["2", "1/2"])
+def test_folds_return_an_operand_equal_to_the_result(value):
+    """A fold whose result equals an operand returns that operand, so a
+    fold with 0 or 1 builds no constant."""
+    c, z = se.Const(value), se.Const(0)
+    assert se.add(se.ZERO, c) is c
+    assert se.add(c, se.ZERO) is c
+    assert se.mul(se.ONE, c) is c
+    assert se.mul(c, se.ONE) is c
+    assert se.mul(z, c) is z
+    assert se.mul(c, z) is z
+    assert se.neg(z) is z
+    assert se.add(se.ZERO, se.ZERO) is se.ZERO
+
+
 def test_negative_powers_differentiate():
     e = se.Pow(se.Var("x"), -2)
     d = se.differentiate(e, "x")
