@@ -1,11 +1,13 @@
 """The claims of the paper's three applications, as identity checks.
 
 Each claim is an ``IdentityCheck`` whose applicability predicate asks for
-the case's contact structure, foliation or Cartan form:
-:func:`bianchi.identity_suite.run_check` samples its points and vectors
-and scans its (lhs, rhs) pairs like any catalog check.  They stay out of
-``identity_suite.CATALOG``, so ``verify`` runs them only with
-``--case-checks`` or a ``--check`` that names one.
+the case's contact structure, foliation or Cartan form, which
+:mod:`bianchi.contact`, :mod:`bianchi.foliation` and
+:mod:`bianchi.mechanics` build.  :func:`bianchi.identity_suite.run_check`
+samples its points and vectors and scans its (lhs, rhs) pairs like any
+catalog check.  They stay out of ``identity_suite.CATALOG``, so
+``verify`` runs them only with ``--case-checks`` or a ``--check`` that
+names one.
 
 :func:`bianchi.gallery.case_specific_checks` imports this module only for
 a case that carries one of those structures, and the CLI only to list
@@ -29,7 +31,7 @@ from .geometry import VectorField
 from .identity_suite import IdentityCheck, _spec_fixed
 
 if TYPE_CHECKING:
-    from .applications import FoliationStructure
+    from .foliation import FoliationStructure
 
 
 def _vanishes(exprs):

@@ -4,9 +4,11 @@ Besides flat, torsioned, curved and randomized baseline cases, the gallery
 carries the cases of three structured applications: a contact 3-space, two
 codimension-one foliations with adapted connections, and the phase space
 of a second-order ODE with the Cartan form of its Lagrangian.  Their
-structures and derivations live in :mod:`bianchi.applications`, which
-:func:`build_case` imports only when it builds one of those cases, so a
-run of the baseline cases does not compile it.
+structures and derivations live in one module per application,
+:mod:`bianchi.contact`, :mod:`bianchi.foliation` and
+:mod:`bianchi.mechanics`; :func:`build_case` imports a case's module only
+when it builds that case, so a run compiles only the applications whose
+cases it builds.
 
 Every structural claim a case makes (flatness, torsion-freeness, metric
 compatibility, coframe duality, adaptedness, the contact invariants) is
@@ -20,6 +22,7 @@ carries an application's structure.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -35,7 +38,9 @@ from .identity_suite import CheckConfig, Report, run_check, sampling
 from .symexpr import Expr
 
 if TYPE_CHECKING:
-    from .applications import ContactStructure, FoliationStructure, SodeStructure
+    from .contact import ContactStructure
+    from .foliation import FoliationStructure
+    from .mechanics import SodeStructure
 
 
 class GalleryError(GeometryError):
@@ -67,7 +72,7 @@ class GeometryCase:
     """A chart plus connection with optional structure and verified flags.
 
     ``cartan_form`` is the (theta, omega) of
-    :func:`bianchi.applications.build_cartan_form` for
+    :func:`bianchi.mechanics.build_cartan_form` for
     the case's semispray and Lagrangian, built and validated once with the
     case.  ``rhs_connection`` lets a probe drive the two sides of an
     identity with different connections; ``reference_connection`` is what
@@ -139,9 +144,9 @@ def _validate_case(case: GeometryCase):
         raise CaseValidationError(f"case {case.id}: {exc}") from exc
 
     if case.foliation is not None:
-        from . import applications
+        from . import foliation
 
-        applications._validate_foliation(case.connection, case.foliation, points)
+        foliation._validate_foliation(case.connection, case.foliation, points)
 
 
 def _torsion_values(conn: Connection):
@@ -269,14 +274,12 @@ def _random_poly(chart: Chart, stem: str):
     return build
 
 
-def _application_case(name: str):
-    """Builder of the case ``name`` of :mod:`bianchi.applications`, which it
-    imports at its first call."""
+def _application_case(name: str, module: str):
+    """Builder of the case ``name`` of the application module ``module``,
+    which it imports at its first call."""
 
     def build(seed):
-        from . import applications
-
-        return applications.CASES[name]()
+        return importlib.import_module(f"{__package__}.{module}").CASES[name]()
 
     return build
 
@@ -288,8 +291,13 @@ _BUILDERS = {
     "random_poly": _random_poly(R3, "random_poly"),
     "random_poly4": _random_poly(R4, "random_poly4"),
     **{
-        name: _application_case(name)
-        for name in ("contact_r3", "foliation_adapted", "foliation_adapted_n4", "sode_oscillator")
+        name: _application_case(name, module)
+        for name, module in (
+            ("contact_r3", "contact"),
+            ("foliation_adapted", "foliation"),
+            ("foliation_adapted_n4", "foliation"),
+            ("sode_oscillator", "mechanics"),
+        )
     },
 }
 

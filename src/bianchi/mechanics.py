@@ -1,84 +1,42 @@
-"""The paper's three applications, as gallery cases.
+"""The paper's third application: the phase space of a second-order ODE
+and the Cartan form of a regular Lagrangian, as a gallery case.
 
-* a contact 3-space with its associated metric, Reeb field and
-  compatible endomorphism, under the Levi-Civita connection;
-* codimension-one foliations with connections adapted to the leaves,
-  where restricting the torsion and curvature forms to leaf arguments
-  collapses them;
-* a second-order ODE phase space (time, position, velocity) carrying a
-  semispray, its eigenform frame, a frame-derived connection, and the
-  Cartan 1-form of a regular Lagrangian.
+A (time, positions, velocities) chart carries a semispray, its adapted
+frame and eigenforms, the connection that keeps that frame parallel
+(:func:`derive_massa_pagani`) and the Cartan 1-form of a Lagrangian with
+its differential.  Each derivation verifies its structure numerically
+before it returns it and raises the :mod:`bianchi.gallery` error that
+names a broken property.
 
-Each derivation verifies its structure numerically before it returns it
-and raises the :mod:`bianchi.gallery` error that names a broken property.
 :func:`bianchi.gallery.build_case` imports this module when it first
-builds one of these cases, and ``gallery._validate_case`` when it first
-validates a case with a foliation, so a run of the generic cases never
-compiles it.  The claims these cases carry are the ``IdentityCheck``
-entries of :data:`bianchi.case_checks.CASE_CHECKS`, a module of its own
-that only runs of those claims compile.
-
-Calls into the other modules go through module attributes (``con.*``,
-``geo.*``, ``se.*``, ``sf.*``), so a wrapper installed on those modules
-before this one is imported still sees every call.
+builds ``sode_oscillator``, so a run of the other cases never compiles
+it.  Calls into the other modules go through module attributes
+(``con.*``, ``geo.*``, ``se.*``, ``sf.*``), so a wrapper installed on
+those modules before this one is imported still sees every call.
 """
 
 from __future__ import annotations
-
-import itertools
-import random
 
 from . import symexpr as se
 from . import geometry as geo
 from . import connection as con
 from . import structure_forms as sf
 from .geometry import Chart, LinearMap, PForm, VectorField
-from .connection import Connection, Metric
+from .connection import Connection
 from .gallery import (
-    OSCILLATOR, R3, R4, _TOL, CaseValidationError, ContactConditionError, FrameSolveError,
-    GalleryError, GeometryCase, SingularLagrangianError, _require_vanishing,
+    OSCILLATOR, _TOL, FrameSolveError, GalleryError, GeometryCase, SingularLagrangianError,
+    _require_vanishing,
 )
 from .symexpr import Expr
 
-
-# -- structures ------------------------------------------------------------------
-
-
-# The structures are immutable by contract.
-
-
-class ContactStructure:
-    """A maximally non-integrable 1-form with its associated structure.
-
-    ``form`` is the contact 1-form, ``reeb`` the unique field annihilating
-    its differential with unit pairing, ``metric`` the associated Riemannian
-    metric and ``endomorphism`` the compatible almost-complex-style map.
-    """
-
-    __slots__ = ("form", "reeb", "metric", "endomorphism")
-
-    def __init__(self, form: PForm, reeb: VectorField, metric: Metric, endomorphism: LinearMap):
-        self.form = form
-        self.reeb = reeb
-        self.metric = metric
-        self.endomorphism = endomorphism
-
-
-class FoliationStructure:
-    """A codimension-one integrable 1-form with a leaf frame.
-
-    ``leaf_fields`` span the kernel distribution of ``form`` and
-    ``transverse`` completes them to a frame with unit pairing.
-    """
-
-    __slots__ = ("form", "leaf_fields", "transverse")
-
-    def __init__(
-        self, form: PForm, leaf_fields: tuple[VectorField, ...], transverse: VectorField
-    ):
-        self.form = form
-        self.leaf_fields = leaf_fields
-        self.transverse = transverse
+__all__ = [
+    "SodeStructure",
+    "build_sode_structure",
+    "derive_massa_pagani",
+    "massa_pagani_property_residuals",
+    "build_cartan_form",
+    "oscillator_lagrangian",
+]
 
 
 class SodeStructure:
@@ -86,7 +44,8 @@ class SodeStructure:
 
     The adapted frame is (semispray, horizontal fields, vertical fields)
     with eigenform basis (time form, contact forms, force forms); the
-    vertical endomorphism pairs contact forms with vertical fields.
+    vertical endomorphism pairs contact forms with vertical fields.  The
+    structure is immutable by contract.
     """
 
     __slots__ = (
@@ -120,126 +79,6 @@ class SodeStructure:
         frame = (self.semispray, *self.horizontal_fields, *self.vertical_fields)
         coframe = (self.time_form, *self.contact_forms, *self.force_forms)
         return sf.CoFrame(self.chart, frame, coframe)
-
-# -- foliation ---------------------------------------------------------------------
-
-
-def _validate_foliation(conn: Connection, foliation: FoliationStructure, points):
-    theta = foliation.form
-    chart = theta.chart
-    leaf = foliation.leaf_fields
-    if len(leaf) != chart.dim - 1:
-        raise CaseValidationError("leaf fields must span a codimension-one distribution")
-
-    _require_vanishing(
-        [theta.apply([u]) for u in leaf], points,
-        "foliation: leaf fields do not annihilate the form ({worst:.3e})",
-    )
-    _require_vanishing(
-        [se.sub(theta.apply([foliation.transverse]), se.ONE)], points,
-        "foliation: transverse pairing is not 1 ({worst:.3e})",
-    )
-    _require_vanishing(
-        geo.wedge(geo.exterior_derivative(theta), theta).comps.values(), points,
-        "foliation: the form is not integrable ({worst:.3e})",
-    )
-
-    basis = [chart.basis_field(i) for i in range(chart.dim)]
-    _require_vanishing(
-        [theta.apply([con.covariant_derivative(conn, x, u)]) for x in basis for u in leaf],
-        points,
-        "foliation: connection is not adapted to the leaves (residual {worst:.3e})",
-    )
-
-    # blockwise: the transverse line is preserved too
-    exprs = []
-    for x in basis:
-        image = con.covariant_derivative(conn, x, foliation.transverse)
-        scaled = foliation.transverse.scale(theta.apply([image]))
-        exprs.extend((image - scaled).comps)
-    _require_vanishing(
-        exprs, points, "foliation: connection does not preserve the transverse line ({worst:.3e})"
-    )
-
-
-# -- contact structure ----------------------------------------------------------------
-
-
-def derive_contact_structure(alpha: PForm) -> ContactStructure:
-    """Build the associated (Reeb, metric, endomorphism) for a contact form.
-
-    The construction implements the standard associated structure of the
-    normal-form contact 1-form on a 3-dimensional chart; every invariant is
-    verified numerically before the structure is returned, so an input
-    outside that family fails loudly with the violated property named.
-    """
-    chart = alpha.chart
-    if chart.dim != 3:
-        raise ContactConditionError(
-            "only the 3-dimensional standard associated structure is constructed"
-        )
-    if alpha.degree != 1:
-        raise ContactConditionError("the contact form must be a 1-form")
-
-    points = geo.sample_points(chart, "contact/0", 10)
-    d_alpha = geo.exterior_derivative(alpha)
-    volume = geo.wedge(alpha, d_alpha)
-    for pt in points:
-        value = se.evaluate(volume.component((0, 1, 2)), pt)
-        if not abs(value) >= 1e-6:
-            raise ContactConditionError(
-                f"form fails the contact condition at a sampled point ({value:.3e})"
-            )
-
-    y = se.Var(chart.coords[1])
-    reeb = chart.basis_field(2)
-    halfc = se.Const(0.5)
-    metric = Metric.from_nonzero(
-        chart,
-        {
-            (0, 0): se.add(halfc, se.mul(y, y)),
-            (0, 2): se.neg(y),
-            (1, 1): halfc,
-            (2, 2): se.ONE,
-        },
-    )
-    endo = LinearMap(
-        chart,
-        [
-            [se.ZERO, se.ONE, se.ZERO],
-            [se.neg(se.ONE), se.ZERO, se.ZERO],
-            [se.ZERO, y, se.ZERO],
-        ],
-    )
-
-    rng = random.Random("contact-fields/0")
-    fields = [geo.random_vector_field(chart, rng) for _ in range(4)]
-
-    def require(name, exprs):
-        _require_vanishing(exprs, points, f"contact invariant '{name}' violated ({{worst:.3e}})")
-
-    require("reeb-interior-product", geo.interior_product(reeb, d_alpha).comps.values())
-    require("reeb-normalization", [se.sub(alpha.apply([reeb]), se.ONE)])
-    require(
-        "metric-reproduces-form",
-        [se.sub(metric.value(reeb, x), alpha.apply([x])) for x in fields],
-    )
-    exprs = []
-    for x, z in itertools.combinations(fields, 2):
-        paired = se.mul(se.Const(2.0), metric.value(x, endo(z)))
-        exprs.append(se.sub(paired, d_alpha.apply([x, z])))
-    require("metric-endomorphism-pairing", exprs)
-    exprs = []
-    for x in fields:
-        twice = endo(endo(x))
-        target = x.scale(se.neg(se.ONE)) + reeb.scale(alpha.apply([x]))
-        exprs.extend((twice - target).comps)
-    require("endomorphism-square", exprs)
-
-    return ContactStructure(form=alpha, reeb=reeb, metric=metric, endomorphism=endo)
-
-
-# -- second-order ODE structure ----------------------------------------------------------
 
 
 def build_sode_structure(chart: Chart, forces) -> SodeStructure:
@@ -511,99 +350,6 @@ def build_cartan_form(sode: SodeStructure, lagrangian) -> tuple[PForm, PForm]:
 
     return theta, omega
 
-# -- cases -------------------------------------------------------------------------
-
-
-def standard_contact_form(chart: Chart) -> PForm:
-    y = se.Var(chart.coords[1])
-    return PForm(chart, 1, {(0,): se.neg(y), (2,): se.ONE})
-
-
-def _case_contact_r3() -> GeometryCase:
-    alpha = standard_contact_form(R3)
-    structure = derive_contact_structure(alpha)
-    return GeometryCase(
-        id="contact_r3",
-        chart=R3,
-        connection=con.levi_civita(structure.metric),
-        description=(
-            "Contact 3-space: normal-form contact 1-form, its associated metric "
-            "and endomorphism, Levi-Civita connection."
-        ),
-        metric=structure.metric,
-        coframe=sf.CoFrame.coordinate(R3),
-        torsion_free=True,
-        contact=structure,
-    )
-
-
-def _case_foliation_adapted() -> GeometryCase:
-    x, y, z = (se.Var(name) for name in R3.coords)
-    conn = Connection.from_nonzero(
-        R3,
-        {
-            (0, 0, 0): y,
-            (0, 0, 1): se.ONE,
-            (0, 1, 0): se.neg(se.ONE),
-            (1, 0, 1): z,
-            (2, 0, 2): se.ONE,
-            (2, 1, 2): x,
-            (0, 2, 1): se.ONE,
-        },
-    )
-    foliation = FoliationStructure(
-        form=R3.basis_covector(2),
-        leaf_fields=(R3.basis_field(0), R3.basis_field(1)),
-        transverse=R3.basis_field(2),
-    )
-    return GeometryCase(
-        id="foliation_adapted",
-        chart=R3,
-        connection=conn,
-        description=(
-            "Horizontal foliation of 3-space with a leaf-adapted connection "
-            "carrying deliberate in-leaf torsion."
-        ),
-        coframe=sf.CoFrame.coordinate(R3),
-        foliation=foliation,
-    )
-
-
-def _case_foliation_adapted_n4() -> GeometryCase:
-    x, y, z, w = (se.Var(name) for name in R4.coords)
-    conn = Connection.from_nonzero(
-        R4,
-        {
-            (0, 0, 0): y,
-            (0, 0, 1): se.ONE,
-            (0, 1, 0): se.neg(se.ONE),
-            (1, 0, 1): z,
-            (2, 0, 1): x,
-            (1, 2, 2): w,
-            (2, 2, 0): y,
-            (3, 0, 3): se.ONE,
-            (3, 1, 3): x,
-            (0, 3, 1): se.ONE,
-        },
-    )
-    foliation = FoliationStructure(
-        form=R4.basis_covector(3),
-        leaf_fields=(R4.basis_field(0), R4.basis_field(1), R4.basis_field(2)),
-        transverse=R4.basis_field(3),
-    )
-    return GeometryCase(
-        id="foliation_adapted_n4",
-        chart=R4,
-        connection=conn,
-        description=(
-            "Codimension-one foliation of 4-space with a leaf-adapted connection; "
-            "three-dimensional leaves make the restricted differential checks "
-            "non-vacuous."
-        ),
-        coframe=sf.CoFrame.coordinate(R4),
-        foliation=foliation,
-    )
-
 
 def oscillator_lagrangian() -> Expr:
     u, x = se.Var("u"), se.Var("x")
@@ -630,10 +376,5 @@ def _case_sode_oscillator() -> GeometryCase:
     )
 
 
-# gallery.build_case's builders of these cases, by case id
-CASES = {
-    "contact_r3": _case_contact_r3,
-    "foliation_adapted": _case_foliation_adapted,
-    "foliation_adapted_n4": _case_foliation_adapted_n4,
-    "sode_oscillator": _case_sode_oscillator,
-}
+# gallery.build_case's builder of this module's case, by case id
+CASES = {"sode_oscillator": _case_sode_oscillator}

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from bianchi import applications
 from bianchi import case_checks
 from bianchi import connection as con
 from bianchi import gallery
@@ -20,6 +19,9 @@ from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
+from bianchi.contact import derive_contact_structure
+from bianchi.foliation import FoliationStructure
+from bianchi.mechanics import build_cartan_form, massa_pagani_property_residuals
 from oracles import (
     connection_form_via_definition,
     curvature_via_definition,
@@ -150,7 +152,7 @@ def test_criterion_5_contact_case():
         assert report.passed, (report.check_id, report.max_residual)
 
     # rebuilding the structure re-runs every invariant at 1e-9
-    rebuilt = applications.derive_contact_structure(alpha)
+    rebuilt = derive_contact_structure(alpha)
     assert max_abs((rebuilt.reeb - reeb).comps, points) <= 1e-12
 
     # the curvature 2-form against the Reeb pair vanishes identically, so
@@ -209,7 +211,7 @@ def test_criterion_6_foliation_case():
         chart.basis_field(1),
         geo.VectorField(chart, (se.ONE, se.ZERO, se.Var("y"))),
     )
-    foliation = applications.FoliationStructure(contact.form, kernel, contact.reeb)
+    foliation = FoliationStructure(contact.form, kernel, contact.reeb)
     probe = dataclasses.replace(contact_case, foliation=foliation)
     defect = ids.run_check(restricted, probe, config).max_residual
     assert defect > 0.5, "non-integrable control unexpectedly passed"
@@ -229,7 +231,7 @@ def test_criterion_7_mechanics_case(omega_rank_profile):
     case = gallery.build_case("sode_oscillator")
     sode = case.sode
     chart = case.chart
-    theta, omega = applications.build_cartan_form(sode, case.lagrangian)
+    theta, omega = build_cartan_form(sode, case.lagrangian)
     points = geo.sample_points(chart, "mechanics-acceptance", 20)
 
     # energy 1-form of the oscillator: u dx - (u^2 + x^2)/2 dt
@@ -253,7 +255,7 @@ def test_criterion_7_mechanics_case(omega_rank_profile):
     hook = geo.interior_product(sode.semispray, omega)
     assert max_abs(list(hook.comps.values()) or [se.ZERO], points) <= 1e-9
 
-    residuals = applications.massa_pagani_property_residuals(case.connection, sode, points)
+    residuals = massa_pagani_property_residuals(case.connection, sode, points)
     assert len(residuals) == 4
     for name, value in residuals.items():
         assert value <= 1e-9, (name, value)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bianchi import applications, case_checks, casefile, cli, gallery
+from bianchi import case_checks, casefile, cli, gallery, mechanics
 from bianchi import identity_suite as ids
 
 ALL_CHECKS = [
@@ -697,15 +697,26 @@ def _imported_by(code: str, modules) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize(
-    "module",
-    ["configparser", "hashlib", "bianchi.applications", "bianchi.case_checks", "bianchi.parsing"],
-)
+# the three application modules, by the case ids that each builds
+APPLICATION_MODULES = {
+    "contact_r3": "bianchi.contact",
+    "foliation_adapted": "bianchi.foliation",
+    "foliation_adapted_n4": "bianchi.foliation",
+    "sode_oscillator": "bianchi.mechanics",
+}
+APPLICATIONS = sorted(set(APPLICATION_MODULES.values()))
+# every module that some runs need and a generic verify run does not load
+ON_FIRST_USE = [*APPLICATIONS, "bianchi.case_checks", "bianchi.parsing", "bianchi.describe",
+                "bianchi.exact"]
+
+
+@pytest.mark.parametrize("module", ["configparser", "hashlib", *ON_FIRST_USE])
 def test_importing_the_cli_leaves_out(module):
-    """Only case files need configparser, only the exact recheck needs
-    hashlib, only the applications' cases need bianchi.applications, only
-    their claims need bianchi.case_checks and only parsed text needs
-    bianchi.parsing, so importing the CLI imports none of them."""
+    """Only case files need configparser, only the exact recheck
+    (bianchi.exact) needs hashlib, only an application's cases need its
+    module, only their claims need bianchi.case_checks, only parsed text
+    needs bianchi.parsing and only list and describe-case need
+    bianchi.describe, so importing the CLI imports none of them."""
     assert _imported_by("import bianchi.cli", [module]) == "[False]"
 
 
@@ -720,23 +731,27 @@ def _quiet_cli(*argv: str) -> str:
 
 def test_verifying_generic_cases_imports_neither_applications_nor_the_parser():
     """The gallery_verify benchmark's run, at one point and tuple: it builds
-    no application case, runs no application claim and parses no text."""
+    no application case, runs no application claim, parses no text, lists
+    and describes nothing and has no pair to recheck exactly."""
     code = _quiet_cli(
         "verify", "--case", "random_poly", "--case", "sphere_lc", "--case-checks",
         "--points", "1", "--tuples", "1",
     )
-    modules = ["bianchi.applications", "bianchi.case_checks", "bianchi.parsing"]
-    assert _imported_by(code, modules) == "[False, False, False]"
+    assert _imported_by(code, ON_FIRST_USE) == str([False] * len(ON_FIRST_USE))
 
 
-def test_building_an_application_case_imports_the_applications():
-    code = "from bianchi import gallery; gallery.build_case('foliation_adapted_n4')"
-    assert _imported_by(code, ["bianchi.applications", "bianchi.parsing"]) == "[True, False]"
+@pytest.mark.parametrize("case_id", APPLICATION_MODULES)
+def test_building_an_application_case_imports_its_module_alone(case_id):
+    code = f"from bianchi import gallery; gallery.build_case({case_id!r})"
+    modules = [*APPLICATIONS, "bianchi.parsing"]
+    expected = [m == APPLICATION_MODULES[case_id] for m in APPLICATIONS] + [False]
+    assert _imported_by(code, modules) == str(expected)
 
 
 def test_probing_mutants_imports_neither_the_claims_nor_the_parser():
     """The mutation_sweep benchmark's run, at one point and tuple: it builds
-    an application case but runs catalog checks only."""
+    a foliation case but runs catalog checks only, and its mutants fail
+    pairs that the exact recheck then tests."""
     code = (
         "import bianchi.cli\n"
         "from bianchi import gallery, identity_suite as ids\n"
@@ -745,8 +760,13 @@ def test_probing_mutants_imports_neither_the_claims_nor_the_parser():
         "config = ids.CheckConfig(points=1, tuples=1)\n"
         "ids.mutation_probe(case, checks, index=(0, 1, 2), delta=1, config=config)"
     )
-    modules = ["bianchi.applications", "bianchi.case_checks", "bianchi.parsing"]
-    assert _imported_by(code, modules) == "[True, False, False]"
+    modules = [*APPLICATIONS, "bianchi.exact", "bianchi.case_checks", "bianchi.parsing"]
+    assert _imported_by(code, modules) == "[False, True, False, True, False, False]"
+
+
+def test_describing_a_case_imports_the_describe_module():
+    code = _quiet_cli("describe-case", "contact_r3")
+    assert _imported_by(code, ["bianchi.describe", "bianchi.contact"]) == "[True, True]"
 
 
 def test_verifying_an_application_case_with_case_checks_imports_the_claims():
@@ -790,13 +810,13 @@ def test_case_file_expression_at_the_depth_limit_verifies(tmp_path, capsys):
 
 def test_case_checks_build_the_cartan_form_once(capsys, monkeypatch):
     calls = []
-    build = applications.build_cartan_form
+    build = mechanics.build_cartan_form
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(applications, "build_cartan_form", counted)
+    monkeypatch.setattr(mechanics, "build_cartan_form", counted)
     code, _, _ = run_cli(
         capsys, "verify", "--case", "sode_oscillator", "--case-checks", "--points", "3",
         "--tuples", "1",

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from bianchi import applications
 from bianchi import case_checks
 from bianchi import connection as con
 from bianchi import gallery
@@ -15,7 +14,13 @@ from bianchi import geometry as geo
 from bianchi import identity_suite as ids
 from bianchi import structure_forms as sf
 from bianchi import symexpr as se
+from bianchi.contact import derive_contact_structure, standard_contact_form
+from bianchi.foliation import FoliationStructure
 from bianchi.identity_suite import CheckConfig
+from bianchi.mechanics import (
+    SodeStructure, build_cartan_form, build_sode_structure, derive_massa_pagani,
+    massa_pagani_property_residuals,
+)
 
 
 R3 = gallery.R3
@@ -101,13 +106,13 @@ def test_validation_rejects_incompatible_metric():
 
 
 def test_validation_rejects_non_integrable_foliation_form():
-    alpha = applications.standard_contact_form(R3)
+    alpha = standard_contact_form(R3)
     x, y = se.Var("x"), se.Var("y")
     kernel = (
         R3.basis_field(1),
         geo.VectorField(R3, (se.ONE, se.ZERO, y)),
     )
-    foliation = applications.FoliationStructure(
+    foliation = FoliationStructure(
         form=alpha, leaf_fields=kernel, transverse=R3.basis_field(2)
     )
     case = dataclasses.replace(
@@ -122,7 +127,7 @@ def test_validation_rejects_non_integrable_foliation_form():
 
 def test_contact_condition_rejected_for_closed_form():
     with pytest.raises(gallery.ContactConditionError):
-        applications.derive_contact_structure(R3.basis_covector(2))
+        derive_contact_structure(R3.basis_covector(2))
 
 
 def nan_valued(name):
@@ -133,18 +138,18 @@ def nan_valued(name):
 
 
 def test_contact_condition_rejects_nan_component():
-    alpha = applications.standard_contact_form(R3) + geo.PForm(R3, 1, {(2,): nan_valued("z")})
+    alpha = standard_contact_form(R3) + geo.PForm(R3, 1, {(2,): nan_valued("z")})
     with pytest.raises(gallery.ContactConditionError):
-        applications.derive_contact_structure(alpha)
+        derive_contact_structure(alpha)
 
 
 def test_contact_rejects_wrong_degree_and_dimension():
     plane = geo.Chart("plane", ("x", "y"), ((-1.0, 1.0),) * 2)
     with pytest.raises(gallery.ContactConditionError):
-        applications.derive_contact_structure(plane.basis_covector(0))
+        derive_contact_structure(plane.basis_covector(0))
     two_form = geo.wedge(R3.basis_covector(0), R3.basis_covector(1))
     with pytest.raises(gallery.ContactConditionError):
-        applications.derive_contact_structure(two_form)
+        derive_contact_structure(two_form)
 
 
 def test_contact_structure_invariants_hold():
@@ -303,7 +308,7 @@ def contact_kernel_case():
     foliation, the Reeb field as the transverse field."""
     case = gallery.build_case("contact_r3")
     kernel = (R3.basis_field(1), geo.VectorField(R3, (se.ONE, se.ZERO, se.Var("y"))))
-    foliation = applications.FoliationStructure(case.contact.form, kernel, case.contact.reeb)
+    foliation = FoliationStructure(case.contact.form, kernel, case.contact.reeb)
     return dataclasses.replace(case, foliation=foliation)
 
 
@@ -334,7 +339,7 @@ def test_case_checks_stay_out_of_the_catalog():
 
 def test_sode_structure_rejects_mismatched_chart():
     with pytest.raises(gallery.GalleryError):
-        applications.build_sode_structure(R3, (se.ZERO, se.ZERO))
+        build_sode_structure(R3, (se.ZERO, se.ZERO))
 
 
 def test_sode_frame_and_eigenforms_are_dual():
@@ -398,7 +403,7 @@ def test_massa_pagani_frozen_christoffels_for_oscillator():
 
 def test_massa_pagani_defining_property_residuals():
     case = gallery.build_case("sode_oscillator")
-    residuals = applications.massa_pagani_property_residuals(
+    residuals = massa_pagani_property_residuals(
         case.connection, case.sode, points_on(case.chart, 19, 20)
     )
     assert set(residuals) == {
@@ -422,7 +427,7 @@ def test_massa_pagani_rejects_frame_varying_endomorphism():
             [se.ZERO, x, se.ZERO],
         ],
     )
-    doctored = applications.SodeStructure(
+    doctored = SodeStructure(
         chart=sode.chart,
         forces=sode.forces,
         semispray=sode.semispray,
@@ -434,12 +439,12 @@ def test_massa_pagani_rejects_frame_varying_endomorphism():
         force_forms=sode.force_forms,
     )
     with pytest.raises(gallery.FrameSolveError):
-        applications.derive_massa_pagani(doctored)
+        derive_massa_pagani(doctored)
 
 
 def test_massa_pagani_makes_the_adapted_frame_parallel():
     sode = gallery.build_case("sode_oscillator").sode
-    conn = applications.derive_massa_pagani(sode)
+    conn = derive_massa_pagani(sode)
     frame = [sode.semispray, *sode.horizontal_fields, *sode.vertical_fields]
     basis = sode.chart.coordinate_frame()
     exprs = [
@@ -455,9 +460,9 @@ def test_massa_pagani_two_degrees_of_freedom():
     )
     x1, x2, u2 = se.Var("x1"), se.Var("x2"), se.Var("u2")
     forces = (se.add(se.neg(x1), se.mul(se.Const(0.3), u2)), se.neg(x2))
-    sode = applications.build_sode_structure(chart, forces)
-    conn = applications.derive_massa_pagani(sode)
-    residuals = applications.massa_pagani_property_residuals(
+    sode = build_sode_structure(chart, forces)
+    conn = derive_massa_pagani(sode)
+    residuals = massa_pagani_property_residuals(
         conn, sode, points_on(chart, 23, 10)
     )
     for name, value in residuals.items():
@@ -470,7 +475,7 @@ def test_massa_pagani_two_degrees_of_freedom():
 def test_cartan_form_frozen_components():
     """theta = u dx - (u^2 + x^2)/2 dt for the oscillator Lagrangian."""
     case = gallery.build_case("sode_oscillator")
-    theta, _ = applications.build_cartan_form(case.sode, case.lagrangian)
+    theta, _ = build_cartan_form(case.sode, case.lagrangian)
     for pt in points_on(case.chart, 29, 20):
         u, x = pt["u"], pt["x"]
         assert se.evaluate(theta.component((0,)), pt) == pytest.approx(
@@ -483,7 +488,7 @@ def test_cartan_form_frozen_components():
 def test_cartan_two_form_is_closed_and_matches_eigenform_wedge():
     case = gallery.build_case("sode_oscillator")
     sode = case.sode
-    _, omega = applications.build_cartan_form(sode, case.lagrangian)
+    _, omega = build_cartan_form(sode, case.lagrangian)
     points = points_on(case.chart, 31)
     assert_vanishes(geo.exterior_derivative(omega).comps.values(), points, tol=1e-12)
     paired = geo.wedge(sode.force_forms[0], sode.contact_forms[0])
@@ -493,7 +498,7 @@ def test_cartan_two_form_is_closed_and_matches_eigenform_wedge():
 def test_cartan_form_rejects_singular_lagrangian():
     case = gallery.build_case("sode_oscillator")
     with pytest.raises(gallery.SingularLagrangianError):
-        applications.build_cartan_form(case.sode, se.Var("u"))
+        build_cartan_form(case.sode, se.Var("u"))
 
 
 def test_cartan_form_rejects_nan_hessian():
@@ -501,12 +506,12 @@ def test_cartan_form_rejects_nan_hessian():
     u = se.Var("u")
     lagrangian = se.add(case.lagrangian, se.mul(nan_valued("x"), se.mul(u, u)))
     with pytest.raises(gallery.SingularLagrangianError):
-        applications.build_cartan_form(case.sode, lagrangian)
+        build_cartan_form(case.sode, lagrangian)
 
 
 def test_cartan_two_form_has_rank_two_everywhere(omega_rank_profile):
     case = gallery.build_case("sode_oscillator")
-    _, omega = applications.build_cartan_form(case.sode, case.lagrangian)
+    _, omega = build_cartan_form(case.sode, case.lagrangian)
     ranks = omega_rank_profile(omega, points_on(case.chart, 37, 12))
     assert ranks == [2] * 12
 

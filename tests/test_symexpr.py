@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bianchi import exact
 from bianchi import symexpr as se
 from oracles import collector, evaluate_recursively, same_tree
 
@@ -486,7 +487,7 @@ VALUES = {"x": 0.5, "y": 2.0, "a": 0.5, "b": 0.25}
 WALKS = {
     "floats": (se._walk_floats, VALUES),
     "lists": (se._walk_lists, {name: [value, value + 1.0] for name, value in VALUES.items()}),
-    "residues": (se._walk_residues, {name: 3 + len(name) for name in VALUES}),
+    "residues": (exact._walk_residues, {name: 3 + len(name) for name in VALUES}),
 }
 
 
