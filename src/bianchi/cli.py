@@ -176,8 +176,8 @@ def main(argv=None) -> int:
         from . import describe
 
         if args.command == "list":
-            return describe._cmd_list(args)
-        return describe._cmd_describe_case(args)
+            return describe._cmd_list(args, _case_checks)
+        return describe._cmd_describe_case(args, _usage_error, _case_checks)
     except se.EvaluationError as exc:
         # a domain error of the input data (ln of a negative, overflow), not
         # a failed identity

@@ -1,26 +1,26 @@
 """The commands ``bianchi list`` and ``bianchi describe-case``.
 
 :func:`bianchi.cli.main` imports this module when it dispatches one of
-them, so a ``verify`` run never compiles it.  The usage errors and the
-application claims come from :mod:`bianchi.cli`, and every other module
-is reached through its module attributes.
+them, so a ``verify`` run never compiles it.  ``main`` passes each
+command its usage-error reporter and the lookup of the application
+claims, so this module does not import :mod:`bianchi.cli`, and every
+other module is reached through its module attributes.
 """
 
 from . import casefile
-from . import cli
 from . import gallery
 from . import geometry as geo
 from . import identity_suite as ids
 from . import symexpr as se
 
 
-def _cmd_list(args) -> int:
+def _cmd_list(args, case_checks) -> int:
     if args.what == "cases":
         for case_id in gallery.case_ids():
             case = gallery.build_case(case_id)
             print(f"{case_id:<22} {case.description}")
     else:
-        for check in [*map(ids.CATALOG.get, sorted(ids.CATALOG)), *cli._case_checks().values()]:
+        for check in [*map(ids.CATALOG.get, sorted(ids.CATALOG)), *case_checks().values()]:
             print(f"{check.identifier:<5} [{check.anchor}] {check.name}")
     return 0
 
@@ -44,9 +44,9 @@ def _render_field(field) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_describe_case(args) -> int:
+def _cmd_describe_case(args, usage_error, case_checks) -> int:
     if (args.case_id is None) == (args.case_file is None):
-        return cli._usage_error("describe-case takes either a case ID or --case-file PATH")
+        return usage_error("describe-case takes either a case ID or --case-file PATH")
     try:
         if args.case_file:
             loaded = casefile.load_case_file(args.case_file)
@@ -58,7 +58,7 @@ def _cmd_describe_case(args) -> int:
         gallery.CaseValidationError,
         casefile.CaseFileError,
     ) as exc:
-        return cli._usage_error(str(exc))
+        return usage_error(str(exc))
 
     chart = case.chart
     print(f"case: {case.id}")
@@ -110,7 +110,7 @@ def _cmd_describe_case(args) -> int:
             print(f"  force {a + 1}:    {se.to_text(force)}")
     if case.lagrangian is not None:
         print(f"lagrangian: {se.to_text(case.lagrangian)}")
-    check_ids = [c for c, check in cli._case_checks().items() if check.applicable(case)]
+    check_ids = [c for c, check in case_checks().items() if check.applicable(case)]
     if check_ids:
         print("case checks:")
         for check_id in check_ids:

@@ -32,8 +32,11 @@ nabla_X Z, nabla_{d/dx^i} theta, X wedge Y and R(X, Y) recur from term to
 term.  Inside a :func:`sharing` scope, which the identity suite opens
 around each tuple's build over the table that it keeps for that tuple,
 :func:`shared` returns the object that the first request built, so its
-nodes are built and evaluated once for all the checks of a case.  Outside
-a scope nothing is kept and every request builds afresh.  The minors of
+nodes are built once for all the checks of a case.  They are walked once
+per case too: the scans of a case share one memo per point set, which
+keeps the value of every node with three or more holders, such as a
+piece's component that its piece and two parents hold.  Outside a scope
+nothing is kept and every request builds afresh.  The minors of
 :meth:`PForm.apply` go through it, and so does every tensor-valued form
 call.  Scopes nest: an inner table (the one in which
 :func:`bianchi.structure_forms.cartan_coframe_forms` builds a coframe's
@@ -136,24 +139,6 @@ def shared(build: Callable, *args):
     if got is None:
         got = scope[key] = (args, build(*args))
     return got[1]
-
-
-def _roots(piece) -> list[Expr]:
-    """The expressions that a piece of a sharing table holds: the
-    components of a vector field, p-form or endomorphism field, or the
-    entries of a component dict or matrix (omega(X)).  A :class:`_Minors`
-    fills lazily and has none."""
-    if isinstance(piece, VectorField):
-        return list(piece.comps)
-    if isinstance(piece, PForm):
-        return list(piece.comps.values())
-    if type(piece) is dict:
-        return list(piece.values())
-    if isinstance(piece, LinearMap):
-        return [e for row in piece.entries for e in row]
-    if type(piece) is list:
-        return [e for row in piece for e in row]
-    return []
 
 
 class Chart:

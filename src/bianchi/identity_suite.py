@@ -27,10 +27,13 @@ Fields are seeded by case and tuple, not by check, so all checks of a
 case see the same fields at tuple t.  Every check runs inside a
 :func:`sampling` scope, which the suite runners open once per case and a
 check run alone opens for itself.  The scope keeps one record per sampled
-tuple: its fields, each drawn once, the pieces that the pairs of the
+tuple: its fields, each drawn once, and the pieces that the pairs of the
 case's checks repeat (omega(X), nabla_X Z, X wedge Y, R(X, Y), ...), each
-built once in the record's :func:`bianchi.geometry.sharing` table, and the
-values of their components at the case's points.  Factories run outside
+built once in the record's :func:`bianchi.geometry.sharing` table.  It
+also keeps one dict of node values per point set, the memo of every scan
+of the case's checks and tuples at those points, so a node is walked once
+per case: a value of a node held twice lives for its run, one of a node
+held three or more times until the scope closes.  Factories run outside
 the tables.  Everything dies with the scope.
 """
 
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import itertools
 import math
 import random
 from collections.abc import Callable, Sequence
@@ -95,33 +97,16 @@ class SampleBatch:
         self.forms = forms
 
 
-def _table_roots(entries) -> list:
-    """The roots (see :func:`bianchi.geometry._roots`) of the pieces of
-    sharing-table entries, without the constants and variables: a scan
-    gets their values without a walk, and a constant that no side reaches
-    would stay unknown and be visited again by every later run."""
-    leaves = (se.Const, se.Var)
-    return [
-        root
-        for _, piece in entries
-        for root in geo._roots(piece)
-        if type(root) not in leaves
-    ]
-
-
 class _Pieces:
     """What a sampling scope keeps for one sampled tuple of its case: the
-    fields drawn for it by slot, the sharing table of the pieces built
-    from them, and, per number of points, the values of their roots that
-    the checks' scans computed and the roots whose values are still
-    unknown."""
+    fields drawn for it by slot and the sharing table of the pieces built
+    from them."""
 
-    __slots__ = ("fields", "table", "values")
+    __slots__ = ("fields", "table")
 
     def __init__(self):
         self.fields: dict[str, object] = {}
         self.table: dict = {}
-        self.values: dict[int, tuple[dict, list]] = {}
 
     def field(self, seed, slot: str, sample: Callable):
         """The field of ``slot``: ``sample(random.Random(f"{seed}/{slot}"))``
@@ -131,34 +116,14 @@ class _Pieces:
             got = self.fields[slot] = sample(random.Random(f"{seed}/{slot}"))
         return got
 
-    def build(self, build: Callable, batch: SampleBatch) -> list:
-        """``build``'s pairs, built in this tuple's sharing table; each new
-        piece's roots join the unknown roots at every number of points."""
-        start = len(self.table)
-        with geo.sharing(self.table):
-            built = build(batch.vectors, batch.forms)
-        roots = _table_roots(itertools.islice(self.table.values(), start, None))
-        for _, unknown in self.values.values():
-            unknown += roots
-        return built
-
-    def known(self, count: int) -> tuple[dict, list]:
-        """The known values at ``count`` points and the roots whose values
-        are unknown, as :func:`bianchi.symexpr.worst_residual` takes them:
-        a scan writes back the values it finds and drops those roots."""
-        got = self.values.get(count)
-        if got is None:
-            got = self.values[count] = {}, _table_roots(self.table.values())
-        return got
-
     def clear(self) -> None:
         self.fields.clear()
         self.table.clear()
-        self.values.clear()
 
 
-# The open sampling scope's record of each sampled tuple by (chart, seed),
-# or None outside one.
+# The open sampling scope's record of each sampled tuple by (chart, seed)
+# and its node values of each point set by (chart, points stem, count), or
+# None outside one.
 _tuples: dict | None = None
 
 
@@ -166,11 +131,12 @@ _tuples: dict | None = None
 def sampling():
     """A scope that keeps one record per sampled tuple: the fields that
     :func:`sample_fields` draws for it, each slot once, and the pieces
-    that the checks of a case build from them, with their values at the
-    case's points.  A nested scope reuses the open one, so the checks run
-    inside a suite's scope share each tuple's record, and a check run
-    alone opens and closes its own.  Every record is emptied when the
-    scope closes, also on error.
+    that the checks of a case build from them; and one dict of node values
+    per point set, which every scan at those points takes as its memo.  A
+    nested scope reuses the open one, so the checks run inside a suite's
+    scope share each tuple's record and each point set's values, and a
+    check run alone opens and closes its own.  Every record and dict is
+    emptied when the scope closes, also on error.
 
     Python's cycle collector is paused while the outermost scope is open
     and left as the caller had it when the scope closes, also on error.
@@ -193,23 +159,28 @@ def sampling():
         yield
     finally:
         _tuples = None
-        for pieces in tuples.values():
-            pieces.clear()
+        for kept in tuples.values():
+            kept.clear()
         tuples.clear()
         if collecting:
             gc.enable()
 
 
+def _kept(make: Callable, *key):
+    """The open sampling scope's entry ``key``, made by ``make()`` at the
+    first request, or a fresh ``make()`` outside a scope."""
+    if _tuples is None:
+        return make()
+    got = _tuples.get(key)
+    if got is None:
+        got = _tuples[key] = make()
+    return got
+
+
 def _pieces(chart: Chart, seed) -> _Pieces:
     """The open sampling scope's record of the tuple seeded by ``seed``,
     or a fresh record outside one."""
-    if _tuples is None:
-        return _Pieces()
-    key = (chart, f"{seed}")
-    pieces = _tuples.get(key)
-    if pieces is None:
-        pieces = _tuples[key] = _Pieces()
-    return pieces
+    return _kept(_Pieces, chart, f"{seed}")
 
 
 def sample_fields(chart: Chart, seed, spec: SampleSpec) -> SampleBatch:
@@ -755,11 +726,12 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
     of its case in a suite, else one of its own that closes when it
     returns.  Each tuple is built in the sharing table of the scope's
     record of that tuple, so the check gets the pieces that earlier checks
-    of the case built from the same fields, and its scan starts from the
-    values they computed for those pieces at the same points.  Both are
-    what the check would build and compute itself, so the report is the
-    same.  On a chart of dimension below the check's declared degree the
-    factory is not called and each tuple has the one pair 0 = 0.  The
+    of the case built from the same fields, and its scan's memo is the
+    scope's values at the case's points, so it reads every value that the
+    earlier checks and tuples kept.  Both are what the check would build
+    and compute itself, so the report is the same.  On a chart of
+    dimension below the check's declared degree the factory is not called
+    and each tuple has the one pair 0 = 0.  The
     scope pauses Python's cycle collector (see
     :func:`sampling`), so a check run alone pauses it while it runs and
     leaves it as the caller had it, also when the check raises.
@@ -768,6 +740,7 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
         chart = case.chart
         stem = f"{config.seed}/{case.id}"
         points = geo.sample_points(chart, f"{stem}/points", config.points)
+        values = _kept(dict, chart, f"{stem}/points", config.points)
         if chart.dim >= check.degree:
             build = check.factory(case)
         else:
@@ -775,19 +748,17 @@ def run_check(check: IdentityCheck, case, config: CheckConfig) -> Report:
         spec = check.sample_spec(chart)
         # a check that samples no fields would build the same pairs for every tuple
         tuples = config.tuples if spec != SampleSpec() else 1
-        # the known values of each tuple's pieces, by tuple
-        known = {}
 
         def pairs():
             for t in range(tuples):
                 batch = sample_fields(chart, f"{stem}/{t}", spec)
-                pieces = _pieces(chart, f"{stem}/{t}")
-                known[t] = pieces.known(len(points))
-                for lhs, rhs in pieces.build(build, batch):
+                with geo.sharing(_pieces(chart, f"{stem}/{t}").table):
+                    built = build(batch.vectors, batch.forms)
+                for lhs, rhs in built:
                     yield t, lhs, rhs
 
         worst, worst_point, worst_tuple, cleared = se.worst_residual(
-            pairs(), points, config.tolerance, known
+            pairs(), points, config.tolerance, values
         )
     return Report(
         case_id=case.id,

@@ -41,13 +41,14 @@ the walk over lists with the same IEEE operation per point over several,
 so the values are bit-identical to those of :func:`evaluate`.  The pairs
 of a run of equal tags (the pairs of one sampled tuple, in a check) share
 the scan's memo, and the scan keeps their sides alive until the tag
-changes, so a subtree they share is computed once per run.  A run may
-start from known values at the same points and write back those it
-computes: every check of the identity suite passes the components of the
-pieces that its case's checks share at each tuple, so each is evaluated
-once per case and tuple, not per check.  ``evaluate`` is still called
-once per side and point and serves each value from the scan.  A pair
-with a residual above the check's tolerance is rechecked by
+changes, so a subtree they share is computed once per run.  The memo may
+be a dict of node values at the same points that outlives the call: the
+identity suite passes one per case and point set, so a node that several
+checks or tuples reach is walked once per case.  A run stores the value
+of a node held twice until it ends, and of a node held three or more
+times for as long as the dict lives.  ``evaluate`` is still called once
+per side and point and serves each value from the scan.  A pair with a
+residual above the check's tolerance is rechecked by
 :func:`holds_exactly`, an identity test modulo a prime; a pair that holds
 exactly keeps its float residual in the result, but that residual is
 rounding error and does not fail the check.
@@ -495,7 +496,7 @@ def evaluate(e: Expr, point: Mapping[str, float]) -> float:
             exc = "math range error"
         return EvaluationError(f"cannot evaluate '{_clip(node)}': {exc}")
 
-    return _walk_floats(e, memo, leaf, fail)
+    return _walk_floats(e, memo, leaf, fail=fail)
 
 
 class _ScanPoint(dict):
@@ -514,27 +515,32 @@ def _held_once(x) -> int:
 # reads the same (3 on CPython 3.11), so that it follows an interpreter
 # that counts arguments differently.  A count too high would leave a node
 # of two parents unstored, to be computed once per path; one too low only
-# stores more.
+# stores more.  A node held twice reads one more.
 _probe = [object()]
 _ONE_HOLDER = _held_once(_probe[0])
+_TWO_HOLDERS = _ONE_HOLDER + 1
 del _probe
 
 
-def _walk_floats(e: Expr, memo: dict, leaf, fail=None) -> float:
+def _walk_floats(e: Expr, memo: dict, leaf, run=None, fail=None) -> float:
     """The float value of ``e`` at one point, by one postorder walk of its
     DAG.  ``leaf(node)`` is the value of a Const or Var, and ``memo`` maps
     nodes to values, so a shared subtree is computed once.  A value is
     stored only for a node that something besides its one parent holds:
     a node held once is reached only through that parent, which the walk
-    computes once, so its value is never asked for again.  The node kinds
-    are tested inline, the most frequent first, and their arithmetic is
-    done in place, so no table lookup or Python-level call is made per
-    Mul, Add or Neg node.  Children are computed left to right, so of two
+    computes once, so its value is never asked for again.  A node held
+    exactly twice is also appended to the list ``run``, whose owner
+    deletes its value when the run ends.  The node kinds are tested
+    inline, the most frequent first, and their arithmetic is done in
+    place, so no table lookup or Python-level call is made per Mul, Add
+    or Neg node.  Children are computed left to right, so of two
     failing subtrees the left one raises.  An operation's ArithmeticError,
     ValueError or KeyError propagates, or, with ``fail``, is replaced by
     the exception ``fail(node, exc)`` of the innermost failing node, which
     must be none of those, so that it passes the node's ancestors as is.
     """
+    if run is None:
+        run = []
 
     def ev(node: Expr) -> float:
         got = memo.get(node)
@@ -560,8 +566,11 @@ def _walk_floats(e: Expr, memo: dict, leaf, fail=None) -> float:
             if fail is None:
                 raise
             raise fail(node, exc) from None
-        if getrefcount(node) > _ONE_HOLDER:
+        held = getrefcount(node)
+        if held > _ONE_HOLDER:
             memo[node] = out
+            if held == _TWO_HOLDERS:
+                run.append(node)
         return out
 
     try:
@@ -570,10 +579,12 @@ def _walk_floats(e: Expr, memo: dict, leaf, fail=None) -> float:
         del ev  # ev refers to itself; free it without the cycle collector
 
 
-def _walk_lists(e: Expr, memo: dict, leaf) -> list:
+def _walk_lists(e: Expr, memo: dict, leaf, run=None) -> list:
     """The values of ``e`` at several points, one list entry per point: the
     walk of :func:`_walk_floats` over lists of floats, with the same IEEE
     operation per point through ``list(map(op, a, b))``."""
+    if run is None:
+        run = []
 
     def ev(node: Expr) -> list:
         got = memo.get(node)
@@ -594,8 +605,11 @@ def _walk_lists(e: Expr, memo: dict, leaf) -> list:
             out = list(map(operator.truediv, ev(node.a), ev(node.b)))
         else:
             out = list(map(_UNARY[kind], ev(node.arg)))
-        if getrefcount(node) > _ONE_HOLDER:
+        held = getrefcount(node)
+        if held > _ONE_HOLDER:
             memo[node] = out
+            if held == _TWO_HOLDERS:
+                run.append(node)
         return out
 
     try:
@@ -608,11 +622,10 @@ class _Scan:
     """The values of the sides of the current run of pairs at every point.
 
     A side is computed at all points in one walk of its DAG, with one memo
-    shared by every side until :meth:`start_run`, so a subtree that
-    several of those sides share is computed once.  The memo keeps the
-    value of each node held more than once, such as the sides, which their
-    pairs hold, and the roots, which their list holds, but not of a node
-    that only its one parent holds.  Over one point the walk
+    shared by every side of the run, so a subtree that several of those
+    sides share is computed once.  The memo keeps the value of each node
+    held more than once, such as the sides, which their pairs hold, but
+    not of a node that only its one parent holds.  Over one point the walk
     is :func:`_walk_floats`, the walk of :func:`evaluate`; over several it
     is :func:`_walk_lists`, with the same IEEE operation per point, so
     every value is the one :func:`evaluate` gives at that point.  The walk
@@ -620,22 +633,27 @@ class _Scan:
     no column and is evaluated point by point, which raises the
     EvaluationError at the same point as before.
 
-    A run may start from known values, which its memo copies; when it
-    ends, the values it has of the given roots are written back and those
-    roots are dropped from the list, so a later run visits only the roots
-    still unknown.  The identity suite keeps such values in its record of
-    each sampled tuple, so the checks of a case evaluate the pieces they
-    share once.
+    The memo is ``values``, a dict of node values at these points that
+    outlives the scan, or a fresh dict per run without it.  A run deletes
+    the values it stored of nodes held exactly twice when it ends, and
+    leaves those of nodes held three or more times to every later run over
+    the same dict: nodes that two parents share with a piece, with their
+    primal's derivative memo or with a connection, and the sides that
+    something besides their pairs holds, such as a piece's components.
     """
 
-    def __init__(self, samples: list):
+    def __init__(self, samples: list, values: dict | None = None):
         self.samples = samples
         self.single = len(samples) == 1
         self.walk = _walk_floats if self.single else _walk_lists
         # one leaf value per variable name and per constant value
         self.leaves: dict = {}
-        self.known = None
-        self.start_run()
+        self.values = values
+        self.memo: dict = {} if values is None else values
+        # the nodes held twice whose values this run stored
+        self.run: list = []
+        # each side seen in this run: its column, or None when its walk raised
+        self.sides: dict[Expr, list | None] = {}
 
     def points(self) -> list:
         """The samples as points that know this scan (which keeps no
@@ -647,30 +665,25 @@ class _Scan:
             points.append(point)
         return points
 
-    def start_run(self, known=None) -> None:
-        """End the current run and start one from ``known``, a ``(values,
-        roots)`` pair as :func:`worst_residual` takes it, or from nothing."""
+    def start_run(self) -> None:
+        """End the current run and start the next."""
         self.end_run()
-        self.known = known
-        self.memo: dict[Expr, list] = {} if known is None else dict(known[0])
-        # each side seen in this run: its column, or None when its walk raised
-        self.sides: dict[Expr, list | None] = {}
+        if self.values is None:
+            self.memo = {}
 
     def end_run(self) -> None:
-        """Write the run's values of its unknown roots back to its known
-        values, and keep in the list only the roots it has no value of."""
-        if self.known is None:
-            return
-        values, roots = self.known
+        """Delete the values that the run stored of nodes held twice, and
+        drop its sides.  A side's count was raised by the callers that held
+        it during its walk; once its pair is gone, the value of a side held
+        by the sides and the memo alone is deleted too."""
         memo = self.memo
-        unknown = []
-        for root in roots:
-            got = memo.get(root)
-            if got is None:
-                unknown.append(root)
-            else:
-                values[root] = got
-        roots[:] = unknown
+        for node in self.run:
+            del memo[node]
+        self.run.clear()
+        for side in self.sides:
+            if getrefcount(side) == _TWO_HOLDERS:
+                memo.pop(side, None)
+        self.sides.clear()
 
     def column(self, e: Expr):
         """The values of ``e`` at every point, or None when the walk raised."""
@@ -679,7 +692,7 @@ class _Scan:
         except KeyError:
             pass
         try:
-            values = self.walk(e, self.memo, self._leaf)
+            values = self.walk(e, self.memo, self._leaf, self.run)
         except (ArithmeticError, ValueError, KeyError):
             values = None
         else:
@@ -700,7 +713,7 @@ class _Scan:
         return out
 
 
-def worst_residual(pairs, points, tol=None, known=None) -> tuple:
+def worst_residual(pairs, points, tol=None, values=None) -> tuple:
     """Worst residual |lhs - rhs| over ``(tag, lhs, rhs)`` triples and points.
 
     ``pairs`` is consumed lazily, one triple at a time.  ``rhs`` is an
@@ -713,15 +726,15 @@ def worst_residual(pairs, points, tol=None, known=None) -> tuple:
 
     ``evaluate`` serves each value from one scan of all the points.  The
     pairs of a run of equal tags share the scan's memo, so a subtree that
-    they share is computed once per run; the memo and the sides it keeps
-    alive are dropped when the tag changes.  ``known`` may map a tag to a
-    ``(values, roots)`` pair: the run's memo starts from a copy of
-    ``values``, a dict of node values at these points (a float over one
-    point, a list over several), and when the run ends the memo's values
-    of the nodes in ``roots``, a list, are written back to it and those
-    nodes are removed from ``roots``.  Every check of the
-    identity suite passes, per tuple, the components of the pieces that
-    its case's checks share; the other callers pass none.
+    they share is computed once per run; the sides it keeps alive, and the
+    values of nodes held twice, are dropped when the tag changes.  Without
+    ``values`` each run gets a fresh memo.  With it, ``values`` is the memo
+    of every run: a dict of node values at these points (a float over one
+    point, a list over several) that outlives the call and keeps the
+    values of nodes held three or more times, and of the sides that
+    something besides their pairs still holds.  The identity suite passes
+    one per case and point set, so every check and tuple of a case reads
+    what the earlier ones computed; the other callers pass none.
 
     With a tolerance ``tol``, a pair with a residual above it is tested
     once by :func:`holds_exactly`.  The residuals of a pair that holds
@@ -737,29 +750,32 @@ def worst_residual(pairs, points, tol=None, known=None) -> tuple:
     every residual above ``tol`` belongs to a pair that holds exactly.
     """
     samples = list(points)
-    scan = _Scan(samples)
+    scan = _Scan(samples, values)
     points = scan.points()
     worst, failing = (0.0, None, None), None
     run_tag = object()  # equal to no tag
-    for tag, lhs, rhs in pairs:
-        if tag != run_tag:
-            scan.start_run(None if known is None else known.get(tag))
-            run_tag = tag
-        exact = None
-        for index, point in enumerate(points):
-            left = evaluate(lhs, point)
-            right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
-            residual = abs(left - right)
-            if residual != residual or residual == math.inf:
-                return residual, samples[index], tag, False
-            if residual > worst[0]:
-                worst = residual, samples[index], tag
-            if tol is not None and residual > tol and (failing is None or residual > failing[0]):
-                if exact is None:
-                    exact = holds_exactly(lhs, rhs)
-                if not exact:
-                    failing = residual, samples[index], tag
-    scan.end_run()
+    try:
+        for tag, lhs, rhs in pairs:
+            if tag != run_tag:
+                scan.start_run()
+                run_tag = tag
+            exact = None
+            for index, point in enumerate(points):
+                left = evaluate(lhs, point)
+                right = evaluate(rhs, point) if isinstance(rhs, Expr) else rhs
+                residual = abs(left - right)
+                if residual != residual or residual == math.inf:
+                    return residual, samples[index], tag, False
+                if residual > worst[0]:
+                    worst = residual, samples[index], tag
+                if tol is not None and residual > tol and (failing is None or residual > failing[0]):
+                    if exact is None:
+                        exact = holds_exactly(lhs, rhs)
+                    if not exact:
+                        failing = residual, samples[index], tag
+    finally:
+        lhs = rhs = None  # the last pair is gone when its run ends
+        scan.end_run()
     if failing is not None:
         return (*failing, False)
     return (*worst, tol is not None and worst[0] > tol)

@@ -159,6 +159,9 @@ ONE_POINT_RUN = (
 # ``contact_r3`` and ``sphere_lc`` evaluate powers, sin and cos, so this
 # digest too assumes the libm of the platform it was pinned on.
 NINE_CASE_RUN = ("verify", "--case-checks", "--format", "json", "--seed", "0")
+# The same at another seed with two tuples: the checks and tuples of each
+# case share one memo of node values per point set.
+SEED_THREE_RUN = ("verify", "--case-checks", "--format", "json", "--seed", "3", "--tuples", "2")
 
 
 def test_verify_json_output_matches_the_pinned_digest(capsys):
@@ -199,6 +202,16 @@ def test_verify_of_every_case_matches_the_pinned_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "75a67973c9254e83ded74fdde5ee21517363111325cefdd1a1e6b7de84cbd0d1"
+    )
+
+
+def test_verify_of_every_case_at_seed_three_matches_the_pinned_digest(capsys):
+    """JSON output of every case at seed 3 and two tuples is byte-identical
+    across changes to how the checks and tuples of a case share values."""
+    code, out, _ = run_cli(capsys, *SEED_THREE_RUN)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8ce819d830a61b8e21f642ee769f4326c678e130e41e6d2aadffaebd502402c0"
     )
 
 
@@ -682,6 +695,29 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert "S2p" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [("list", "checks"), ("describe-case", "contact_r3")])
+def test_the_cli_run_as_a_script_is_not_imported_again(capsys, argv):
+    """``python -m bianchi.cli`` runs cli.py as ``__main__``: ``list`` and
+    ``describe-case`` print what ``main`` prints without importing it a
+    second time as ``bianchi.cli``."""
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['bianchi', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('bianchi.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    print(exit.code, 'bianchi.cli' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stderr == "0 False\n"
+    assert proc.stdout == run_cli(capsys, *argv)[1]
 
 
 def _imported_by(code: str, modules) -> str:

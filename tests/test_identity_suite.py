@@ -3,6 +3,7 @@ the gallery, applicability rules, and mutation sensitivity."""
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -411,6 +412,19 @@ def test_dense_metric_case_file_at_dim_five_all_pass(tmp_path):
     ]
 
 
+def test_random_polynomial_catalog_at_dim_five_all_pass():
+    """The whole catalog on the random-polynomial connection of a 5-chart
+    at the default number of points and one tuple: the dimension where
+    the checks of a case share the most walks."""
+    chart = geo.Chart("r5", ("x", "y", "z", "w", "v"), ((-1.0, 1.0),) * 5)
+    case = gallery._random_poly(chart, "random_poly5")(0)
+    reports = ids.run_suite(case, ids.CheckConfig(tuples=1))
+    assert len(reports) == 17
+    assert all(r.passed for r in reports), [
+        (r.check_id, r.max_residual) for r in reports if not r.passed
+    ]
+
+
 def test_degree_three_checks_degenerate_on_two_dimensional_charts():
     # every member of B2 is a 3-form, identically zero on a 2-chart
     report = ids.check_identity("B2", gallery.build_case("sphere_lc"))
@@ -455,6 +469,26 @@ def test_mutation_probe_trips_at_least_one_check():
     assert {r.check_id for r in reports} == {"S1", "B1v", "D1"}
     assert any(not r.passed for r in reports)
     assert all(r.case_id == "flat_with_torsion+mutated" for r in reports)
+
+
+def test_mutation_probes_of_the_whole_catalog_match_the_pinned_digest():
+    """The reports of probing every applicable catalog check on two cases
+    with one off-diagonal mutant are byte-identical across changes to how
+    a probe's checks and tuples share values.  ``sphere_lc`` evaluates sin
+    and cos, so this digest assumes the libm of the platform it was pinned
+    on."""
+    rows = []
+    for case_id in ("sphere_lc", "foliation_adapted_n4"):
+        case = gallery.build_case(case_id)
+        checks = [c for c in sorted(ids.CATALOG) if ids.CATALOG[c].applicable(case)]
+        probes = ids.mutation_probe(
+            case, checks, index=(1, 0, 1), config=ids.CheckConfig(points=10, tuples=2)
+        )
+        rows += [r.to_json_dict() for r in probes]
+    assert (len(rows), sum(not row["pass"] for row in rows)) == (35, 25)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "bf2a2a9172e571823f862aec7e3109bb528c2c36e209cc67e87834a026a1f46c"
+    )
 
 
 def test_a_mutation_probe_builds_few_constants():

@@ -116,10 +116,11 @@ def test_run_check_opens_one_scope_per_tuple_and_closes_it():
 
 def test_the_checks_of_a_case_share_each_tuples_pieces_in_a_sampling_scope():
     """Inside a sampling scope a later check gets the pieces that an
-    earlier check of the case built from the same tuple, and every root of
-    those pieces has a known value at the case's points, so none is left
-    to visit.  A check run alone builds each tuple in a table of its own,
-    emptied when it returns."""
+    earlier check of the case built from the same tuple, and the scope's
+    values at the case's points hold the value of each of their
+    components.  A check run alone builds each tuple in a table of its
+    own, and every table and values dict is emptied when the scope
+    closes."""
     case = gallery.build_case("random_poly")
     config = ids.CheckConfig(points=3, tuples=2)
     built = []
@@ -134,17 +135,41 @@ def test_the_checks_of_a_case_share_each_tuples_pieces_in_a_sampling_scope():
             ids.run_check(_tiny_check(build), case, config)
         assert built[0] is built[2] and built[1] is built[3] and built[0] is not built[1]
         pieces = ids._tuples[case.chart, "0/random_poly/0"]
-        values, unknown = pieces.values[config.points]
-        assert unknown == []
-        assert all(root in values for root in ids._table_roots(pieces.table.items()))
-        assert built[0].comps[0] in values
-        assert values[built[0].comps[0]] == [
-            se.evaluate(built[0].comps[0], p)
-            for p in geo.sample_points(case.chart, "0/random_poly/points", config.points)
-        ]
-    assert ids._tuples is None and not (pieces.fields or pieces.table or pieces.values)
+        values = ids._tuples[case.chart, "0/random_poly/points", config.points]
+        points = geo.sample_points(case.chart, "0/random_poly/points", config.points)
+        for comp in (*built[0].comps, *built[1].comps):
+            assert values[comp] == [se.evaluate(comp, p) for p in points]
+    assert ids._tuples is None and not (pieces.fields or pieces.table or values)
     ids.run_check(_tiny_check(build), case, config)
     assert built[4] is not built[0]
+
+
+class _CountingValues(dict):
+    """A values dict that counts the lookups that miss: a walk looks each
+    node up once before it computes it."""
+
+    misses = 0
+
+    def get(self, node):
+        got = super().get(node)
+        if got is None:
+            self.misses += 1
+        return got
+
+
+def test_the_second_of_two_identical_checks_in_a_scope_walks_no_node():
+    case = gallery.build_case("random_poly")
+    config = ids.CheckConfig(points=3, tuples=2)
+    check = _tiny_check(
+        lambda vectors, forms: [(c, c) for c in con.torsion(case.connection)(*vectors).comps]
+    )
+    with ids.sampling():
+        key = case.chart, "0/random_poly/points", config.points
+        values = ids._tuples[key] = _CountingValues()
+        first = ids.run_check(check, case, config)
+        walked = values.misses
+        assert ids.run_check(check, case, config) == first
+    assert walked > 0 and values.misses == walked
 
 
 def test_known_values_are_kept_per_number_of_points():

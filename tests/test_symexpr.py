@@ -8,6 +8,7 @@ checked by evaluation-equivalent round trips.
 import gc
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -459,24 +460,50 @@ def test_worst_residual_keeps_the_first_strictly_greater():
     assert (worst, point, tag) == (1.0, points[0], 0)
 
 
+def twice_and_thrice(kept: list):
+    """(x*y)*sin(x) + (x*y + sin(x)), built so that only its two parents
+    hold x*y, and only its two parents and ``kept`` hold sin(x)."""
+    twice, thrice = se.mul(se.Var("x"), se.Var("y")), se.sin(se.Var("x"))
+    kept.append(thrice)
+    return se.add(se.mul(twice, thrice), se.add(twice, thrice))
+
+
 @pytest.mark.parametrize("points", [[{"x": 2.0, "y": 3.0}], [{"x": 2.0, "y": 3.0}, {"x": 1.0, "y": 1.0}]])
-def test_a_run_starts_from_known_values_and_writes_back_its_roots(points):
-    x, y = se.Var("x"), se.Var("y")
-    root = se.mul(x, y)
-    side = se.add(root, x)
-    unreached = se.sin(x)
-    values = {}
-    known = {"t": (values, [root, unreached])}
-    se.worst_residual([("t", side, 0)], points, known=known)
-    expected = [p["x"] * p["y"] for p in points]
-    # the root's value only, a float over one point and a list over several
-    assert values == {root: expected[0] if len(points) == 1 else expected}
-    # a root whose value is written back leaves the list; the other stays
-    assert known["t"][1] == [unreached]
-    # a run of tag t starts from the known value; a run of another tag does not
-    values[root] = 100.0 if len(points) == 1 else [100.0] * len(points)
-    worst, point, tag, _ = se.worst_residual([("u", side, 0), ("t", side, 0)], points, known=known)
-    assert (worst, point, tag) == (102.0, points[0], "t")
+def test_given_values_keep_what_three_holders_share_and_runs_read_them(points):
+    def column(values):
+        return values[0] if len(points) == 1 else values
+
+    kept, values = [], {}
+    side = twice_and_thrice(kept)
+    # read x*y from the tree as the pairs are consumed: a local holding it
+    # during the walk would be a holder
+    seen = []
+
+    def pairs():
+        yield "t", side, 0
+        seen.append(side.a.a in values)  # still in run t
+        yield "u", se.ZERO, 0
+        seen.append(side.a.a in values)  # run t ended when run u began
+
+    se.worst_residual(pairs(), points, values=values)
+    twice, thrice = side.a.a, kept[0]
+    assert seen == [True, False]
+    # a float over one point, a list over several
+    assert values[thrice] == column([math.sin(p["x"]) for p in points])
+    assert twice not in values and values[side] == column([se.evaluate(side, p) for p in points])
+    # a later call reads a value planted in the dict; its side, which
+    # nothing holds once the call returns, leaves no value behind
+    values[thrice] = column([100.0] * len(points))
+    kept = set(values)
+    negated = (("v", se.neg(node), 0) for node in [thrice])
+    worst, point, tag, _ = se.worst_residual(negated, points, values=values)
+    assert (worst, point, tag) == (100.0, points[0], "v")
+    assert set(values) == kept
+    # without values nothing outlives the call
+    holders = sys.getrefcount(thrice), sys.getrefcount(side)
+    worst, _, _, _ = se.worst_residual([("t", se.neg(thrice), 0), ("u", side, side)], points)
+    assert worst == max(abs(math.sin(p["x"])) for p in points)
+    assert (sys.getrefcount(thrice), sys.getrefcount(side)) == holders
 
 
 # -- what an evaluation walk stores ---------------------------------------------------
